@@ -53,6 +53,7 @@ from .spectra import (
     birman_schwinger_check,
     count_above,
     count_below,
+    discrete_spectrum,
     discrete_spectrum_above,
     discrete_spectrum_below,
     essential_spectrum,

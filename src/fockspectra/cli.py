@@ -14,18 +14,19 @@ All commands write ``report.txt`` plus command-specific CSV files into the
 output directory and print the report to stdout.  Exit status: 0 success,
 1 usage error, 2 analysis failure.  Outputs are deterministic: identical
 invocations produce byte-identical files.
-
-The environment variable FOCKSPECTRA_THREADS caps BLAS/OpenMP worker
-threads; it must take effect before numpy loads, so the numeric modules are
-imported lazily inside main().
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from . import finiteness, schur, spectra, verify
+from . import grid as grid_mod
+from . import model as model_mod
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,8 +45,6 @@ class UsageError(ValueError):
 
 
 def _fmt(x) -> str:
-    import numpy as np
-
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, np.integer):
@@ -81,9 +80,6 @@ class _Report:
 
 
 def _load(args):
-    from . import grid as grid_mod
-    from . import model as model_mod
-
     spec = model_mod.load_model(args.model)
     cap = CLI_N_CAP.get(spec.d)
     if cap is None:
@@ -95,8 +91,6 @@ def _load(args):
 
 
 def _require_assumption_a(spec, g, report):
-    from . import model as model_mod
-
     chk = model_mod.check_assumption_a(spec, g)
     report.section("assumption-check")
     report.kv("sup_norm_2pe", chk.sup_norm_2pe)
@@ -114,8 +108,6 @@ def _node_columns(d: int):
 
 
 def _cmd_list_models(args) -> int:
-    from . import model as model_mod
-
     for name, bm in sorted(model_mod.builtin_models().items()):
         sys.stdout.write(f"{name}: expected {bm.expected}\n")
     return EXIT_OK
@@ -130,8 +122,6 @@ def _cmd_check_model(args, out_dir: Path) -> int:
 
 
 def _cmd_essspec(args, out_dir: Path) -> int:
-    from . import schur, spectra
-
     spec, g = _load(args)
     report = _Report("essspec", args)
     _require_assumption_a(spec, g, report)
@@ -166,9 +156,6 @@ def _cmd_essspec(args, out_dir: Path) -> int:
 
 
 def _cmd_discrete(args, out_dir: Path) -> int:
-    from . import grid as grid_mod
-    from . import spectra
-
     spec, g = _load(args)
     pg = grid_mod.make_pair_grid(g)
     report = _Report("discrete", args)
@@ -179,26 +166,18 @@ def _cmd_discrete(args, out_dir: Path) -> int:
     report.kv("M", ess.M)
     report.kv("sess_min", ess.sess_min)
     report.kv("sess_max", ess.sess_max)
-    if args.side in ("below", "both"):
-        ev = spectra.discrete_spectrum_below(spec, g, pg, sess_min=ess.sess_min)
-        report.section("discrete-below")
-        report.kv("count", ev.size)
-        for v in ev:
-            report.kv("eigenvalue", float(v))
-    if args.side in ("above", "both"):
-        ev = spectra.discrete_spectrum_above(spec, g, pg, sess_max=ess.sess_max)
-        report.section("discrete-above")
-        report.kv("count", ev.size)
-        for v in ev:
-            report.kv("eigenvalue", float(v))
+    below, above = spectra.discrete_spectrum(spec, g, pg, ess.sess_min, ess.sess_max)
+    for side, ev in (("below", below), ("above", above)):
+        if args.side in (side, "both"):
+            report.section(f"discrete-{side}")
+            report.kv("count", ev.size)
+            for v in ev:
+                report.kv("eigenvalue", float(v))
     report.write(out_dir)
     return EXIT_OK
 
 
 def _cmd_bs_check(args, out_dir: Path) -> int:
-    from . import grid as grid_mod
-    from . import spectra
-
     if (args.z is None) == (args.z_sweep is None):
         raise UsageError("bs-check needs exactly one of --z or --z-sweep")
     spec, g = _load(args)
@@ -210,7 +189,7 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
     else:
         try:
             lo, hi, count = args.z_sweep.split(":")
-            zs = list(__import__("numpy").linspace(float(lo), float(hi), int(count)))
+            zs = list(np.linspace(float(lo), float(hi), int(count)))
         except ValueError as exc:
             raise UsageError(f"bad --z-sweep {args.z_sweep!r}: expected lo:hi:count") from exc
     report.section("counting-checks")
@@ -236,8 +215,6 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
 
 
 def _cmd_finiteness(args, out_dir: Path) -> int:
-    from . import finiteness, grid as grid_mod, spectra
-
     spec, g = _load(args)
     report = _Report("finiteness", args)
     _require_assumption_a(spec, g, report)
@@ -282,10 +259,6 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
 
 
 def _cmd_singular_seq(args, out_dir: Path) -> int:
-    import numpy as np
-
-    from . import model as model_mod, verify
-
     spec, g = _load(args)
     report = _Report("singular-seq", args)
     chk = _require_assumption_a(spec, g, report)
@@ -358,11 +331,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("FOCKSPECTRA_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

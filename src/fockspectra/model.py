@@ -99,6 +99,14 @@ def _as_points(x, d: int) -> np.ndarray:
     return x
 
 
+def _as_point(x, d: int) -> np.ndarray:
+    """Flatten a single point to shape (d,), checking its coordinate count."""
+    pt = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
+    if pt.size != d:
+        raise ValueError(f"point must have {d} coordinates")
+    return pt
+
+
 def _strip(x: np.ndarray, d: int):
     return x[..., 0] if d == 1 else x
 
@@ -382,8 +390,9 @@ def synthetic_power_model(beta: float, gamma: float = 1.0, a: float = 1.0,
 def negate_model(spec: ModelSpec) -> ModelSpec:
     """Spectral mirror: the negated model's spectrum is minus the original's.
 
-    Used to analyze the discrete spectrum above the essential maximum with
-    the below-the-bottom machinery.
+    A test oracle for the two-sided analysis: negation is exact in floating
+    point, so every spectral quantity of the negated model is the exact
+    mirror of the original's.
     """
     return ModelSpec(
         d=spec.d,

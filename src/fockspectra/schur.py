@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .model import ModelSpec, eval_x, eval_xy, mesh_samples
+from .model import ModelSpec, _as_point, eval_x, eval_xy, mesh_samples
 
 POLE_TOL = 1e-12
 POLE_MARGIN = 1e-9
@@ -50,12 +50,37 @@ class PoleProximityError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SchurEval:
-    """Symbol values, compact-kernel matrix and its Hilbert-Schmidt norm at one z."""
+    """Symbol values, compact-kernel matrix and its Hilbert-Schmidt norm at one z.
+
+    The single source of the Schur complement S(z) and the Birman-Schwinger
+    operator T(z): both are built from these samples without re-evaluating
+    the parameter functions.
+    """
 
     z: float
     delta_vals: np.ndarray   # (N,) Delta(x_i; z)
     k_matrix: np.ndarray     # (N, N) weight-normalized, Hermitian
     hs_norm_k: float
+
+    def s_matrix(self) -> np.ndarray:
+        """Discrete Schur complement diag(Delta(z)) + K(z), as a new array."""
+        S = self.k_matrix.copy()
+        S[np.diag_indices_from(S)] += self.delta_vals
+        return S
+
+    def t_matrix(self) -> np.ndarray:
+        """Birman-Schwinger matrix -D^{-1/2} K D^{-1/2}, D = diag(Delta(z)).
+
+        Requires Delta(x_i; z) > 0 at every node, which holds for z strictly
+        below the essential spectrum.
+        """
+        dmin = float(np.min(self.delta_vals))
+        if dmin <= 0.0:
+            raise ValueError(
+                f"Delta(x; z) is nonpositive at a node (min {dmin:.3e}): "
+                "z not strictly below essential spectrum (or Assumption failure)")
+        scale = self.delta_vals**-0.5
+        return -(scale[:, None] * self.k_matrix * scale[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +104,14 @@ def delta_values(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     return ms.w1 - z - 0.5 * quad
 
 
+def _point_rows(spec: ModelSpec, grid: Grid, x, z: float):
+    """w2 and v1 at (x, y_j) for every node y_j, after the pole check of z."""
+    x = _as_point(x, spec.d)
+    w2row = eval_xy(spec, spec.w2, x[None, :], grid.nodes)
+    _pole_check(w2row, z)
+    return x, w2row, eval_xy(spec, spec.v1, x[None, :], grid.nodes)
+
+
 def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     """Delta(x; z) at an arbitrary point x (not necessarily a node).
 
@@ -88,24 +121,14 @@ def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     refinement-trend data rather than converged values when the integrand is
     singular there.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-    if x.size != spec.d:
-        raise ValueError(f"point x must have {spec.d} coordinates")
-    w2row = eval_xy(spec, spec.w2, x[None, :], grid.nodes)
-    _pole_check(w2row, z)
-    v1row = eval_xy(spec, spec.v1, x[None, :], grid.nodes)
+    x, w2row, v1row = _point_rows(spec, grid, x, z)
     w1x = float(eval_x(spec, spec.w1, x[None, :])[0])
     return w1x - z - 0.5 * float(np.sum(grid.weights * np.abs(v1row) ** 2 / (w2row - z)))
 
 
 def delta_derivative_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     """d/dz of the symbol; always <= -1, so z -> Delta(x; z) is strictly decreasing."""
-    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-    if x.size != spec.d:
-        raise ValueError(f"point x must have {spec.d} coordinates")
-    w2row = eval_xy(spec, spec.w2, x[None, :], grid.nodes)
-    _pole_check(w2row, z)
-    v1row = eval_xy(spec, spec.v1, x[None, :], grid.nodes)
+    _, w2row, v1row = _point_rows(spec, grid, x, z)
     return -1.0 - 0.5 * float(np.sum(grid.weights * np.abs(v1row) ** 2 / (w2row - z) ** 2))
 
 
@@ -131,26 +154,12 @@ def schur_eval(spec: ModelSpec, grid: Grid, z: float) -> SchurEval:
 
 def s_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     """Discrete Schur complement diag(Delta(z)) + K(z)."""
-    S = k_matrix(spec, grid, z)
-    idx = np.arange(grid.n)
-    S[idx, idx] += delta_values(spec, grid, z)
-    return S
+    return schur_eval(spec, grid, z).s_matrix()
 
 
 def bs_operator(spec: ModelSpec, grid: Grid, z: float) -> BSOperator:
-    """Birman-Schwinger operator -D^{-1/2} K D^{-1/2}, D = diag(Delta(z)).
-
-    Requires Delta(x_i; z) > 0 at every node, which holds for z strictly
-    below the essential spectrum.
-    """
-    dv = delta_values(spec, grid, z)
-    dmin = float(np.min(dv))
-    if dmin <= 0.0:
-        raise ValueError(
-            f"Delta(x; z) is nonpositive at a node (min {dmin:.3e}): "
-            "z not strictly below essential spectrum (or Assumption failure)")
-    scale = dv**-0.5
-    T = -(scale[:, None] * k_matrix(spec, grid, z) * scale[None, :])
+    """Birman-Schwinger operator at z; raises ValueError unless Delta(z) > 0."""
+    T = schur_eval(spec, grid, z).t_matrix()
     return BSOperator(z=float(z), t_matrix=T, hs_norm_t=float(np.linalg.norm(T)))
 
 

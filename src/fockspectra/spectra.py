@@ -30,7 +30,7 @@ import numpy as np
 from . import operators
 from .grid import Grid, PairGrid, make_grid
 from .model import ModelSpec, mesh_samples
-from .schur import bs_operator, hs_norm_k, s_matrix
+from .schur import hs_norm_k, schur_eval
 
 BOUNDARY_BAND = 1e-10
 _MAX_WIDENINGS = 80
@@ -92,8 +92,8 @@ def count_above(matrix, lam: float, band: float = BOUNDARY_BAND) -> int:
 
 
 def count_below(matrix, z: float, band: float = BOUNDARY_BAND) -> int:
-    """Number of eigenvalues strictly less than z, via N(z; A) = n(-z; -A)."""
-    return count_above(-np.asarray(matrix), -z, band)
+    """Number of eigenvalues strictly less than z (outside the boundary band)."""
+    return threshold_counts(matrix, z, band).below
 
 
 def _fine_range_guard(spec: ModelSpec, grid: Grid, samples_per_dim: int):
@@ -139,8 +139,7 @@ def _bisect_roots(symbol, rows, lo, hi, tol: float):
     """Vectorized bisection of the monotone symbol on per-row brackets.
 
     Brackets are oriented with the symbol positive at lo and negative at hi
-    (the symbol is strictly decreasing in z, so this holds on both sides of
-    [m, M]).
+    (lo < hi for the strictly decreasing one-sided symbol of _one_sided_roots).
     """
     lo = lo.copy()
     hi = hi.copy()
@@ -172,6 +171,45 @@ def _merge_hull(roots: np.ndarray) -> list:
         prev = r
     hull.append((float(lo), float(prev)))
     return hull
+
+
+_SIDES = {1: ("left", "below", "z_lo"), -1: ("right", "above", "z_hi")}
+
+
+def _one_sided_roots(spec: ModelSpec, grid: Grid, symbol: _RefinedSymbol, sign: int,
+                     e_hat: float, e_guard: float, edge: float, t_lo: float | None,
+                     tol: float):
+    """Sigma_2 roots on one side of ran w2, in the mirrored coordinate t = sign * z.
+
+    f(t) = sign * Delta(sign * t) is strictly decreasing and positive at
+    -inf for either sign, so the roots above M are the roots of f below -M
+    for sign = -1.  e_hat and e_guard are the lower edge of the sampled and
+    the fine-sampled range in t, t_lo an explicit lower end of the search
+    window in t.  Negation is exact in IEEE arithmetic, so both sides are
+    bit-identical to a search written out directly in z.  Returns the rows
+    holding a root and the roots in z.
+    """
+    side, beyond, window = _SIDES[sign]
+
+    def f(rows, t):
+        return sign * symbol(rows, sign * t)
+
+    probe = e_guard - edge
+    all_rows = np.arange(grid.n)
+    rows = all_rows[f(all_rows, probe) < 0.0]
+    if rows.size == 0:
+        return rows, np.empty(0)
+    t = t_lo if t_lo is not None else e_hat - 1.0 - 2.0 * hs_norm_k(spec, grid, sign * (e_hat - 1.0))
+    for _ in range(_MAX_WIDENINGS + 1):
+        if np.all(f(rows, t) > 0.0):
+            break
+        if t_lo is not None:
+            raise RuntimeError(f"a Sigma_2 root sits at or {beyond} {window}: widen and retry")
+        t = e_guard - 2.0 * (e_guard - t)
+    else:
+        raise RuntimeError(f"{side} search-window widening failed to bracket all roots")
+    found = _bisect_roots(f, rows, np.full(rows.size, t), np.full(rows.size, probe), tol=tol)
+    return rows, sign * found
 
 
 def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
@@ -207,77 +245,52 @@ def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
     if inner_refine is None:
         inner_refine = 4 if spec.d == 1 else 2
     symbol = _RefinedSymbol(spec, grid, inner_refine)
-    all_rows = np.arange(grid.n)
 
-    # ---- left side: roots below m
-    probe_L = m_guard - edge
-    dl = symbol(all_rows, probe_L)
-    rows_L = all_rows[dl < 0.0]
     roots = []
-    if rows_L.size:
-        zl = z_lo if z_lo is not None else m_hat - 1.0 - 2.0 * hs_norm_k(spec, grid, m_hat - 1.0)
-        for attempt in range(_MAX_WIDENINGS + 1):
-            if np.all(symbol(rows_L, zl) > 0.0):
-                break
-            if z_lo is not None:
-                raise RuntimeError("a Sigma_2 root sits at or below z_lo: widen and retry")
-            zl = m_guard - 2.0 * (m_guard - zl)
-        else:
-            raise RuntimeError("left search-window widening failed to bracket all roots")
-        found = _bisect_roots(symbol, rows_L,
-                              np.full(rows_L.size, zl), np.full(rows_L.size, probe_L),
-                              tol=bisection_tol)
-        roots += [(grid.nodes[r].copy(), float(z)) for r, z in zip(rows_L, found)]
-
-    # ---- right side: roots above M (symbol still decreasing, positive side flipped)
-    probe_R = M_guard + edge
-    dr = symbol(all_rows, probe_R)
-    rows_R = all_rows[dr > 0.0]
-    if rows_R.size:
-        zh = z_hi if z_hi is not None else M_hat + 1.0 + 2.0 * hs_norm_k(spec, grid, M_hat + 1.0)
-        for attempt in range(_MAX_WIDENINGS + 1):
-            if np.all(symbol(rows_R, zh) < 0.0):
-                break
-            if z_hi is not None:
-                raise RuntimeError("a Sigma_2 root sits at or above z_hi: widen and retry")
-            zh = M_guard + 2.0 * (zh - M_guard)
-        else:
-            raise RuntimeError("right search-window widening failed to bracket all roots")
-        found = _bisect_roots(symbol, rows_R,
-                              np.full(rows_R.size, probe_R), np.full(rows_R.size, zh),
-                              tol=bisection_tol)
-        roots += [(grid.nodes[r].copy(), float(z)) for r, z in zip(rows_R, found)]
-
-    root_vals = np.array([z for _, z in roots]) if roots else np.empty(0)
-    sess_min = float(min([m_hat] + [z for z in root_vals if z < m_hat]))
-    sess_max = float(max([M_hat] + [z for z in root_vals if z > M_hat]))
-    left = np.array([z for z in root_vals if z < m_hat])
-    right = np.array([z for z in root_vals if z > M_hat])
+    sides = []
+    for sign, e_hat, e_guard, t_lo in ((1, m_hat, m_guard, z_lo),
+                                       (-1, -M_hat, -M_guard, None if z_hi is None else -z_hi)):
+        rows, found = _one_sided_roots(spec, grid, symbol, sign, e_hat, e_guard, edge,
+                                       t_lo, bisection_tol)
+        roots += [(grid.nodes[r].copy(), float(z)) for r, z in zip(rows, found)]
+        sides.append(found)
+    left, right = sides
     hull = _merge_hull(left) + _merge_hull(right)
+    sess_min = float(left.min(initial=m_hat))
+    sess_max = float(right.max(initial=M_hat))
     return EssSpecReport(m=m_hat, M=M_hat, sigma2_roots=roots, sigma2_hull=hull,
                          sess_min=sess_min, sess_max=sess_max)
+
+
+def discrete_spectrum(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
+                      sess_min: float | None = None, sess_max: float | None = None,
+                      tol_band: float = BOUNDARY_BAND) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the reduced matrix outside the essential spectrum, from one solve.
+
+    Returns ``(below, above)``: the sorted eigenvalues strictly below
+    sess_min - tol_band and strictly above sess_max + tol_band.  A missing
+    edge is taken from essential_spectrum.
+    """
+    if sess_min is None or sess_max is None:
+        ess = essential_spectrum(spec, grid)
+        sess_min = ess.sess_min if sess_min is None else sess_min
+        sess_max = ess.sess_max if sess_max is None else sess_max
+    ev = eigvals_hermitian(operators.assemble_A(operators.assemble_blocks(spec, grid, pair_grid)))
+    return ev[ev < sess_min - tol_band], ev[ev > sess_max + tol_band]
 
 
 def discrete_spectrum_below(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
                             sess_min: float | None = None,
                             tol_band: float = BOUNDARY_BAND) -> np.ndarray:
     """Sorted eigenvalues of the reduced matrix strictly below sess_min - tol_band."""
-    if sess_min is None:
-        sess_min = essential_spectrum(spec, grid).sess_min
-    A = operators.assemble_A(operators.assemble_blocks(spec, grid, pair_grid))
-    ev = eigvals_hermitian(A)
-    return ev[ev < sess_min - tol_band]
+    return discrete_spectrum(spec, grid, pair_grid, sess_min, np.inf, tol_band)[0]
 
 
 def discrete_spectrum_above(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
                             sess_max: float | None = None,
                             tol_band: float = BOUNDARY_BAND) -> np.ndarray:
-    """Mirror of discrete_spectrum_below: eigenvalues above sess_max + tol_band."""
-    if sess_max is None:
-        sess_max = essential_spectrum(spec, grid).sess_max
-    A = operators.assemble_A(operators.assemble_blocks(spec, grid, pair_grid))
-    ev = eigvals_hermitian(A)
-    return ev[ev > sess_max + tol_band]
+    """Sorted eigenvalues of the reduced matrix strictly above sess_max + tol_band."""
+    return discrete_spectrum(spec, grid, pair_grid, -np.inf, sess_max, tol_band)[1]
 
 
 def birman_schwinger_check(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
@@ -289,13 +302,13 @@ def birman_schwinger_check(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
     of the respective threshold are tallied separately; agreement is only
     meaningful when that tally is zero.
     """
-    T = bs_operator(spec, grid, z).t_matrix      # raises if Delta not positive
+    sz = schur_eval(spec, grid, z)
+    T = sz.t_matrix()                            # raises if Delta not positive
     A = operators.assemble_A(operators.assemble_blocks(spec, grid, pair_grid))
-    S = s_matrix(spec, grid, z)
-    tc_A = threshold_counts(-A, -z, band)
-    tc_S = threshold_counts(-S, 0.0, band)
+    tc_A = threshold_counts(A, z, band)
+    tc_S = threshold_counts(sz.s_matrix(), 0.0, band)
     tc_T = threshold_counts(T, 1.0, band)
-    count_A, count_S, count_T = tc_A.above, tc_S.above, tc_T.above
+    count_A, count_S, count_T = tc_A.below, tc_S.below, tc_T.above
     return CountingResult(
         z=float(z), count_A=count_A, count_S=count_S, count_T=count_T,
         boundary=tc_A.boundary + tc_S.boundary + tc_T.boundary,

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid, PairGrid
-from .model import ModelSpec, eval_xy
+from .model import ModelSpec, _as_point, eval_xy
 from . import operators
 from .spectra import count_below
 
@@ -50,13 +50,6 @@ class FullVsReducedReport:
     count_reduced: int
     difference: int
     within_rank_bound: bool
-
-
-def _as_point(x, d: int) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-    if pt.size != d:
-        raise ValueError(f"point must have {d} coordinates")
-    return pt
 
 
 def _auto_rho(spec: ModelSpec, x0: np.ndarray, y0: np.ndarray) -> float:

@@ -1,5 +1,5 @@
 
-from fockspectra import cli
+from fockspectra import cli, spectra
 
 NAN_CONFIG = """
 domain { d = 1  a = 1.0 }
@@ -81,6 +81,17 @@ def test_discrete_command(tmp_path):
     assert rc == 0
     report = (tmp_path / "report.txt").read_text()
     assert "== discrete-below ==" in report and "== discrete-above ==" in report
+
+
+def test_discrete_both_sides_solve_once(tmp_path, monkeypatch):
+    calls = []
+    original = spectra.eigvals_hermitian
+    monkeypatch.setattr(spectra, "eigvals_hermitian",
+                        lambda matrix: calls.append(1) or original(matrix))
+    rc = cli.main(["discrete", "--model", "mnr-infinite", "--n", "12",
+                   "--side", "both", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_finiteness_command(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fockspectra as fs
+from fockspectra import schur
 from conftest import make_decoupled, pick_z_below, random_trig_model
 
 
@@ -201,3 +203,54 @@ def test_frobenius_schur_inertia_leg():
         neg_S = int(np.sum(np.linalg.eigvalsh(S) < 0))
         neg_h22 = int(np.sum(blocks.h22 - z < 0))
         assert neg_A == neg_S + neg_h22
+
+
+def _roots_by_value(ess, sign=1):
+    return sorted((sign * z, tuple(pt)) for pt, z in ess.sigma2_roots)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_negation_mirrors_essential_spectrum_exactly(seed):
+    # the random models typically have roots below m only, so their
+    # negations have roots above M: both sides of the root finder are used
+    spec = random_trig_model(np.random.default_rng(seed))
+    g = fs.make_grid(1, spec.a, 12)
+    ess = fs.essential_spectrum(spec, g, inner_refine=2, guard_samples=257)
+    neg = fs.essential_spectrum(fs.negate_model(spec), g, inner_refine=2, guard_samples=257)
+    assert neg.m == -ess.M and neg.M == -ess.m
+    assert neg.sess_min == -ess.sess_max and neg.sess_max == -ess.sess_min
+    assert _roots_by_value(neg, -1) == _roots_by_value(ess)
+    assert len(neg.left_roots) == len(ess.right_roots)
+    assert len(neg.right_roots) == len(ess.left_roots)
+
+
+def test_narrow_window_cutting_a_root_raises_on_each_side(mnr):
+    # mnr-infinite has roots above M only; its negation has them below m
+    g = fs.make_grid(1, mnr.a, 16)
+    ess = fs.essential_spectrum(mnr, g)
+    assert ess.right_roots and not ess.left_roots
+    with pytest.raises(RuntimeError, match="above z_hi"):
+        fs.essential_spectrum(mnr, g, z_hi=0.5 * (ess.M + ess.sess_max))
+    neg = fs.negate_model(mnr)
+    ess_n = fs.essential_spectrum(neg, g)
+    assert ess_n.left_roots
+    with pytest.raises(RuntimeError, match="below z_lo"):
+        fs.essential_spectrum(neg, g, z_lo=0.5 * (ess_n.sess_min + ess_n.m))
+
+
+def test_bs_check_evaluates_delta_and_k_once_per_z(mnr, monkeypatch):
+    calls = {"delta_values": 0, "k_matrix": 0}
+    for name in calls:
+        original = getattr(schur, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(schur, name, counted)
+    g = fs.make_grid(1, mnr.a, 12)
+    pg = fs.make_pair_grid(g)
+    for z in (-0.5, -0.25):
+        assert fs.birman_schwinger_check(mnr, g, pg, z).agree
+    assert calls == {"delta_values": 2, "k_matrix": 2}
