@@ -42,6 +42,7 @@ from .schur import (
     hs_bound_young,
     hs_norm_k,
     k_matrix,
+    s_derivative,
     s_matrix,
     schur_eval,
 )
@@ -49,8 +50,10 @@ from .spectra import (
     BOUNDARY_BAND,
     CountingResult,
     EssSpecReport,
+    MatrixTooLargeError,
     ThresholdCounts,
     birman_schwinger_check,
+    birman_schwinger_sweep,
     count_above,
     count_below,
     discrete_spectrum,

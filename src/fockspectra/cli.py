@@ -80,7 +80,10 @@ class _Report:
 
 
 def _load(args):
-    spec = model_mod.load_model(args.model)
+    try:
+        spec = model_mod.load_model(args.model)
+    except model_mod.ModelError as exc:
+        raise UsageError(str(exc)) from exc
     cap = CLI_N_CAP.get(spec.d)
     if cap is None:
         raise UsageError(f"the CLI supports d in {sorted(CLI_N_CAP)}; model has d = {spec.d}")
@@ -157,7 +160,6 @@ def _cmd_essspec(args, out_dir: Path) -> int:
 
 def _cmd_discrete(args, out_dir: Path) -> int:
     spec, g = _load(args)
-    pg = grid_mod.make_pair_grid(g)
     report = _Report("discrete", args)
     _require_assumption_a(spec, g, report)
     ess = spectra.essential_spectrum(spec, g)
@@ -166,9 +168,10 @@ def _cmd_discrete(args, out_dir: Path) -> int:
     report.kv("M", ess.M)
     report.kv("sess_min", ess.sess_min)
     report.kv("sess_max", ess.sess_max)
-    below, above = spectra.discrete_spectrum(spec, g, pg, ess.sess_min, ess.sess_max)
-    for side, ev in (("below", below), ("above", above)):
+    for side, solve, edge in (("below", spectra.discrete_spectrum_below, ess.sess_min),
+                              ("above", spectra.discrete_spectrum_above, ess.sess_max)):
         if args.side in (side, "both"):
+            ev = solve(spec, g, edge)
             report.section(f"discrete-{side}")
             report.kv("count", ev.size)
             for v in ev:
@@ -195,8 +198,7 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
     report.section("counting-checks")
     rows = []
     all_agree = True
-    for z in zs:
-        res = spectra.birman_schwinger_check(spec, g, pg, float(z))
+    for res in spectra.birman_schwinger_sweep(spec, g, pg, [float(z) for z in zs]):
         rows.append((res.z, res.count_A, res.count_S, res.count_T, res.boundary,
                      str(res.agree).lower()))
         report.kv("z", res.z)
@@ -351,7 +353,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args, out_dir)
-    except UsageError as exc:
+    except (UsageError, spectra.MatrixTooLargeError) as exc:
         sys.stderr.write(f"fockspectra: usage error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # analysis-level failure, message from the module

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage, optimize
 
 from .grid import Grid, make_grid
 from .model import ModelSpec, eval_xy
@@ -125,6 +124,8 @@ def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None,
         if np.any(np.diff(idx) > 16):
             return None
     else:
+        from scipy import ndimage
+
         labels, n_clusters = ndimage.label(mask.reshape((n_fine,) * spec.d))
         if n_clusters > 1:
             return None
@@ -143,6 +144,8 @@ def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None,
     def objective(t):
         t = np.atleast_1d(t)
         return float(eval_xy(spec, spec.w2, t[None, :], t[None, :])[0])
+
+    from scipy import optimize
 
     if spec.d == 1:
         res = optimize.minimize_scalar(lambda t: objective(np.array([t])),

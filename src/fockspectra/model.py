@@ -28,6 +28,7 @@ from __future__ import annotations
 import ast
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -414,14 +415,44 @@ def negate_model(spec: ModelSpec) -> ModelSpec:
 
 _EXPR_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
 _EXPR_CONSTS = {"pi": math.pi}
-_ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
+_FOLD = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+         ast.Div: operator.truediv, ast.Pow: operator.pow,
+         ast.USub: operator.neg, ast.UAdd: operator.pos}
+_ALLOWED_OPS = tuple(_FOLD)
+
+
+class _FloatLiterals(ast.NodeTransformer):
+    """Make every literal a float and fold the operators between literals.
+
+    Exact integer arithmetic on literals is unbounded: 9**9**9 has 370
+    million digits, and the CLI would compute them all before converting to
+    float.  In floats it overflows at once, and folding moves the overflow to
+    compile time, where it becomes a ModelError.
+    """
+
+    def visit_Constant(self, node):
+        return ast.copy_location(ast.Constant(float(node.value)), node)
+
+    def visit_UnaryOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.operand, ast.Constant):
+            return ast.copy_location(ast.Constant(_FOLD[type(node.op)](node.operand.value)), node)
+        return node
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant):
+            value = _FOLD[type(node.op)](node.left.value, node.right.value)
+            return ast.copy_location(ast.Constant(value), node)
+        return node
 
 
 def _compile_expr(text: str, variables: tuple[str, ...]):
     """Compile an arithmetic expression over the given variables.
 
     Only +, -, *, /, **, the functions sin/cos/exp/sqrt/abs, the constant pi
-    and numeric literals are admitted.
+    and numeric literals are admitted.  Literals are floats, and arithmetic
+    between literals is done once, here.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -448,6 +479,10 @@ def _compile_expr(text: str, variables: tuple[str, ...]):
         if isinstance(node, ast.Load):
             continue
         raise ModelError(f"disallowed syntax ({type(node).__name__}) in expression {text!r}")
+    try:
+        tree = _FloatLiterals().visit(tree)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ModelError(f"constant arithmetic fails in expression {text!r}: {exc}") from exc
     code = compile(tree, "<model-expr>", "eval")
 
     def fn(**kwargs):

@@ -19,12 +19,15 @@ which reproduces the quadrature of  integral v1(x_i, s) f(x_i, s) ds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .grid import Grid, PairGrid
 from .model import ModelSpec, mesh_samples
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 HERMITICITY_TOL = 1e-14
 
@@ -55,6 +58,8 @@ def _check_dims(grid: Grid, pair_grid: PairGrid) -> None:
 
 def assemble_blocks(spec: ModelSpec, grid: Grid, pair_grid: PairGrid) -> DiscreteBlocks:
     """Sample the parameter functions and build all five blocks."""
+    from scipy import sparse
+
     _check_dims(grid, pair_grid)
     ms = mesh_samples(spec, grid)
     w = grid.weights
@@ -133,6 +138,8 @@ def consistency_check_adjoint(blocks: DiscreteBlocks, spec: ModelSpec,
 
 def dump_matrix_csv(matrix, path) -> None:
     """Write a dense or sparse matrix as (row, col, re, im) triplet rows."""
+    from scipy import sparse
+
     mat = sparse.coo_matrix(matrix)
     with open(path, "w") as fh:
         fh.write("row,col,re,im\n")

@@ -141,6 +141,22 @@ def k_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     return sw[:, None] * kern * sw[None, :]
 
 
+def s_derivative(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
+    """dS/dz: diag(d Delta/dz) plus K(z) / (w2 - z) entrywise.
+
+    On the grid this is -I - B (h22 - z)^{-2} B* for the coupling block B, so
+    it is at most -I: every eigenvalue of S(z) falls at least as fast as z
+    rises, on either side of ran w2.
+    """
+    ms = mesh_samples(spec, grid)
+    _pole_check(ms.W2, z)
+    inv2 = (ms.W2 - z) ** -2.0
+    sw = np.sqrt(grid.weights)
+    dS = sw[:, None] * (-0.5 * ms.V1 * np.conj(ms.V1.T) * inv2) * sw[None, :]
+    dS[np.diag_indices_from(dS)] -= 1.0 + 0.5 * ((np.abs(ms.V1) ** 2 * inv2) @ grid.weights)
+    return dS
+
+
 def hs_norm_k(spec: ModelSpec, grid: Grid, z: float) -> float:
     """Discrete Hilbert-Schmidt norm of K(z) (the Frobenius norm of k_matrix)."""
     return float(np.linalg.norm(k_matrix(spec, grid, z)))

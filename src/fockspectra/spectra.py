@@ -6,7 +6,10 @@ Delta(. ; z) passes through zero.  On a grid, Sigma_1 is approximated by the
 sampled range [m, M] of w2 over node pairs and Sigma_2 by per-node roots of
 z -> Delta(x_i; z), which is strictly decreasing, diverges to +inf as
 z -> -inf, and tends to -inf as z -> +inf; each node therefore contributes
-at most one root per side, found by bisection.
+at most one root per side, found by bisection.  The discrete spectrum
+outside [sess_min, sess_max] comes from the N x N Schur complement S(z) by
+inertia (discrete_spectrum); the dense reduced matrix is assembled only as
+the independent leg of the Birman-Schwinger check.
 
 Numerical guard rails (all O(h^2)-scaled so they refine with the grid):
 
@@ -23,6 +26,7 @@ separately, since strict counting at machine precision is ill-posed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +34,12 @@ import numpy as np
 from . import operators
 from .grid import Grid, PairGrid, make_grid
 from .model import ModelSpec, mesh_samples
-from .schur import hs_norm_k, schur_eval
+from .schur import hs_norm_k, s_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
 _MAX_WIDENINGS = 80
+_MAX_ROOT_STEPS = 200
+_SYMBOL_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -79,11 +85,14 @@ def eigvals_hermitian(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(matrix))
 
 
-def threshold_counts(matrix, threshold: float, band: float = BOUNDARY_BAND) -> ThresholdCounts:
-    ev = eigvals_hermitian(matrix)
+def _band_counts(ev: np.ndarray, threshold: float, band: float) -> ThresholdCounts:
     below = int(np.sum(ev < threshold - band))
     above = int(np.sum(ev > threshold + band))
     return ThresholdCounts(below=below, boundary=ev.size - below - above, above=above)
+
+
+def threshold_counts(matrix, threshold: float, band: float = BOUNDARY_BAND) -> ThresholdCounts:
+    return _band_counts(eigvals_hermitian(matrix), threshold, band)
 
 
 def count_above(matrix, lam: float, band: float = BOUNDARY_BAND) -> int:
@@ -128,10 +137,14 @@ class _RefinedSymbol:
         self.w1 = eval_x(spec, spec.w1, grid.nodes).astype(float)
 
     def __call__(self, rows: np.ndarray, z) -> np.ndarray:
-        # z may be scalar or per-row array
-        z = np.asarray(z, dtype=float)
-        zcol = z[..., None] if z.ndim else z
-        quad = np.sum(self.w * self.V2[rows] / (self.W2[rows] - zcol), axis=-1)
+        # z may be scalar or per-row array; blocks of rows bound the temporaries
+        z = np.broadcast_to(np.asarray(z, dtype=float), rows.shape)
+        quad = np.empty(rows.shape)
+        for s in range(0, rows.size, _SYMBOL_BLOCK_ROWS):
+            r = rows[s:s + _SYMBOL_BLOCK_ROWS]
+            zcol = z[s:s + _SYMBOL_BLOCK_ROWS, None]
+            quad[s:s + _SYMBOL_BLOCK_ROWS] = np.sum(
+                self.w * self.V2[r] / (self.W2[r] - zcol), axis=-1)
         return self.w1[rows] - z - 0.5 * quad
 
 
@@ -262,55 +275,164 @@ def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
                          sess_min=sess_min, sess_max=sess_max)
 
 
-def discrete_spectrum(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
-                      sess_min: float | None = None, sess_max: float | None = None,
+def _branch_roots(matrices, t_edge: float, pole: float) -> np.ndarray:
+    """Sorted roots below t_edge of the eigenvalue branches of a Hermitian F(t).
+
+    ``matrices(t)`` returns F(t) and F'(t) with F' <= -I.  The j-th smallest
+    eigenvalue mu_j(t) of F(t) is then continuous and strictly decreasing with
+    slope <= -1, so it has exactly one root t_j and is negative exactly for
+    t > t_j: there are as many roots below t_edge as negative eigenvalues of
+    F(t_edge).  Each root comes from Newton steps on mu_j, with
+    mu_j' = v_j^H F' v_j, inside a bracket that every evaluation narrows by
+    the slope bound (mu_j(t) > 0 puts t_j in [t, t + mu_j(t)], mu_j(t) < 0 in
+    [t + mu_j(t), t]); a step leaving the bracket is replaced by bisection.
+    Roots are taken from the edge inward, t_j <= t_{j+1}, each search starting
+    at the last evaluation of the previous one.  ``pole`` is the singularity
+    of F nearest above t_edge.
+    """
+    def evaluate(t):
+        F, dF = matrices(t)
+        mu, vecs = np.linalg.eigh(F)
+        return mu, vecs, dF
+
+    t = t_edge
+    mu, vecs, dF = evaluate(t)
+    k = int(np.count_nonzero(mu < 0.0))
+    roots = np.empty(k)
+    hi = t_edge
+    for j in range(k - 1, -1, -1):
+        lo = -np.inf
+        for _ in range(_MAX_ROOT_STEPS):
+            if mu[j] >= 0.0:
+                lo, hi = max(lo, t), min(hi, t + mu[j])
+            else:
+                lo, hi = max(lo, t + mu[j]), min(hi, t)
+            v = vecs[:, j]
+            slope = float(np.real(np.vdot(v, dF @ v)))
+            # eigh resolves mu to about eps * ||F||, i.e. t_j to that over |slope|
+            tol = 8.0 * np.finfo(float).eps * (abs(t) + np.max(np.abs(mu)) / -slope)
+            if hi - lo <= tol:
+                root = min(hi, 0.5 * (lo + hi))
+                break
+            newton = mu[j] / slope
+            # Next to the pole, mu_j ~ -c / (pole - t) and Newton steps only
+            # double the distance to it; Newton on mu_j(t) (pole - t) cancels
+            # the pole and is taken when it moves more than twice as far.
+            d = pole - t
+            denom = slope * d - mu[j]
+            cancelled = mu[j] * d / denom if denom < 0.0 else 0.0
+            step = t - (cancelled if abs(cancelled) > 2.0 * abs(newton) else newton)
+            if abs(step - t) <= tol:
+                root = min(max(step, lo), hi)
+                break
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            t = step
+            mu, vecs, dF = evaluate(t)
+        else:
+            raise RuntimeError(f"eigenvalue branch {j} did not converge in {_MAX_ROOT_STEPS} steps")
+        roots[j] = hi = root
+    return roots
+
+
+def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float | None = None,
+                      sess_max: float | None = None,
                       tol_band: float = BOUNDARY_BAND) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the reduced matrix outside the essential spectrum, from one solve.
+    """Eigenvalues of the reduced matrix A outside the essential spectrum, by Schur inertia.
 
     Returns ``(below, above)``: the sorted eigenvalues strictly below
     sess_min - tol_band and strictly above sess_max + tol_band.  A missing
-    edge is taken from essential_spectrum.
+    edge is taken from essential_spectrum; an infinite edge leaves its side
+    empty without any work.
+
+    A is never assembled.  For z below min h22 = m, Haynsworth inertia
+    additivity on A - z gives #eig(A) < z = #neg S(z), so the eigenvalues
+    below the edge are the roots of the eigenvalue branches of the N x N
+    Schur complement S(z) (see _branch_roots).  Above M the same holds for
+    #eig(A) > z = #pos S(z), which is the same search on t -> -S(-t).  The
+    identity needs sess_min <= m and sess_max >= M; ValueError otherwise.
     """
     if sess_min is None or sess_max is None:
         ess = essential_spectrum(spec, grid)
         sess_min = ess.sess_min if sess_min is None else sess_min
         sess_max = ess.sess_max if sess_max is None else sess_max
-    ev = eigvals_hermitian(operators.assemble_A(operators.assemble_blocks(spec, grid, pair_grid)))
-    return ev[ev < sess_min - tol_band], ev[ev > sess_max + tol_band]
+    W2 = mesh_samples(spec, grid).W2
+    if sess_min > np.min(W2) or sess_max < np.max(W2):
+        raise ValueError("discrete spectrum: sess_min must not exceed m and sess_max "
+                         "must not fall below M, the sampled range of w2")
+    sides = []
+    for sign, edge in ((1, sess_min), (-1, sess_max)):
+        if not np.isfinite(edge):
+            sides.append(np.empty(0))
+            continue
+
+        def matrices(t, sign=sign):
+            z = sign * t
+            return sign * schur_eval(spec, grid, z).s_matrix(), s_derivative(spec, grid, z)
+
+        sides.append(sign * _branch_roots(matrices, sign * edge - tol_band, np.min(sign * W2)))
+    below, above = sides
+    return below, above[::-1]
 
 
-def discrete_spectrum_below(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
-                            sess_min: float | None = None,
+def discrete_spectrum_below(spec: ModelSpec, grid: Grid, sess_min: float | None = None,
                             tol_band: float = BOUNDARY_BAND) -> np.ndarray:
     """Sorted eigenvalues of the reduced matrix strictly below sess_min - tol_band."""
-    return discrete_spectrum(spec, grid, pair_grid, sess_min, np.inf, tol_band)[0]
+    return discrete_spectrum(spec, grid, sess_min, np.inf, tol_band)[0]
 
 
-def discrete_spectrum_above(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
-                            sess_max: float | None = None,
+def discrete_spectrum_above(spec: ModelSpec, grid: Grid, sess_max: float | None = None,
                             tol_band: float = BOUNDARY_BAND) -> np.ndarray:
     """Sorted eigenvalues of the reduced matrix strictly above sess_max + tol_band."""
-    return discrete_spectrum(spec, grid, pair_grid, -np.inf, sess_max, tol_band)[1]
+    return discrete_spectrum(spec, grid, -np.inf, sess_max, tol_band)[1]
 
 
-def birman_schwinger_check(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
-                           z: float, band: float = BOUNDARY_BAND) -> CountingResult:
-    """Three-way bound-state count at z: reduced matrix, Schur complement, BS operator.
+class MatrixTooLargeError(MemoryError):
+    """A dense matrix and its eigensolver copy would not fit in physical memory."""
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid, zs,
+                           band: float = BOUNDARY_BAND) -> list[CountingResult]:
+    """Three-way bound-state counts at each z: reduced matrix, Schur complement, BS operator.
 
     Computes N(z; A_h), N(0; S_h(z)) and n(1; T_h(z)) independently and
     reports whether all three agree.  Eigenvalues inside the boundary band
     of the respective threshold are tallied separately; agreement is only
-    meaningful when that tally is zero.
+    meaningful when that tally is zero.  A does not depend on z, so it is
+    eigensolved once for all zs; MatrixTooLargeError is raised before it is
+    allocated if it and the eigensolver's copy exceed physical memory.
     """
-    sz = schur_eval(spec, grid, z)
-    T = sz.t_matrix()                            # raises if Delta not positive
-    A = operators.assemble_A(operators.assemble_blocks(spec, grid, pair_grid))
-    tc_A = threshold_counts(A, z, band)
-    tc_S = threshold_counts(sz.s_matrix(), 0.0, band)
-    tc_T = threshold_counts(T, 1.0, band)
-    count_A, count_S, count_T = tc_A.below, tc_S.below, tc_T.above
-    return CountingResult(
-        z=float(z), count_A=count_A, count_S=count_S, count_T=count_T,
-        boundary=tc_A.boundary + tc_S.boundary + tc_T.boundary,
-        agree=bool(count_A == count_S == count_T),
-    )
+    blocks = operators.assemble_blocks(spec, grid, pair_grid)
+    dim = blocks.n + blocks.p
+    need = 2 * dim * dim * np.dtype(blocks.dtype).itemsize
+    have = _physical_memory_bytes()
+    if need > have:
+        raise MatrixTooLargeError(
+            f"the {dim} x {dim} reduced matrix and its eigensolver copy need "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
+            "physical memory; use a smaller grid")
+    ev_A = eigvals_hermitian(operators.assemble_A(blocks))
+    results = []
+    for z in zs:
+        sz = schur_eval(spec, grid, z)
+        T = sz.t_matrix()                        # raises if Delta not positive
+        tc_A = _band_counts(ev_A, z, band)
+        tc_S = threshold_counts(sz.s_matrix(), 0.0, band)
+        tc_T = threshold_counts(T, 1.0, band)
+        count_A, count_S, count_T = tc_A.below, tc_S.below, tc_T.above
+        results.append(CountingResult(
+            z=float(z), count_A=count_A, count_S=count_S, count_T=count_T,
+            boundary=tc_A.boundary + tc_S.boundary + tc_T.boundary,
+            agree=bool(count_A == count_S == count_T),
+        ))
+    return results
+
+
+def birman_schwinger_check(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
+                           z: float, band: float = BOUNDARY_BAND) -> CountingResult:
+    """Three-way bound-state count at one z (see birman_schwinger_sweep)."""
+    return birman_schwinger_sweep(spec, grid, pair_grid, [z], band)[0]

@@ -102,7 +102,6 @@ def mnr_below0_counts(mnr):
     counts = {}
     for n in (16, 32, 64):
         g = fs.make_grid(1, mnr.a, n)
-        pg = fs.make_pair_grid(g)
-        ev = fs.discrete_spectrum_below(mnr, g, pg, sess_min=0.0)
+        ev = fs.discrete_spectrum_below(mnr, g, sess_min=0.0)
         counts[n] = ev.size
     return counts

@@ -151,8 +151,7 @@ def test_acceptance_07_infinite_spectrum_consistency(mnr):
     counts = {}
     for n in (16, 32, 64):
         g = fs.make_grid(1, mnr.a, n)
-        pg = fs.make_pair_grid(g)
-        counts[n] = fs.discrete_spectrum_below(mnr, g, pg, sess_min=0.0).size
+        counts[n] = fs.discrete_spectrum_below(mnr, g, sess_min=0.0).size
     assert counts[16] <= counts[32] <= counts[64]
     assert counts[64] > counts[16]
 

@@ -1,5 +1,12 @@
 
-from fockspectra import cli, spectra
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fockspectra import cli, operators, spectra
 
 NAN_CONFIG = """
 domain { d = 1  a = 1.0 }
@@ -83,15 +90,48 @@ def test_discrete_command(tmp_path):
     assert "== discrete-below ==" in report and "== discrete-above ==" in report
 
 
-def test_discrete_both_sides_solve_once(tmp_path, monkeypatch):
-    calls = []
-    original = spectra.eigvals_hermitian
-    monkeypatch.setattr(spectra, "eigvals_hermitian",
-                        lambda matrix: calls.append(1) or original(matrix))
+def test_discrete_both_sides_never_assembles_A(tmp_path, monkeypatch):
+    def refuse(blocks):
+        raise AssertionError("discrete assembled the dense reduced matrix")
+
+    monkeypatch.setattr(operators, "assemble_A", refuse)
     rc = cli.main(["discrete", "--model", "mnr-infinite", "--n", "12",
                    "--side", "both", "--out", str(tmp_path)])
     assert rc == 0
-    assert len(calls) == 1
+
+
+def test_bs_check_sweep_eigensolves_A_once(tmp_path, monkeypatch):
+    dims = []
+    original = spectra.eigvals_hermitian
+    monkeypatch.setattr(spectra, "eigvals_hermitian",
+                        lambda matrix: dims.append(len(matrix)) or original(matrix))
+    rc = cli.main(["bs-check", "--model", "mnr-infinite", "--n", "12",
+                   "--z-sweep=-1.0:-0.3:16", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len((tmp_path / "counting.csv").read_text().splitlines()) == 17
+    assert dims.count(12 + 12 * 13 // 2) == 1     # N + P for N = 12
+
+
+def test_bs_check_refuses_a_matrix_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spectra, "_physical_memory_bytes", lambda: 10**5)
+    monkeypatch.setattr(operators, "assemble_A", lambda blocks: pytest.fail("A was allocated"))
+    rc = cli.main(["bs-check", "--model", "mnr-infinite", "--n", "12",
+                   "--z", "-0.25", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_config_literal_overflow_exits_1_without_hanging(tmp_path):
+    # exact integer arithmetic would compute 9**9**9 for hours before overflowing
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(NAN_CONFIG.replace('"sqrt(0 - 1 - x * 0 - y * 0)"', '"x * y * 9**9**9"'))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "fockspectra.cli", "check-model",
+                           "--model", str(cfg), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "9**9**9" in proc.stderr
 
 
 def test_finiteness_command(tmp_path):

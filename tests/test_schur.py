@@ -192,3 +192,14 @@ def test_pole_proximity_error(mnr):
         fs.delta_values(mnr, g, z_exact)
     with pytest.raises(fs.PoleProximityError):
         fs.k_matrix(mnr, g, z_exact)
+
+
+def test_s_derivative_finite_difference_and_bound(mnr):
+    # dS/dz on both sides of ran w2: matches a central difference, and is <= -I
+    g = fs.make_grid(1, mnr.a, 16)
+    for z in (-0.5, 7.0):
+        dS = fs.s_derivative(mnr, g, z)
+        h = 1e-6
+        fd = (fs.s_matrix(mnr, g, z + h) - fs.s_matrix(mnr, g, z - h)) / (2 * h)
+        assert np.max(np.abs(dS - fd)) < 1e-6 * np.max(np.abs(dS))
+        assert np.max(np.linalg.eigvalsh(dS)) <= -1.0 + 1e-12

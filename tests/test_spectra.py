@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fockspectra as fs
 from fockspectra import schur
@@ -116,8 +116,7 @@ def test_monotone_root_structure(mnr):
 def test_discrete_below_trivial_gap():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x, lambda x, y: 0.0 * x * y)
     g = fs.make_grid(1, 1.0, 8)
-    pg = fs.make_pair_grid(g)
-    ev = fs.discrete_spectrum_below(spec, g, pg)
+    ev = fs.discrete_spectrum_below(spec, g)
     assert ev.size == 0
 
 
@@ -128,9 +127,8 @@ def test_discrete_below_small_coupling_stable(s2e):
     counts = []
     for n in (16, 32, 64):
         g = fs.make_grid(1, weak.a, n)
-        pg = fs.make_pair_grid(g)
         ess = fs.essential_spectrum(weak, g)
-        counts.append(fs.discrete_spectrum_below(weak, g, pg, sess_min=ess.sess_min).size)
+        counts.append(fs.discrete_spectrum_below(weak, g, sess_min=ess.sess_min).size)
     assert counts[0] == counts[1] == counts[2]
 
 
@@ -144,7 +142,7 @@ def test_discrete_above_mirror(mnr):
     g = fs.make_grid(1, mnr.a, 12)
     pg = fs.make_pair_grid(g)
     ess = fs.essential_spectrum(mnr, g)
-    above = fs.discrete_spectrum_above(mnr, g, pg, sess_max=ess.sess_max)
+    above = fs.discrete_spectrum_above(mnr, g, sess_max=ess.sess_max)
     A = fs.assemble_A(fs.assemble_blocks(mnr, g, pg))
     ev = np.linalg.eigvalsh(A)
     assert above.size == int(np.sum(ev > ess.sess_max + 1e-10))
@@ -254,3 +252,64 @@ def test_bs_check_evaluates_delta_and_k_once_per_z(mnr, monkeypatch):
     for z in (-0.5, -0.25):
         assert fs.birman_schwinger_check(mnr, g, pg, z).agree
     assert calls == {"delta_values": 2, "k_matrix": 2}
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), u=st.floats(1e-3, 1.0))
+def test_haynsworth_counts_on_both_sides(seed, u):
+    # #eig(A) < z = #neg S(z) below min h22, #eig(A) > z = #pos S(z) above max h22
+    spec = random_trig_model(np.random.default_rng(seed))
+    g = fs.make_grid(1, spec.a, 8)
+    blocks = fs.assemble_blocks(spec, g, fs.make_pair_grid(g))
+    evA = np.linalg.eigvalsh(fs.assemble_A(blocks))
+    lo, hi = float(np.min(blocks.h22)), float(np.max(blocks.h22))
+    for z in (lo - u * (hi - lo + 1.0), hi + u * (hi - lo + 1.0)):
+        evS = np.linalg.eigvalsh(fs.s_matrix(spec, g, z))
+        assume(min(np.min(np.abs(evA - z)), np.min(np.abs(evS))) > 1e-9)
+        if z < lo:
+            assert np.sum(evA < z) == np.sum(evS < 0.0)
+        else:
+            assert np.sum(evA > z) == np.sum(evS > 0.0)
+
+
+def _complex_coupling_model():
+    spec = random_trig_model(np.random.default_rng(41))
+    return fs.ModelSpec(d=1, a=spec.a, w0=0.0, v0=spec.v0, w1=spec.w1, w2=spec.w2,
+                        v1=lambda x, y: spec.v1(x, y) * np.exp(1j * (x - 2.0 * y)))
+
+
+D2_CONFIG = """
+domain { d = 2  a = 1 }
+functions {
+  w0 = 0
+  v0 = 0
+  w1 { expr = "1 + 0.1 * (x1 * x1 + x2 * x2)" }
+  v1 { expr = "2.0 * (y1 * y1 + y2 * y2)" }
+  w2 { expr = "x1 * x1 + x2 * x2 + y1 * y1 + y2 * y2" }
+}
+"""
+
+
+@pytest.mark.parametrize("case", ["mnr-infinite", "sigma2-empty", "complex", "d2"])
+def test_schur_inertia_matches_dense_eigenvalues(case):
+    spec = {"complex": _complex_coupling_model,
+            "d2": lambda: fs.model_from_config(D2_CONFIG)}.get(case, lambda: fs.load_model(case))()
+    g = fs.make_grid(spec.d, spec.a, 24 if spec.d == 1 else 6)
+    ess = fs.essential_spectrum(spec, g)
+    below, above = fs.discrete_spectrum(spec, g, ess.sess_min, ess.sess_max)
+    ev = np.linalg.eigvalsh(fs.assemble_A(fs.assemble_blocks(spec, g, fs.make_pair_grid(g))))
+    dense_below = ev[ev < ess.sess_min - fs.BOUNDARY_BAND]
+    dense_above = ev[ev > ess.sess_max + fs.BOUNDARY_BAND]
+    assert below.size + above.size > 0
+    assert below.size == dense_below.size and above.size == dense_above.size
+    assert np.max(np.abs(below - dense_below), initial=0.0) <= 1e-12
+    assert np.max(np.abs(above - dense_above), initial=0.0) <= 1e-12
+
+
+def test_discrete_spectrum_refuses_edges_inside_ran_w2(mnr):
+    g = fs.make_grid(1, mnr.a, 12)
+    ess = fs.essential_spectrum(mnr, g)
+    with pytest.raises(ValueError, match="sess_min"):
+        fs.discrete_spectrum(mnr, g, ess.m + 1e-6, ess.sess_max)
+    with pytest.raises(ValueError, match="sess_max"):
+        fs.discrete_spectrum(mnr, g, ess.sess_min, ess.M - 1e-6)
