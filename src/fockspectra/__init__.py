@@ -37,10 +37,12 @@ from .schur import (
     SchurEval,
     bs_operator,
     delta_at,
+    delta_at_points,
     delta_derivative_at,
     delta_values,
     hs_bound_young,
     hs_norm_k,
+    hs_norm_t,
     k_matrix,
     s_derivative,
     s_matrix,

@@ -217,6 +217,8 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
 
 
 def _cmd_finiteness(args, out_dir: Path) -> int:
+    if args.levels < 3:
+        raise UsageError(f"--levels must be at least 3 (got {args.levels})")
     spec, g = _load(args)
     report = _Report("finiteness", args)
     _require_assumption_a(spec, g, report)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .grid import Grid, make_grid
 from .model import ModelSpec, eval_xy
-from .schur import PoleProximityError, bs_operator, delta_at
+from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t, row_blocks
 
 R2_GATE = 0.9
 N_SHELLS = 12
@@ -232,11 +232,12 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0, delta: float | N
         pts = t0[None, :] + r * dirs                     # (ndir, d)
         w2v = eval_xy(spec, spec.w2, pts[:, None, :], pts[None, :, :])
         alpha_stats[k] = float(np.min(w2v)) - e_star
-        v1v = np.abs(eval_xy(spec, spec.v1, xs[:, None, :], pts[None, :, :]))
-        beta_stats[k] = float(np.max(v1v))
+        beta_stats[k] = max(
+            float(np.max(np.abs(eval_xy(spec, spec.v1, xs[b, None, :], pts[None, :, :]))))
+            for b in row_blocks(xs.shape[0], pts.shape[0]))
         if gamma_ok:
             try:
-                gamma_stats[k] = min(delta_at(spec, fine, p, e_star) for p in pts)
+                gamma_stats[k] = float(np.min(delta_at_points(spec, fine, pts, e_star)))
             except PoleProximityError:
                 gamma_ok = False
 
@@ -294,7 +295,7 @@ def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid], report,
     hs_trend = []
     for g in grids:
         try:
-            hs_trend.append((g.n_per_dim, bs_operator(spec, g, estimate.e_star).hs_norm_t))
+            hs_trend.append((g.n_per_dim, hs_norm_t(spec, g, estimate.e_star)))
         except (ValueError, PoleProximityError):
             hs_trend.append((g.n_per_dim, math.nan))
     hs_vals = np.array([h for _, h in hs_trend])

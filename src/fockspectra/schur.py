@@ -22,19 +22,28 @@ Birman-Schwinger operator
     T(z) = -Delta(z)^{-1/2} K(z) Delta(z)^{-1/2}
 
 is defined; its eigenvalues above 1 count the bound states below z.
+
+The point evaluations of the symbol and the Hilbert-Schmidt norm of T are
+streamed over row blocks of BLOCK_ELEMENTS samples, so their memory does not
+grow with the square of the grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import Grid
-from .model import ModelSpec, _as_point, eval_x, eval_xy, mesh_samples
+from .model import ModelSpec, _as_point, _as_points, eval_x, eval_xy, mesh_samples
 
 POLE_TOL = 1e-12
 POLE_MARGIN = 1e-9
+# Samples per row block of the streamed routines (8 MB of float64): a block
+# of an (m, N) sample array has max(1, BLOCK_ELEMENTS // N) rows.
+BLOCK_ELEMENTS = 1 << 20
 
 
 class PoleProximityError(RuntimeError):
@@ -48,9 +57,23 @@ class PoleProximityError(RuntimeError):
         self.dist = dist
 
 
+def row_blocks(n_rows: int, n_cols: int) -> list:
+    """Slices of max(1, BLOCK_ELEMENTS // n_cols) rows covering range(n_rows)."""
+    step = max(1, BLOCK_ELEMENTS // n_cols)
+    return [slice(s, s + step) for s in range(0, n_rows, step)]
+
+
+def _require_positive(delta_vals: np.ndarray) -> None:
+    dmin = float(np.min(delta_vals))
+    if dmin <= 0.0:
+        raise ValueError(
+            f"Delta(x; z) is nonpositive at a node (min {dmin:.3e}): "
+            "z not strictly below essential spectrum (or Assumption failure)")
+
+
 @dataclass(frozen=True, eq=False)
 class SchurEval:
-    """Symbol values, compact-kernel matrix and its Hilbert-Schmidt norm at one z.
+    """Symbol values and compact-kernel matrix at one z.
 
     The single source of the Schur complement S(z) and the Birman-Schwinger
     operator T(z): both are built from these samples without re-evaluating
@@ -60,7 +83,11 @@ class SchurEval:
     z: float
     delta_vals: np.ndarray   # (N,) Delta(x_i; z)
     k_matrix: np.ndarray     # (N, N) weight-normalized, Hermitian
-    hs_norm_k: float
+
+    @cached_property
+    def hs_norm_k(self) -> float:
+        """Hilbert-Schmidt (Frobenius) norm of k_matrix, computed when first read."""
+        return float(np.linalg.norm(self.k_matrix))
 
     def s_matrix(self) -> np.ndarray:
         """Discrete Schur complement diag(Delta(z)) + K(z), as a new array."""
@@ -74,11 +101,7 @@ class SchurEval:
         Requires Delta(x_i; z) > 0 at every node, which holds for z strictly
         below the essential spectrum.
         """
-        dmin = float(np.min(self.delta_vals))
-        if dmin <= 0.0:
-            raise ValueError(
-                f"Delta(x; z) is nonpositive at a node (min {dmin:.3e}): "
-                "z not strictly below essential spectrum (or Assumption failure)")
+        _require_positive(self.delta_vals)
         scale = self.delta_vals**-0.5
         return -(scale[:, None] * self.k_matrix * scale[None, :])
 
@@ -90,30 +113,37 @@ class BSOperator:
     hs_norm_t: float
 
 
-def _pole_check(W2row: np.ndarray, z: float) -> None:
-    dist = float(np.min(np.abs(W2row - z)))
+def _pole_check(W2: np.ndarray, z: float) -> np.ndarray:
+    """W2 - z, after checking that no sample of w2 lies within POLE_TOL of z."""
+    shifted = W2 - z
+    dist = float(np.min(np.abs(shifted)))
     if dist < POLE_TOL:
         raise PoleProximityError(z, dist)
+    return shifted
 
 
 def delta_values(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     """Delta(x_i; z) at every grid node, by the grid's own quadrature."""
     ms = mesh_samples(spec, grid)
-    _pole_check(ms.W2, z)
-    quad = (np.abs(ms.V1) ** 2 / (ms.W2 - z)) @ grid.weights
+    shifted = _pole_check(ms.W2, z)
+    quad = (np.abs(ms.V1) ** 2 / shifted) @ grid.weights
     return ms.w1 - z - 0.5 * quad
 
 
-def _point_rows(spec: ModelSpec, grid: Grid, x, z: float):
-    """w2 and v1 at (x, y_j) for every node y_j, after the pole check of z."""
-    x = _as_point(x, spec.d)
-    w2row = eval_xy(spec, spec.w2, x[None, :], grid.nodes)
-    _pole_check(w2row, z)
-    return x, w2row, eval_xy(spec, spec.v1, x[None, :], grid.nodes)
+def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z: float):
+    """The y-integrand of the symbol at the points pts (shape (m, d)), in row blocks.
+
+    Yields (rows, w_j |v1(p, y_j)|^2, w2(p, y_j) - z) for each block of
+    points, after the pole check of z against the block's own w2 samples.
+    """
+    Y = grid.nodes[None, :, :]
+    for b in row_blocks(pts.shape[0], grid.n):
+        shifted = _pole_check(eval_xy(spec, spec.w2, pts[b, None, :], Y), z)
+        yield b, grid.weights * np.abs(eval_xy(spec, spec.v1, pts[b, None, :], Y)) ** 2, shifted
 
 
-def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
-    """Delta(x; z) at an arbitrary point x (not necessarily a node).
+def delta_at_points(spec: ModelSpec, grid: Grid, pts, z: float) -> np.ndarray:
+    """Delta(p; z) at every point p of pts (shape (m, d)), not necessarily nodes.
 
     The integral over y uses the grid's quadrature.  Values of z inside the
     numerical pole band of the sampled w2 raise PoleProximityError; callers
@@ -121,22 +151,29 @@ def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     refinement-trend data rather than converged values when the integrand is
     singular there.
     """
-    x, w2row, v1row = _point_rows(spec, grid, x, z)
-    w1x = float(eval_x(spec, spec.w1, x[None, :])[0])
-    return w1x - z - 0.5 * float(np.sum(grid.weights * np.abs(v1row) ** 2 / (w2row - z)))
+    pts = _as_points(pts, spec.d).reshape(-1, spec.d)
+    quad = np.empty(pts.shape[0])
+    for b, wv2, shifted in _point_rows(spec, grid, pts, z):
+        quad[b] = np.sum(wv2 / shifted, axis=-1)
+    return eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad
+
+
+def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
+    """Delta(x; z) at one point x: the one-point view of delta_at_points."""
+    return float(delta_at_points(spec, grid, _as_point(x, spec.d)[None, :], z)[0])
 
 
 def delta_derivative_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     """d/dz of the symbol; always <= -1, so z -> Delta(x; z) is strictly decreasing."""
-    _, w2row, v1row = _point_rows(spec, grid, x, z)
-    return -1.0 - 0.5 * float(np.sum(grid.weights * np.abs(v1row) ** 2 / (w2row - z) ** 2))
+    [(_, wv2, shifted)] = _point_rows(spec, grid, _as_point(x, spec.d)[None, :], z)
+    return -1.0 - 0.5 * float(np.sum(wv2 / shifted ** 2))
 
 
 def k_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     """Weight-normalized compact-kernel matrix sqrt(w_i) K(x_i, x_j; z) sqrt(w_j)."""
     ms = mesh_samples(spec, grid)
-    _pole_check(ms.W2, z)
-    kern = -0.5 * ms.V1 * np.conj(ms.V1.T) / (ms.W2 - z)
+    shifted = _pole_check(ms.W2, z)
+    kern = -0.5 * ms.V1 * np.conj(ms.V1.T) / shifted
     sw = np.sqrt(grid.weights)
     return sw[:, None] * kern * sw[None, :]
 
@@ -149,8 +186,7 @@ def s_derivative(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     rises, on either side of ran w2.
     """
     ms = mesh_samples(spec, grid)
-    _pole_check(ms.W2, z)
-    inv2 = (ms.W2 - z) ** -2.0
+    inv2 = _pole_check(ms.W2, z) ** -2.0
     sw = np.sqrt(grid.weights)
     dS = sw[:, None] * (-0.5 * ms.V1 * np.conj(ms.V1.T) * inv2) * sw[None, :]
     dS[np.diag_indices_from(dS)] -= 1.0 + 0.5 * ((np.abs(ms.V1) ** 2 * inv2) @ grid.weights)
@@ -164,8 +200,7 @@ def hs_norm_k(spec: ModelSpec, grid: Grid, z: float) -> float:
 
 def schur_eval(spec: ModelSpec, grid: Grid, z: float) -> SchurEval:
     K = k_matrix(spec, grid, z)
-    return SchurEval(z=float(z), delta_vals=delta_values(spec, grid, z),
-                     k_matrix=K, hs_norm_k=float(np.linalg.norm(K)))
+    return SchurEval(z=float(z), delta_vals=delta_values(spec, grid, z), k_matrix=K)
 
 
 def s_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
@@ -177,6 +212,40 @@ def bs_operator(spec: ModelSpec, grid: Grid, z: float) -> BSOperator:
     """Birman-Schwinger operator at z; raises ValueError unless Delta(z) > 0."""
     T = schur_eval(spec, grid, z).t_matrix()
     return BSOperator(z=float(z), t_matrix=T, hs_norm_t=float(np.linalg.norm(T)))
+
+
+def hs_norm_t(spec: ModelSpec, grid: Grid, z: float) -> float:
+    """Hilbert-Schmidt norm of T(z), streamed: no mesh samples, no K or T.
+
+    With u = w / Delta(z) and W the symmetrized w2 samples,
+
+        ||T(z)||_HS^2 = 1/4 sum_ij u_i u_j |v1(x_i, x_j)|^2 |v1(x_j, x_i)|^2 / (W_ij - z)^2.
+
+    Pass 1 computes Delta(z) at the nodes, pass 2 the quadratic form, both
+    over row blocks, so memory is O(BLOCK_ELEMENTS) at any grid size.  Raises
+    what bs_operator raises: PoleProximityError when a block of W comes
+    within POLE_TOL of z, then ValueError unless Delta(z) > 0.
+    """
+    X = grid.nodes[:, None, :]
+    Y = grid.nodes[None, :, :]
+    blocks = row_blocks(grid.n, grid.n)
+
+    def shifted_w2(b):   # rows b of MeshSamples.W2 - z, entry by entry
+        w2xy = eval_xy(spec, spec.w2, X[b], Y).astype(float)
+        return _pole_check(0.5 * (w2xy + eval_xy(spec, spec.w2, Y, X[b]).astype(float)), z)
+
+    quad = np.empty(grid.n)
+    for b in blocks:
+        shifted = shifted_w2(b)
+        quad[b] = (np.abs(eval_xy(spec, spec.v1, X[b], Y)) ** 2 / shifted) @ grid.weights
+    delta = eval_x(spec, spec.w1, grid.nodes).astype(float) - z - 0.5 * quad
+    _require_positive(delta)
+    u = grid.weights / delta
+    total = 0.0
+    for b in blocks:
+        coupling = np.abs(eval_xy(spec, spec.v1, X[b], Y) * eval_xy(spec, spec.v1, Y, X[b]))
+        total += float(u[b] @ ((coupling / shifted_w2(b)) ** 2 @ u))
+    return 0.5 * math.sqrt(total)
 
 
 def hs_bound_young(spec: ModelSpec, grid: Grid, z: float) -> float:

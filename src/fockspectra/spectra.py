@@ -34,12 +34,11 @@ import numpy as np
 from . import operators
 from .grid import Grid, PairGrid, make_grid
 from .model import ModelSpec, mesh_samples
-from .schur import hs_norm_k, s_derivative, schur_eval
+from .schur import hs_norm_k, row_blocks, s_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
 _MAX_WIDENINGS = 80
 _MAX_ROOT_STEPS = 200
-_SYMBOL_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -129,10 +128,10 @@ class _RefinedSymbol:
         from .model import eval_x, eval_xy
 
         inner = make_grid(spec.d, grid.a, inner_refine * grid.n_per_dim, "midpoint")
-        self.w = inner.weights
         X = grid.nodes[:, None, :]
         Y = inner.nodes[None, :, :]
-        self.V2 = np.abs(eval_xy(spec, spec.v1, X, Y)) ** 2
+        # w_j |v1(x_i, y_j)|^2: the quadrature weights are folded in once, not per call
+        self.wV2 = np.abs(eval_xy(spec, spec.v1, X, Y)) ** 2 * inner.weights
         self.W2 = eval_xy(spec, spec.w2, X, Y).astype(float)
         self.w1 = eval_x(spec, spec.w1, grid.nodes).astype(float)
 
@@ -140,11 +139,9 @@ class _RefinedSymbol:
         # z may be scalar or per-row array; blocks of rows bound the temporaries
         z = np.broadcast_to(np.asarray(z, dtype=float), rows.shape)
         quad = np.empty(rows.shape)
-        for s in range(0, rows.size, _SYMBOL_BLOCK_ROWS):
-            r = rows[s:s + _SYMBOL_BLOCK_ROWS]
-            zcol = z[s:s + _SYMBOL_BLOCK_ROWS, None]
-            quad[s:s + _SYMBOL_BLOCK_ROWS] = np.sum(
-                self.w * self.V2[r] / (self.W2[r] - zcol), axis=-1)
+        for b in row_blocks(rows.size, self.W2.shape[1]):
+            r = rows[b]
+            quad[b] = np.sum(self.wV2[r] / (self.W2[r] - z[b, None]), axis=-1)
         return self.w1[rows] - z - 0.5 * quad
 
 

@@ -61,6 +61,13 @@ def random_trig_model(rng, with_vacuum=False):
     return fs.ModelSpec(d=1, a=a, w0=w0, v0=v0, w1=w1, v1=v1, w2=w2)
 
 
+def complex_coupling_model():
+    """A random trigonometric model whose coupling carries a nonsymmetric phase."""
+    spec = random_trig_model(np.random.default_rng(41))
+    return fs.ModelSpec(d=1, a=spec.a, w0=0.0, v0=spec.v0, w1=spec.w1, w2=spec.w2,
+                        v1=lambda x, y: spec.v1(x, y) * np.exp(1j * (x - 2.0 * y)))
+
+
 def pick_z_below(spec, grid, pair_grid, rng, guard=1e-8):
     """A z strictly below the essential spectrum with no eigenvalue of the
     three counting matrices within ``guard`` of its threshold."""

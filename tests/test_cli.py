@@ -145,6 +145,16 @@ def test_finiteness_command(tmp_path):
     assert lines[0] == "exponent,shell_radius,statistic"
 
 
+def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.setattr(cli.model_mod, "load_model", lambda source: pytest.fail("model loaded"))
+    for levels in ("2", "0", "-1"):
+        rc = cli.main(["finiteness", "--model", "sigma2-empty", "--n", "16",
+                       "--levels", levels, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "--levels must be at least 3" in capsys.readouterr().err
+
+
 def test_singular_seq_command(tmp_path):
     rc = cli.main(["singular-seq", "--model", "mnr-infinite", "--n", "24",
                    "--x0", "1.0", "--n-max", "4", "--out", str(tmp_path)])

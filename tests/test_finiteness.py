@@ -143,3 +143,35 @@ def test_verdict_mnr_not_finite_predicted(mnr):
     grids = [fs.make_grid(1, mnr.a, n) for n in (16, 32, 64)]
     rep_fin = fs.finiteness_verdict(mnr, grids, rep, est)
     assert rep_fin.verdict != "finite-predicted"
+
+
+def test_verdict_streams_the_hs_trend_on_refined_grids(s2e, monkeypatch):
+    g, rep = _report_for(s2e, 16)
+    est = fs.estimate_exponents(s2e, g, rep, fs.locate_t0(s2e, g, rep))
+    grids = [fs.make_grid(1, s2e.a, n) for n in (16, 32, 64)]
+    dense = [fs.bs_operator(s2e, gk, est.e_star).hs_norm_t for gk in grids]
+    sampled, bs_calls = [], []
+    cached = fs.model._mesh_samples_cached
+    monkeypatch.setattr(fs.model, "_mesh_samples_cached",
+                        lambda spec, grid: sampled.append(grid) or cached(spec, grid))
+    for mod in (fs.schur, fs.finiteness):
+        monkeypatch.setattr(mod, "bs_operator",
+                            lambda *args: bs_calls.append(args) or fs.bs_operator(*args),
+                            raising=False)
+    report = fs.finiteness_verdict(s2e, grids, rep, est)
+    assert not [gk for gk in sampled if any(gk is r for r in grids)]
+    assert bs_calls == []
+    assert [n for n, _ in report.hs_trend] == [16, 32, 64]
+    assert [h for _, h in report.hs_trend] == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+def test_estimate_exponents_independent_of_block_size(monkeypatch):
+    spec = fs.synthetic_power_model(beta=1.0, gamma=1.0)
+    g, rep = _report_for(spec, 24)
+    t0 = fs.locate_t0(spec, g, rep)
+    whole = fs.estimate_exponents(spec, g, rep, t0)
+    monkeypatch.setattr(fs.schur, "BLOCK_ELEMENTS", 1)       # one row per block
+    rowwise = fs.estimate_exponents(spec, g, rep, t0)
+    assert rowwise.shells == whole.shells
+    assert (rowwise.alpha_hat, rowwise.beta_hat, rowwise.gamma_hat) == \
+        (whole.alpha_hat, whole.beta_hat, whole.gamma_hat)

@@ -1,9 +1,12 @@
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fockspectra as fs
-from conftest import make_decoupled, random_trig_model, simpson
+from fockspectra import schur
+from conftest import complex_coupling_model, make_decoupled, random_trig_model, simpson
 
 
 def test_delta_decoupled_is_affine():
@@ -203,3 +206,79 @@ def test_s_derivative_finite_difference_and_bound(mnr):
         fd = (fs.s_matrix(mnr, g, z + h) - fs.s_matrix(mnr, g, z - h)) / (2 * h)
         assert np.max(np.abs(dS - fd)) < 1e-6 * np.max(np.abs(dS))
         assert np.max(np.linalg.eigvalsh(dS)) <= -1.0 + 1e-12
+
+
+BENCH_MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
+HS_CASES = ["mnr-infinite", "sigma2-empty", "complex", "d2-sigma2-empty", "d2-sigma2-both"]
+
+
+def _hs_case(case):
+    if case == "complex":
+        return complex_coupling_model()
+    if case.startswith("d2-"):
+        return fs.load_model(BENCH_MODELS / f"{case}.cfg")
+    return fs.load_model(case)
+
+
+@pytest.mark.parametrize("case", HS_CASES)
+def test_hs_norm_t_matches_dense_bs_operator(case, monkeypatch):
+    spec = _hs_case(case)
+    g = fs.make_grid(spec.d, spec.a, 24 if spec.d == 1 else 7)
+    m = float(np.min(fs.model.mesh_samples(spec, g).W2))
+    checked = 0
+    for shift in (0.05, 0.3, 1.0, 4.0, 20.0):
+        z = m - shift
+        try:
+            dense = fs.bs_operator(spec, g, z).hs_norm_t
+        except ValueError:
+            continue
+        # one block, then single rows, then uneven blocks of 5 rows
+        for budget in (schur.BLOCK_ELEMENTS, 1, 5 * g.n):
+            monkeypatch.setattr(schur, "BLOCK_ELEMENTS", budget)
+            assert fs.hs_norm_t(spec, g, z) == pytest.approx(dense, rel=1e-12, abs=0)
+        monkeypatch.undo()
+        checked += 1
+    assert checked >= 2
+
+
+def test_hs_norm_t_zero_coupling_is_exactly_zero():
+    spec = make_decoupled(lambda x: 1.0 + 0.0 * x, lambda x, y: 1.0 + 0 * x * y)
+    assert fs.hs_norm_t(spec, fs.make_grid(1, 1.0, 8), -1.0) == 0.0
+
+
+def test_hs_norm_t_raises_what_bs_operator_raises(mnr, monkeypatch):
+    g = fs.make_grid(1, mnr.a, 16)
+    z_pole = float(fs.model.mesh_samples(mnr, g).W2[3, 7])
+    monkeypatch.setattr(schur, "BLOCK_ELEMENTS", 4 * g.n)
+    for z, exc in ((0.5, ValueError), (z_pole, fs.PoleProximityError)):
+        with pytest.raises(exc) as dense:
+            fs.bs_operator(mnr, g, z)
+        with pytest.raises(exc) as streamed:
+            fs.hs_norm_t(mnr, g, z)
+        assert type(streamed.value) is type(dense.value)
+        assert str(streamed.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_delta_at_points_is_bitwise_the_per_point_symbol(d, monkeypatch):
+    spec = fs.load_model("mnr-infinite") if d == 1 else fs.load_model(
+        BENCH_MODELS / "d2-sigma2-empty.cfg")
+    g = fs.make_grid(d, spec.a, 64 if d == 1 else 24)
+    pts = np.random.default_rng(5).uniform(-spec.a, spec.a, (23, d))
+    z = -0.3
+    monkeypatch.setattr(schur, "BLOCK_ELEMENTS", 4 * g.n)    # blocks of 4 rows, last one short
+    batched = fs.delta_at_points(spec, g, pts, z)
+    for p, val in zip(pts, batched):
+        w2row = fs.model.eval_xy(spec, spec.w2, p[None, :], g.nodes)
+        v1row = fs.model.eval_xy(spec, spec.v1, p[None, :], g.nodes)
+        w1p = float(fs.model.eval_x(spec, spec.w1, p[None, :])[0])
+        reference = w1p - z - 0.5 * float(np.sum(g.weights * np.abs(v1row) ** 2 / (w2row - z)))
+        assert val == reference
+        assert val == fs.delta_at(spec, g, p, z)
+
+
+def test_schur_eval_computes_hs_norm_k_only_when_read(mnr):
+    ev = fs.schur_eval(mnr, fs.make_grid(1, mnr.a, 16), -0.8)
+    assert "hs_norm_k" not in vars(ev)
+    assert ev.hs_norm_k == fs.hs_norm_k(mnr, fs.make_grid(1, mnr.a, 16), -0.8)
+    assert "hs_norm_k" in vars(ev)

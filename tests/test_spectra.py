@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fockspectra as fs
 from fockspectra import schur
-from conftest import make_decoupled, pick_z_below, random_trig_model
+from conftest import complex_coupling_model, make_decoupled, pick_z_below, random_trig_model
 
 
 def test_count_above_examples():
@@ -272,12 +272,6 @@ def test_haynsworth_counts_on_both_sides(seed, u):
             assert np.sum(evA > z) == np.sum(evS > 0.0)
 
 
-def _complex_coupling_model():
-    spec = random_trig_model(np.random.default_rng(41))
-    return fs.ModelSpec(d=1, a=spec.a, w0=0.0, v0=spec.v0, w1=spec.w1, w2=spec.w2,
-                        v1=lambda x, y: spec.v1(x, y) * np.exp(1j * (x - 2.0 * y)))
-
-
 D2_CONFIG = """
 domain { d = 2  a = 1 }
 functions {
@@ -292,7 +286,7 @@ functions {
 
 @pytest.mark.parametrize("case", ["mnr-infinite", "sigma2-empty", "complex", "d2"])
 def test_schur_inertia_matches_dense_eigenvalues(case):
-    spec = {"complex": _complex_coupling_model,
+    spec = {"complex": complex_coupling_model,
             "d2": lambda: fs.model_from_config(D2_CONFIG)}.get(case, lambda: fs.load_model(case))()
     g = fs.make_grid(spec.d, spec.a, 24 if spec.d == 1 else 6)
     ess = fs.essential_spectrum(spec, g)
