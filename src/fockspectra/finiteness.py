@@ -18,6 +18,14 @@ computable from samples; this module substitutes log-log regression slopes
 of shell statistics over geometric radii in [delta/64, delta], gated by an
 r^2 >= 0.9 fit-quality requirement and a safety margin (default 0.1) on the
 criterion, reporting ``inconclusive`` rather than false precision.
+
+The minimizer t0 comes from sampling w2 on the diagonal: the near-minimal
+samples must form one cluster (one run in d = 1, one face-connected set of
+cells in d >= 2), and the best sample (or the model's t0 hint, when it is
+no worse) is refined by nested lattice zooms of (2k + 1)^d points, k = 8,
+each k times finer than the last, inside a box of four sample spacings,
+down to a spacing of 1e-12.  Plain numpy throughout, so the finiteness
+path imports no scipy.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ R2_GATE = 0.9
 N_SHELLS = 12
 SHELL_SPAN = 64.0
 BETA_SENTINEL_FLOOR = 1e-300
+ZOOM_K = 8          # a zoom lattice has 2 ZOOM_K + 1 points per axis
+ZOOM_TOL = 1e-12    # spacing of the finest zoom lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +103,8 @@ def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None,
     materially below its diagonal minimum (the minimizer is off-diagonal, so
     the radial-gauge assumptions fail) or when the near-minimal diagonal set
     splits into separated clusters (several minimizers; the multi-point
-    generalization is detection-only).
+    generalization is detection-only).  The sampled minimizer is refined by
+    _zoom_minimize, and kept when the refined point is not near-minimal.
     """
     if n_fine is None:
         n_fine = 4001 if spec.d == 1 else 101
@@ -123,12 +134,8 @@ def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None,
         idx = np.where(mask)[0]
         if np.any(np.diff(idx) > 16):
             return None
-    else:
-        from scipy import ndimage
-
-        labels, n_clusters = ndimage.label(mask.reshape((n_fine,) * spec.d))
-        if n_clusters > 1:
-            return None
+    elif not _one_cluster(mask.reshape((n_fine,) * spec.d)):
+        return None
 
     best = diag[np.argmin(gvals)]
     if spec.t0 is not None:
@@ -141,22 +148,62 @@ def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None,
     lo = np.maximum(best - 4 * spacing, -spec.a + 1e-9)
     hi = np.minimum(best + 4 * spacing, spec.a - 1e-9)
 
-    def objective(t):
-        t = np.atleast_1d(t)
-        return float(eval_xy(spec, spec.w2, t[None, :], t[None, :])[0])
+    def w2_diag(pts):
+        return eval_xy(spec, spec.w2, pts, pts)
 
-    from scipy import optimize
+    t0 = _zoom_minimize(w2_diag, best, lo, hi)
+    return t0 if float(w2_diag(t0[None, :])[0]) <= diag_min + cluster_tol else best
 
-    if spec.d == 1:
-        res = optimize.minimize_scalar(lambda t: objective(np.array([t])),
-                                       bounds=(float(lo[0]), float(hi[0])), method="bounded",
-                                       options={"xatol": 1e-12})
-        t0 = np.array([res.x])
-    else:
-        res = optimize.minimize(objective, best, bounds=list(zip(lo, hi)),
-                                method="L-BFGS-B")
-        t0 = np.asarray(res.x)
-    return t0 if objective(t0) <= diag_min + cluster_tol else best
+
+def _one_cluster(mask: np.ndarray) -> bool:
+    """True when the set cells of mask form exactly one face-connected cluster.
+
+    Face neighbours differ by one step along one axis, the connectivity of
+    scipy.ndimage.label's default structure.  The cluster of the first set
+    cell grows by one step per pass until it stops growing; it must then be
+    the whole mask.
+    """
+    if not mask.any():
+        return False
+    seen = np.zeros_like(mask)
+    seen.flat[np.argmax(mask)] = True
+    while True:
+        grown = seen.copy()
+        for axis in range(mask.ndim):
+            head = (slice(None),) * axis + (slice(None, -1),)
+            tail = (slice(None),) * axis + (slice(1, None),)
+            grown[tail] |= seen[head]
+            grown[head] |= seen[tail]
+        grown &= mask
+        if np.array_equal(grown, seen):
+            return bool(np.array_equal(seen, mask))
+        seen = grown
+
+
+def _zoom_minimize(f, best: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Minimize f near best inside the box [lo, hi]; f maps (m, d) points to m values.
+
+    Each pass evaluates a lattice of (2 ZOOM_K + 1)^d points of spacing h,
+    centred on the incumbent and clipped to the box.  The first lattice
+    spans the box; each next one spans one spacing of the last on either
+    side of the incumbent, at spacing h / ZOOM_K, until h is at most
+    ZOOM_TOL.  The incumbent moves only to a strictly smaller value, so a
+    tie keeps it.
+    """
+    d = best.size
+    axis = np.arange(-ZOOM_K, ZOOM_K + 1, dtype=float)
+    offsets = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    f_best = f(best[None, :])[0]
+    span = float(np.max(hi - lo))       # half-width of the first lattice
+    while span > ZOOM_TOL:
+        step = span / ZOOM_K
+        cand = np.clip(best + step * offsets, lo, hi)
+        vals = f(cand)
+        i = int(np.argmin(vals))
+        if vals[i] < f_best:
+            best, f_best = cand[i].copy(), vals[i]
+        span = step
+    return best
 
 
 def _loglog_fit(radii: np.ndarray, vals: np.ndarray) -> tuple[float, float]:

@@ -113,19 +113,24 @@ def _strip(x: np.ndarray, d: int):
 
 
 def eval_x(spec: ModelSpec, fn: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a one-point function at pts of shape (..., d)."""
+    """Evaluate a one-point function at pts of shape (..., d); see eval_xy on views."""
     pts = _as_points(pts, spec.d)
     out = np.asarray(fn(_strip(pts, spec.d)))
-    return np.broadcast_to(out, pts.shape[:-1]).copy() if out.shape != pts.shape[:-1] else out
+    return np.broadcast_to(out, pts.shape[:-1]) if out.shape != pts.shape[:-1] else out
 
 
 def eval_xy(spec: ModelSpec, fn: Callable, xpts: np.ndarray, ypts: np.ndarray) -> np.ndarray:
-    """Evaluate a two-point function; xpts and ypts broadcast against each other."""
+    """Evaluate a two-point function; xpts and ypts broadcast against each other.
+
+    A function that ignores an argument (or a constant) returns fewer values
+    than the broadcast shape; they are spread to it as a read-only view, not
+    copied, so callers that write into the result take a copy first.
+    """
     xpts = _as_points(xpts, spec.d)
     ypts = _as_points(ypts, spec.d)
     shape = np.broadcast_shapes(xpts.shape[:-1], ypts.shape[:-1])
     out = np.asarray(fn(_strip(xpts, spec.d), _strip(ypts, spec.d)))
-    return np.broadcast_to(out, shape).copy() if out.shape != shape else out
+    return np.broadcast_to(out, shape) if out.shape != shape else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -668,10 +673,11 @@ def _parse_config(text: str) -> dict:
 def _function_entry(entry, a: float, d: int, base_dir: Path, what: str,
                     two_point: bool, symmetric: bool = False):
     if isinstance(entry, (int, float)):
+        # eval_x / eval_xy spread the constant over the sample shape
         value = float(entry)
         if two_point:
-            return lambda x, y, _v=value: _v + 0.0 * (np.asarray(x, dtype=float)[..., 0] if d > 1 else np.asarray(x, dtype=float)) + 0.0 * (np.asarray(y, dtype=float)[..., 0] if d > 1 else np.asarray(y, dtype=float))
-        return lambda x, _v=value: _v + 0.0 * (np.asarray(x, dtype=float)[..., 0] if d > 1 else np.asarray(x, dtype=float))
+            return lambda x, y: value
+        return lambda x: value
     if not isinstance(entry, dict):
         raise ModelError(f"{what}: expected a number or an expr/table section")
     if "expr" in entry:

@@ -104,7 +104,8 @@ def _level(spec: ModelSpec, cfg: SingularSeqConfig, center: np.ndarray, n: int,
 
 def _h12_term(spec: ModelSpec, xn, xw, xamp, sn, sw, samp) -> float:
     """|| phi(x) * integral v1(x, s) phi~(s) ds ||^2 over the x-bump support."""
-    V = eval_xy(spec, spec.v1, xn[:, None, :], sn[None, :, :])
+    # contiguous, so the product sums in BLAS order even when v1 ignores x
+    V = np.ascontiguousarray(eval_xy(spec, spec.v1, xn[:, None, :], sn[None, :, :]))
     inner = V @ (sw * samp)
     return float(np.sum(xw * xamp**2 * np.abs(inner) ** 2))
 

@@ -134,6 +134,40 @@ def test_config_literal_overflow_exits_1_without_hanging(tmp_path):
     assert "9**9**9" in proc.stderr
 
 
+SCIPY_FREE_SCRIPT = """
+import sys
+from fockspectra import cli
+for argv in {argvs!r}:
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_analysis_commands_load_no_scipy(tmp_path):
+    # essspec, discrete, finiteness (d = 1 and the d = 2 cluster check) and
+    # singular-seq must run without importing scipy
+    cfg = tmp_path / "d2.cfg"
+    cfg.write_text('domain { d = 2  a = 1 }\nfunctions {\n  w0 = 0\n  v0 = 0\n'
+                   '  w1 { expr = "1 + 0.1 * (x1 * x1 + x2 * x2)" }\n'
+                   '  v1 { expr = "0.5 * (y1 * y1 + y2 * y2)" }\n'
+                   '  w2 { expr = "x1 * x1 + x2 * x2 + y1 * y1 + y2 * y2" }\n}\n')
+    out = str(tmp_path / "out")
+    argvs = [
+        ["essspec", "--model", "mnr-infinite", "--n", "16", "--out", out],
+        ["discrete", "--model", "mnr-infinite", "--n", "16", "--side", "both", "--out", out],
+        ["finiteness", "--model", "sigma2-empty", "--n", "8", "--levels", "3", "--out", out],
+        ["finiteness", "--model", str(cfg), "--n", "4", "--levels", "3", "--out", out],
+        ["singular-seq", "--model", "mnr-infinite", "--n", "16", "--x0", "1.0",
+         "--n-max", "3", "--out", out],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT.format(argvs=argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_finiteness_command(tmp_path):
     rc = cli.main(["finiteness", "--model", "mnr-infinite", "--n", "16",
                    "--levels", "3", "--out", str(tmp_path)])

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fockspectra as fs
 from conftest import make_decoupled
+from fockspectra.finiteness import ZOOM_TOL, _one_cluster, _zoom_minimize
 
 
 def test_phi_s_values():
@@ -37,6 +40,109 @@ def test_locate_t0_shifted_quadratic():
     t0 = fs.locate_t0(spec, g, rep)
     assert t0 is not None
     assert abs(float(t0[0]) - c) < 1e-6
+
+
+def _d2_decoupled(w2_expr):
+    return fs.model_from_config(
+        "domain { d = 2  a = 1 }\nfunctions {\n  w0 = 0\n  v0 = 0\n  w1 = 1\n  v1 = 0\n"
+        f'  w2 {{ expr = "{w2_expr}" }}\n}}\n')
+
+
+def test_locate_t0_shifted_quadratic_d2():
+    spec = _d2_decoupled("(x1 - 0.3)**2 + (x2 + 0.2)**2 + (y1 - 0.3)**2 + (y2 + 0.2)**2")
+    g, rep = _report_for(spec, 8)
+    t0 = fs.locate_t0(spec, g, rep)
+    assert t0 is not None
+    assert np.max(np.abs(t0 - [0.3, -0.2])) < 1e-6
+
+
+def test_locate_t0_mnr_stays_on_the_hint_inside_the_flat_band(mnr):
+    # w2(t, t) = 2(1 - cos t) + 2(1 - cos 2t) rounds to exactly 0, its minimum,
+    # for |t| below about 5.3e-9; a tie keeps the hint t0 = 0
+    band = np.linspace(-5e-9, 5e-9, 201)[:, None]
+    assert np.all(fs.model.eval_xy(mnr, mnr.w2, band, band) == 0.0)
+    g, rep = _report_for(mnr, 32)
+    t0 = fs.locate_t0(mnr, g, rep)
+    assert t0.tolist() == [0.0]
+
+
+def test_locate_t0_double_well_d2_returns_none():
+    # four separated near-minimal clusters on the diagonal grid
+    spec = _d2_decoupled("(x1**2 - 0.25)**2 + (x2**2 - 0.25)**2"
+                         " + (y1**2 - 0.25)**2 + (y2**2 - 0.25)**2")
+    g, rep = _report_for(spec, 8)
+    assert fs.locate_t0(spec, g, rep) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=7)))
+@example(mask=np.zeros((3, 3), dtype=bool))
+@example(mask=np.eye(3, dtype=bool))                       # corner contact only
+@example(mask=np.array([[1, 1, 1, 1], [0, 0, 0, 1], [1, 1, 1, 1],
+                        [1, 0, 0, 0], [1, 1, 1, 1]], dtype=bool))   # one snake
+def test_one_cluster_matches_ndimage_label(mask):
+    from scipy import ndimage
+
+    assert _one_cluster(mask) == (ndimage.label(mask)[1] == 1)
+
+
+def _scipy_t0(f, best, lo, hi):
+    """The scipy refinement locate_t0 used before the zoom lattice (the reference)."""
+    from scipy import optimize
+
+    def objective(t):
+        return float(f(np.atleast_1d(t)[None, :])[0])
+
+    if best.size == 1:
+        res = optimize.minimize_scalar(lambda t: objective(np.array([t])),
+                                       bounds=(float(lo[0]), float(hi[0])), method="bounded",
+                                       options={"xatol": 1e-12})
+        return np.array([res.x])
+    return np.asarray(optimize.minimize(objective, best, bounds=list(zip(lo, hi)),
+                                        method="L-BFGS-B").x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2]), smooth=st.booleans(),
+       floor=st.sampled_from([0.0, 0.1, 1.0, 2.9]),
+       c=st.lists(st.floats(-0.8, 0.8), min_size=2, max_size=2),
+       curv=st.lists(st.floats(0.2, 5.0), min_size=2, max_size=2),
+       quart=st.floats(0.0, 3.0), cross=st.floats(-0.3, 0.3))
+def test_zoom_minimize_against_the_scipy_reference(d, smooth, floor, c, curv, quart, cross):
+    c, curv = np.array(c[:d]), np.array(curv[:d])
+    if smooth:      # positive definite: cross^2 < 0.09 < 4 curv_0 curv_1
+        def f(p):
+            u = p - c
+            q = np.sum(curv * u**2, axis=-1) + quart * np.sum(u**2, axis=-1) ** 2 \
+                + 0.1 * np.sin(3.0 * u[..., 0]) ** 2
+            return floor + q + (cross * u[..., 0] * u[..., 1] if d == 2 else 0.0)
+    else:           # shifted isotropic quadratic
+        def f(p):
+            return floor + curv[0] * np.sum((p - c) ** 2, axis=-1)
+    # the box locate_t0 builds around the nearest diagonal-grid point
+    n_fine = 4001 if d == 1 else 101
+    spacing = 2.0 / (n_fine - 1)
+    axis = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, n_fine)
+    best = axis[np.argmin(np.abs(axis[:, None] - c[None, :]), axis=0)]
+    lo = np.maximum(best - 4 * spacing, -1.0 + 1e-9)
+    hi = np.minimum(best + 4 * spacing, 1.0 - 1e-9)
+
+    t_new = _zoom_minimize(f, best, lo, hi)
+    t_ref = _scipy_t0(f, best, lo, hi)
+    f_new, f_ref = f(t_new[None, :])[0], f(t_ref[None, :])[0]
+    if floor == 0.0:
+        # w2 resolves t below the final spacing only with a zero floor, where
+        # bounded Brent's parabolic steps can land closer than ZOOM_TOL; the
+        # lattice is then short by at most the curvature (< curv + 1) times ZOOM_TOL^2
+        assert f_new <= f_ref + (np.max(curv) + 1.0) * ZOOM_TOL**2
+    else:
+        assert f_new <= f_ref
+    # L-BFGS-B (d = 2) stops on its decrease and gradient tests as far as
+    # about 1e-5 from c, even on isotropic quadratics, so there t_new is held
+    # to c itself, and to an objective no worse than the reference's
+    assert np.max(np.abs(t_new - c)) <= 1e-6
+    if d == 1:
+        assert np.max(np.abs(t_new - t_ref)) <= 1e-6
 
 
 def test_locate_t0_double_well_returns_none():

@@ -147,6 +147,65 @@ def test_config_expression_model(tmp_path):
     assert rep.passed
 
 
+CONFIG_D2_Y_ONLY = """
+domain { d = 2  a = 1 }
+functions {
+  w0 = 0
+  v0 = 0.25
+  w1 { expr = "1 + 0.1 * (x1 * x1 + x2 * x2)" }
+  v1 { expr = "0.5 * (y1 * y1 + y2 * y2)" }
+  w2 { expr = "x1 * x1 + x2 * x2 + y1 * y1 + y2 * y2" }
+}
+"""
+
+
+def test_eval_xy_spreads_a_function_of_y_only_as_a_read_only_view():
+    spec = fs.model_from_config(CONFIG_D2_Y_ONLY)
+    g = fs.make_grid(2, 1.0, 6)
+    X, Y = g.nodes[:, None, :], g.nodes[None, :, :]
+    V = fs.model.eval_xy(spec, spec.v1, X, Y)
+    assert V.shape == (g.n, g.n) and V.strides[0] == 0
+    assert not V.flags.writeable
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0
+
+    # mesh_samples equals, bit for bit, what it built when eval_x/eval_xy copied
+    def copied(out, shape):
+        return np.broadcast_to(np.asarray(out), shape).copy()
+
+    shape = (g.n, g.n)
+    W2 = copied(spec.w2(X, Y), shape)
+    expected = {
+        "w1": copied(spec.w1(g.nodes), (g.n,)),
+        "v0": 0.25 + 0.0 * g.nodes[..., 0],          # the former constant lambda
+        "V1": copied(spec.v1(X, Y), shape),
+        "W2": 0.5 * (W2 + W2.T),
+    }
+    ms = fs.model.mesh_samples(spec, g)
+    for name, ref in expected.items():
+        got = getattr(ms, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_config_constants_are_returned_as_is(d):
+    w2 = "x * x + y * y" if d == 1 else "x1 * x1 + x2 * x2 + y1 * y1 + y2 * y2"
+    spec = fs.model_from_config(
+        f"domain {{ d = {d}  a = 1 }}\nfunctions {{\n  w0 = 0\n  v0 = 0.25\n  w1 = 3\n"
+        f'  v1 = -0.5\n  w2 {{ expr = "{w2}" }}\n}}\n')
+    pts = fs.make_grid(d, 1.0, 5).nodes
+    arg = pts[:, 0] if d == 1 else pts
+    assert spec.v0(arg) == 0.25 and spec.w1(arg) == 3.0 and spec.v1(arg, arg) == -0.5
+    for fn, value in ((spec.v0, 0.25), (spec.w1, 3.0)):
+        vals = fs.model.eval_x(spec, fn, pts)
+        assert vals.shape == (pts.shape[0],) and not vals.flags.writeable
+        assert vals.tobytes() == (value + 0.0 * pts[:, 0]).tobytes()
+    vals = fs.model.eval_xy(spec, spec.v1, pts[:, None, :], pts[None, :, :])
+    assert vals.shape == (pts.shape[0],) * 2
+    assert vals.tobytes() == (-0.5 + 0.0 * pts[:, None, 0] + 0.0 * pts[None, :, 0]).tobytes()
+
+
 def test_config_decoupled_zero_coupling(tmp_path):
     text = """
 domain { d = 1  a = 1.0 }

@@ -97,3 +97,17 @@ def test_full_vs_reduced_random_smoke():
         z = ess.sess_min - float(rng.uniform(0.1, 1.0))
         rep = fs.oracle_full_vs_reduced(spec, g, pg, z)
         assert rep.within_rank_bound
+
+
+def test_singular_sequence_identical_when_v1_ignores_x():
+    # v1 of y alone comes back from eval_xy as a stride-0 view; the H12 term
+    # must still sum in the order of a full array
+    def model(v1):
+        return fs.ModelSpec(d=1, a=1.0, w0=0.0, v0=lambda x: 0.0 * x, w1=lambda x: 1.0 + x * x,
+                            v1=v1, w2=lambda x, y: x * x + y * y)
+
+    y_only = model(lambda x, y: np.sin(3.0 * y))
+    full = model(lambda x, y: np.sin(3.0 * y) + 0.0 * x)
+    for x0, y0 in ((0.3, 0.3), (0.3, -0.4)):
+        cfg = fs.SingularSeqConfig(x0=np.array([x0]), y0=np.array([y0]), n_max=5)
+        assert fs.singular_sequence_norms(y_only, cfg) == fs.singular_sequence_norms(full, cfg)
