@@ -301,7 +301,8 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--z-lo", type=float, default=None)
     p.add_argument("--z-hi", type=float, default=None)
-    p.add_argument("--bisection-tol", type=float, default=1e-10)
+    p.add_argument("--bisection-tol", type=float, default=1e-10,
+                   help="width of the certified root bracket")
     p.add_argument("--delta-z", default=None,
                    help="comma-separated z values for the symbol profile CSV")
 

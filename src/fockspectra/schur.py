@@ -130,16 +130,24 @@ def delta_values(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     return ms.w1 - z - 0.5 * quad
 
 
-def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z: float):
+def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z):
     """The y-integrand of the symbol at the points pts (shape (m, d)), in row blocks.
 
-    Yields (rows, w_j |v1(p, y_j)|^2, w2(p, y_j) - z) for each block of
-    points, after the pole check of z against the block's own w2 samples.
+    z is a scalar or an array of one value per point.  Yields (rows,
+    w_j |v1(p, y_j)|^2, w2(p, y_j) - z) for each block of points, after the
+    pole check of z against the block's own w2 samples.  When v1 ignores p,
+    the weighted coupling is computed on one row and spread over the block.
     """
     Y = grid.nodes[None, :, :]
+    per_point = np.ndim(z) > 0
     for b in row_blocks(pts.shape[0], grid.n):
-        shifted = _pole_check(eval_xy(spec, spec.w2, pts[b, None, :], Y), z)
-        yield b, grid.weights * np.abs(eval_xy(spec, spec.v1, pts[b, None, :], Y)) ** 2, shifted
+        zb = z[b, None] if per_point else z
+        shifted = _pole_check(eval_xy(spec, spec.w2, pts[b, None, :], Y), zb)
+        V1 = eval_xy(spec, spec.v1, pts[b, None, :], Y)
+        if V1.strides[0] == 0:
+            yield b, np.broadcast_to(grid.weights * np.abs(V1[0]) ** 2, V1.shape), shifted
+        else:
+            yield b, grid.weights * np.abs(V1) ** 2, shifted
 
 
 def delta_at_points(spec: ModelSpec, grid: Grid, pts, z: float) -> np.ndarray:
@@ -158,6 +166,21 @@ def delta_at_points(spec: ModelSpec, grid: Grid, pts, z: float) -> np.ndarray:
     return eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad
 
 
+def delta_and_derivative_at_points(spec: ModelSpec, grid: Grid, pts, z):
+    """Delta(p; z) and d/dz Delta(p; z) <= -1 at every point p of pts, from one pass.
+
+    As delta_at_points, except that z may also hold one value per point.
+    """
+    pts = _as_points(pts, spec.d).reshape(-1, spec.d)
+    quad = np.empty(pts.shape[0])
+    dquad = np.empty(pts.shape[0])
+    for b, wv2, shifted in _point_rows(spec, grid, pts, z):
+        q = wv2 / shifted
+        quad[b] = np.sum(q, axis=-1)
+        dquad[b] = np.sum(q / shifted, axis=-1)
+    return eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad, -1.0 - 0.5 * dquad
+
+
 def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     """Delta(x; z) at one point x: the one-point view of delta_at_points."""
     return float(delta_at_points(spec, grid, _as_point(x, spec.d)[None, :], z)[0])
@@ -165,8 +188,8 @@ def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
 
 def delta_derivative_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     """d/dz of the symbol; always <= -1, so z -> Delta(x; z) is strictly decreasing."""
-    [(_, wv2, shifted)] = _point_rows(spec, grid, _as_point(x, spec.d)[None, :], z)
-    return -1.0 - 0.5 * float(np.sum(wv2 / shifted ** 2))
+    _, slope = delta_and_derivative_at_points(spec, grid, _as_point(x, spec.d)[None, :], z)
+    return float(slope[0])
 
 
 def k_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:

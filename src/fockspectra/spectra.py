@@ -6,7 +6,10 @@ Delta(. ; z) passes through zero.  On a grid, Sigma_1 is approximated by the
 sampled range [m, M] of w2 over node pairs and Sigma_2 by per-node roots of
 z -> Delta(x_i; z), which is strictly decreasing, diverges to +inf as
 z -> -inf, and tends to -inf as z -> +inf; each node therefore contributes
-at most one root per side, found by bisection.  The discrete spectrum
+at most one root per side.  The symbol falls with slope at most -1 and is
+concave on the search side, so Newton steps from the edge probe approach
+the root monotonically inside a bracket the slope bound certifies; no
+search window is derived and none is widened.  The discrete spectrum
 outside [sess_min, sess_max] comes from the N x N Schur complement S(z) by
 inertia (discrete_spectrum); the dense reduced matrix is assembled only as
 the independent leg of the Birman-Schwinger check.
@@ -16,8 +19,9 @@ Numerical guard rails (all O(h^2)-scaled so they refine with the grid):
 * edge probes sit max(1e-9, (M - m + 1)/n^2) outside a fine-sampled hull of
   ran w2, so that roots closer to the edge than the quadrature can resolve
   are not reported;
-* the symbol used for root detection is evaluated on an inner-refined
-  quadrature (the reported m, M stay those of the analysis grid).
+* the symbol used for root detection is streamed at the analysis nodes
+  with an inner-refined y-quadrature (the reported m, M stay those of the
+  analysis grid).
 
 Counting conventions: n(lambda; A) eigenvalues strictly above lambda,
 N(z; A) strictly below z, both with a 1e-10 boundary band reported
@@ -34,10 +38,9 @@ import numpy as np
 from . import operators
 from .grid import Grid, PairGrid, make_grid
 from .model import ModelSpec, mesh_samples
-from .schur import hs_norm_k, row_blocks, s_derivative, schur_eval
+from .schur import delta_and_derivative_at_points, s_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
-_MAX_WIDENINGS = 80
 _MAX_ROOT_STEPS = 200
 
 
@@ -121,120 +124,83 @@ def _fine_range_guard(spec: ModelSpec, grid: Grid, samples_per_dim: int):
     return lo, hi
 
 
-class _RefinedSymbol:
-    """Delta evaluator on the analysis nodes with an inner-refined y-quadrature."""
+def _merge_hull(roots: np.ndarray, tol: float) -> list:
+    """Merge sorted roots into closed intervals; gap threshold 4x median gap.
 
-    def __init__(self, spec: ModelSpec, grid: Grid, inner_refine: int):
-        from .model import eval_x, eval_xy
-
-        inner = make_grid(spec.d, grid.a, inner_refine * grid.n_per_dim, "midpoint")
-        X = grid.nodes[:, None, :]
-        Y = inner.nodes[None, :, :]
-        # w_j |v1(x_i, y_j)|^2: the quadrature weights are folded in once, not per call
-        self.wV2 = np.abs(eval_xy(spec, spec.v1, X, Y)) ** 2 * inner.weights
-        self.W2 = eval_xy(spec, spec.w2, X, Y).astype(float)
-        self.w1 = eval_x(spec, spec.w1, grid.nodes).astype(float)
-
-    def __call__(self, rows: np.ndarray, z) -> np.ndarray:
-        # z may be scalar or per-row array; blocks of rows bound the temporaries
-        z = np.broadcast_to(np.asarray(z, dtype=float), rows.shape)
-        quad = np.empty(rows.shape)
-        for b in row_blocks(rows.size, self.W2.shape[1]):
-            r = rows[b]
-            quad[b] = np.sum(self.wV2[r] / (self.W2[r] - z[b, None]), axis=-1)
-        return self.w1[rows] - z - 0.5 * quad
-
-
-def _bisect_roots(symbol, rows, lo, hi, tol: float):
-    """Vectorized bisection of the monotone symbol on per-row brackets.
-
-    Brackets are oriented with the symbol positive at lo and negative at hi
-    (lo < hi for the strictly decreasing one-sided symbol of _one_sided_roots).
+    Roots are resolved only to tol, so gaps of at most tol count as 0.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(200):
-        if np.max(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        neg = symbol(rows, mid) < 0.0
-        hi[neg] = mid[neg]
-        lo[~neg] = mid[~neg]
-    return 0.5 * (lo + hi)
-
-
-def _merge_hull(roots: np.ndarray) -> list:
-    """Merge sorted roots into closed intervals; gap threshold 4x median gap."""
     if roots.size == 0:
         return []
     rs = np.sort(roots)
-    if rs.size == 1:
-        return [(float(rs[0]), float(rs[0]))]
     gaps = np.diff(rs)
-    threshold = 4.0 * float(np.median(gaps))
-    hull = []
-    lo = prev = rs[0]
-    for r in rs[1:]:
-        if r - prev > threshold:
-            hull.append((float(lo), float(prev)))
-            lo = r
-        prev = r
-    hull.append((float(lo), float(prev)))
-    return hull
+    gaps[gaps <= tol] = 0.0
+    threshold = 4.0 * float(np.median(gaps)) if gaps.size else 0.0
+    breaks = np.flatnonzero(gaps > threshold)
+    return [(float(rs[lo]), float(rs[hi]))
+            for lo, hi in zip(np.r_[0, breaks + 1], np.r_[breaks, rs.size - 1])]
 
 
 _SIDES = {1: ("left", "below", "z_lo"), -1: ("right", "above", "z_hi")}
 
 
-def _one_sided_roots(spec: ModelSpec, grid: Grid, symbol: _RefinedSymbol, sign: int,
-                     e_hat: float, e_guard: float, edge: float, t_lo: float | None,
-                     tol: float):
+def _one_sided_roots(spec: ModelSpec, grid: Grid, inner: Grid, sign: int, probe: float,
+                     t_lo: float | None, tol: float):
     """Sigma_2 roots on one side of ran w2, in the mirrored coordinate t = sign * z.
 
-    f(t) = sign * Delta(sign * t) is strictly decreasing and positive at
-    -inf for either sign, so the roots above M are the roots of f below -M
-    for sign = -1.  e_hat and e_guard are the lower edge of the sampled and
-    the fine-sampled range in t, t_lo an explicit lower end of the search
-    window in t.  Negation is exact in IEEE arithmetic, so both sides are
-    bit-identical to a search written out directly in z.  Returns the rows
-    holding a root and the roots in z.
+    f(t) = sign * Delta(sign * t), at the nodes of grid with the y-quadrature
+    of inner, falls with slope f' <= -1 and is positive at -inf for either
+    sign, so the roots above M are the roots of f below -M for sign = -1.
+    Left of ran w2 each term -c / (w2 - z) of Delta is concave, and the
+    mirror turns the right side into the same case, so f is concave on the
+    search side.  A node holds a root iff f(probe) < 0.  Newton steps from
+    the probe then move monotonically toward the root without passing it,
+    and the slope bound puts the root in [t + f(t), t] at every iterate: a
+    row stops once |f(t)| <= tol and returns t + f(t)/2, within tol/2 of the
+    root.  t_lo, an explicit lower end of the search window in t, is only
+    checked: f must be positive there on every root row.  Negation is exact
+    in IEEE arithmetic, so both sides are bit-identical to a search written
+    out directly in z.  Returns the rows holding a root and the roots in z.
     """
     side, beyond, window = _SIDES[sign]
 
     def f(rows, t):
-        return sign * symbol(rows, sign * t)
+        delta, slope = delta_and_derivative_at_points(spec, inner, grid.nodes[rows], sign * t)
+        return sign * delta, slope
 
-    probe = e_guard - edge
-    all_rows = np.arange(grid.n)
-    rows = all_rows[f(all_rows, probe) < 0.0]
+    ft, slope = f(np.arange(grid.n), np.full(grid.n, probe))
+    rows = np.flatnonzero(ft < 0.0)
     if rows.size == 0:
         return rows, np.empty(0)
-    t = t_lo if t_lo is not None else e_hat - 1.0 - 2.0 * hs_norm_k(spec, grid, sign * (e_hat - 1.0))
-    for _ in range(_MAX_WIDENINGS + 1):
-        if np.all(f(rows, t) > 0.0):
-            break
-        if t_lo is not None:
-            raise RuntimeError(f"a Sigma_2 root sits at or {beyond} {window}: widen and retry")
-        t = e_guard - 2.0 * (e_guard - t)
-    else:
-        raise RuntimeError(f"{side} search-window widening failed to bracket all roots")
-    found = _bisect_roots(f, rows, np.full(rows.size, t), np.full(rows.size, probe), tol=tol)
-    return rows, sign * found
+    if t_lo is not None and not np.all(f(rows, np.full(rows.size, t_lo))[0] > 0.0):
+        raise RuntimeError(f"a Sigma_2 root sits at or {beyond} {window}: widen and retry")
+    ft, slope = ft[rows], slope[rows]
+    t = np.full(rows.size, probe)
+    active = np.arange(rows.size)
+    roots = np.empty(rows.size)
+    for _ in range(_MAX_ROOT_STEPS):
+        done = np.abs(ft) <= tol
+        roots[active[done]] = t[done] + 0.5 * ft[done]
+        go = ~done
+        active, t = active[go], t[go] - ft[go] / slope[go]
+        if active.size == 0:
+            return rows, sign * roots
+        ft, slope = f(rows[active], t)
+    raise RuntimeError(f"{side} Sigma_2 roots not within the tolerance after {_MAX_ROOT_STEPS} "
+                       "Newton steps: is it below the rounding error of the symbol?")
 
 
 def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
-                       z_hi: float | None = None, bisection_tol: float = 1e-10,
-                       inner_refine: int | None = None,
-                       guard_samples: int | None = None) -> EssSpecReport:
+                       z_hi: float | None = None, bisection_tol: float = 1e-10) -> EssSpecReport:
     """Compute the sampled essential spectrum Sigma_1 union Sigma_2.
 
     m and M are the extremes of w2 over the pair grid.  A node x_i
     contributes a root below m iff Delta(x_i; .) is negative at the left
     edge probe, and a root above M iff it is positive at the right edge
-    probe; roots are then bisected to ``bisection_tol``.  An explicit search
-    window (z_lo, z_hi) must strictly contain [m, M]; when omitted a window
-    is derived from the Hilbert-Schmidt size of the compact part and widened
-    geometrically if a root turns out to sit at the boundary.
+    probe.  Each root is found by Newton steps from its probe inside a
+    bracket that the slope bound Delta' <= -1 certifies, to within
+    ``bisection_tol`` (see _one_sided_roots), so no search window is
+    derived or widened.  An explicit window (z_lo, z_hi) must strictly
+    contain [m, M] and is checked to lie beyond every root.
     """
     ms = mesh_samples(spec, grid)
     m_hat = float(np.min(ms.W2))
@@ -244,28 +210,25 @@ def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
     if z_hi is not None and z_hi <= M_hat:
         raise ValueError("search window: z_hi must lie strictly above M")
 
-    if guard_samples is None:
-        guard_samples = 2049 if spec.d == 1 else (65 if spec.d == 2 else 17)
+    guard_samples = 2049 if spec.d == 1 else (65 if spec.d == 2 else 17)
     lo_fine, hi_fine = _fine_range_guard(spec, grid, guard_samples)
     m_guard = min(m_hat, lo_fine)
     M_guard = max(M_hat, hi_fine)
 
     n1 = grid.n_per_dim
     edge = max(1e-9, (M_guard - m_guard + 1.0) / n1**2)
-    if inner_refine is None:
-        inner_refine = 4 if spec.d == 1 else 2
-    symbol = _RefinedSymbol(spec, grid, inner_refine)
+    inner = make_grid(spec.d, grid.a, (4 if spec.d == 1 else 2) * n1, "midpoint")
 
     roots = []
     sides = []
-    for sign, e_hat, e_guard, t_lo in ((1, m_hat, m_guard, z_lo),
-                                       (-1, -M_hat, -M_guard, None if z_hi is None else -z_hi)):
-        rows, found = _one_sided_roots(spec, grid, symbol, sign, e_hat, e_guard, edge,
-                                       t_lo, bisection_tol)
+    for sign, e_guard, t_lo in ((1, m_guard, z_lo),
+                                (-1, -M_guard, None if z_hi is None else -z_hi)):
+        rows, found = _one_sided_roots(spec, grid, inner, sign, e_guard - edge, t_lo,
+                                       bisection_tol)
         roots += [(grid.nodes[r].copy(), float(z)) for r, z in zip(rows, found)]
         sides.append(found)
     left, right = sides
-    hull = _merge_hull(left) + _merge_hull(right)
+    hull = _merge_hull(left, bisection_tol) + _merge_hull(right, bisection_tol)
     sess_min = float(left.min(initial=m_hat))
     sess_max = float(right.max(initial=M_hat))
     return EssSpecReport(m=m_hat, M=M_hat, sigma2_roots=roots, sigma2_hull=hull,

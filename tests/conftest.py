@@ -16,12 +16,12 @@ def s2e():
 
 def make_decoupled(w1fn, w2fn, a=1.0, d=1, w0=0.0, v0fn=None):
     """Model with v1 identically zero (and v0 zero unless given)."""
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    # constants: eval_x and eval_xy spread them over the points at any d
     return fs.ModelSpec(
         d=d, a=a, w0=w0,
-        v0=v0fn if v0fn is not None else zero,
+        v0=v0fn if v0fn is not None else (lambda x: 0.0),
         w1=w1fn,
-        v1=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
+        v1=lambda x, y: 0.0,
         w2=w2fn,
     )
 
@@ -71,7 +71,7 @@ def complex_coupling_model():
 def pick_z_below(spec, grid, pair_grid, rng, guard=1e-8):
     """A z strictly below the essential spectrum with no eigenvalue of the
     three counting matrices within ``guard`` of its threshold."""
-    ess = fs.essential_spectrum(spec, grid, inner_refine=2, guard_samples=257)
+    ess = fs.essential_spectrum(spec, grid)
     spread = max(ess.M - ess.m, 1.0)
     z = ess.sess_min - float(rng.uniform(0.05, 0.8)) * spread
 

@@ -197,7 +197,7 @@ def test_acceptance_09_full_vs_reduced_rank_bound():
         spec = random_trig_model(rng, with_vacuum=True)
         g = fs.make_grid(1, spec.a, 12)
         pg = fs.make_pair_grid(g)
-        ess = fs.essential_spectrum(spec, g, inner_refine=2, guard_samples=257)
+        ess = fs.essential_spectrum(spec, g)
         z = ess.sess_min - float(rng.uniform(0.05, 1.5))
         rep = fs.oracle_full_vs_reduced(spec, g, pg, z)
         assert rep.within_rank_bound, rep

@@ -36,7 +36,7 @@ def test_d2_essential_spectrum_and_counting():
     spec = _spec_d2()
     g = fs.make_grid(2, 1.0, 6)
     pg = fs.make_pair_grid(g)
-    ess = fs.essential_spectrum(spec, g, guard_samples=33)
+    ess = fs.essential_spectrum(spec, g)
     assert 0.0 <= ess.m < 0.2
     assert ess.M <= 4.0
     z = ess.sess_min - 0.5
@@ -47,7 +47,7 @@ def test_d2_essential_spectrum_and_counting():
 def test_d2_exponents():
     spec = _spec_d2()
     g = fs.make_grid(2, 1.0, 6)
-    ess = fs.essential_spectrum(spec, g, guard_samples=33)
+    ess = fs.essential_spectrum(spec, g)
     t0 = fs.locate_t0(spec, g, ess, n_fine=41)
     assert t0 is not None and np.max(np.abs(t0)) < 1e-4
     est = fs.estimate_exponents(spec, g, ess, t0, fine_n=48, angular=64)

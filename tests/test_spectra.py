@@ -63,9 +63,11 @@ def test_essential_spectrum_decoupled():
 
 
 def test_essential_spectrum_sigma2_empty(s2e):
-    for n in (32, 64):
-        g = fs.make_grid(1, s2e.a, n)
-        ess = fs.essential_spectrum(s2e, g)
+    # decoupled at d = 2: Delta = w1 - z with w1 = 1 inside ran w2 = [0, 4]
+    decoupled = make_decoupled(lambda x: 1.0, lambda x, y: np.sum(x**2 + y**2, axis=-1), d=2)
+    for spec, n in ((s2e, 32), (s2e, 64), (decoupled, 6), (decoupled, 12)):
+        g = fs.make_grid(spec.d, spec.a, n)
+        ess = fs.essential_spectrum(spec, g)
         assert ess.sigma2_roots == []
         assert ess.sess_min == ess.m and ess.sess_max == ess.M
 
@@ -214,13 +216,54 @@ def test_negation_mirrors_essential_spectrum_exactly(seed):
     # negations have roots above M: both sides of the root finder are used
     spec = random_trig_model(np.random.default_rng(seed))
     g = fs.make_grid(1, spec.a, 12)
-    ess = fs.essential_spectrum(spec, g, inner_refine=2, guard_samples=257)
-    neg = fs.essential_spectrum(fs.negate_model(spec), g, inner_refine=2, guard_samples=257)
+    ess = fs.essential_spectrum(spec, g)
+    neg = fs.essential_spectrum(fs.negate_model(spec), g)
     assert neg.m == -ess.M and neg.M == -ess.m
     assert neg.sess_min == -ess.sess_max and neg.sess_max == -ess.sess_min
     assert _roots_by_value(neg, -1) == _roots_by_value(ess)
     assert len(neg.left_roots) == len(ess.right_roots)
     assert len(neg.right_roots) == len(ess.left_roots)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), negate=st.booleans(),
+       tol=st.sampled_from([1e-10, 1e-6, 1e-3]))
+def test_sigma2_roots_sit_inside_their_certified_bracket(seed, negate, tol):
+    # Delta(x; .) falls on either side of ran w2, so a root r reported to tol
+    # has Delta >= 0 at r - tol/2 and Delta <= 0 at r + tol/2 on the
+    # inner-refined quadrature the root finder uses (4n nodes at d = 1)
+    spec = random_trig_model(np.random.default_rng(seed))
+    spec = fs.negate_model(spec) if negate else spec
+    g = fs.make_grid(1, spec.a, 12)
+    inner = fs.make_grid(1, spec.a, 48)
+    ess = fs.essential_spectrum(spec, g, bisection_tol=tol)
+    for pt, r in ess.sigma2_roots:
+        assert fs.delta_at(spec, inner, pt, r - 0.5 * tol) >= 0.0
+        assert fs.delta_at(spec, inner, pt, r + 0.5 * tol) <= 0.0
+
+
+def test_merge_hull_ignores_gaps_below_the_root_tolerance():
+    # roots are resolved only to tol: jittering repeated roots by less than
+    # tol must not change the intervals
+    tol = 1e-10
+    roots = np.repeat([1.0, 1.1, 1.2, 1.3, 2.0], 4)
+    jitter = np.random.default_rng(0).uniform(0.0, 0.9 * tol, roots.size)
+    exact = fs.spectra._merge_hull(roots, tol)
+    jittered = fs.spectra._merge_hull(roots + jitter, tol)
+    assert len(jittered) == len(exact) == 5
+    assert np.allclose(jittered, exact, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("case", ["mnr-infinite", "d2"])
+def test_essential_spectrum_builds_no_compact_kernel(case, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("essential_spectrum must not build K")
+
+    monkeypatch.setattr(schur, "k_matrix", refuse)
+    monkeypatch.setattr(schur, "hs_norm_k", refuse)
+    spec = fs.model_from_config(D2_CONFIG) if case == "d2" else fs.load_model(case)
+    ess = fs.essential_spectrum(spec, fs.make_grid(spec.d, spec.a, 64 if spec.d == 1 else 8))
+    assert ess.sigma2_roots
 
 
 def test_narrow_window_cutting_a_root_raises_on_each_side(mnr):

@@ -93,7 +93,7 @@ def test_full_vs_reduced_random_smoke():
         spec = random_trig_model(rng, with_vacuum=True)
         g = fs.make_grid(1, spec.a, 10)
         pg = fs.make_pair_grid(g)
-        ess = fs.essential_spectrum(spec, g, inner_refine=2, guard_samples=257)
+        ess = fs.essential_spectrum(spec, g)
         z = ess.sess_min - float(rng.uniform(0.1, 1.0))
         rep = fs.oracle_full_vs_reduced(spec, g, pg, z)
         assert rep.within_rank_bound
