@@ -36,9 +36,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .blocks import map_blocks
 from .grid import Grid, make_grid
 from .model import ModelSpec, eval_xy
-from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t, row_blocks
+from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t
 
 R2_GATE = 0.9
 N_SHELLS = 12
@@ -230,6 +231,12 @@ def _directions(d: int, count: int) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
+def _abs_max_v1(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray) -> float:
+    """max |v1(x, y)| over the points xs and ys; one row of x when v1 ignores x."""
+    v1 = eval_xy(spec, spec.v1, xs[:, None, :], ys[None, :, :])
+    return float(np.max(np.abs(v1[:1] if v1.strides[0] == 0 else v1)))
+
+
 def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0, delta: float | None = None,
                        fine_n: int | None = None, angular: int = 256) -> ExponentEstimate:
     """Estimate alpha, beta, gamma by shell statistics around t0.
@@ -279,9 +286,8 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0, delta: float | N
         pts = t0[None, :] + r * dirs                     # (ndir, d)
         w2v = eval_xy(spec, spec.w2, pts[:, None, :], pts[None, :, :])
         alpha_stats[k] = float(np.min(w2v)) - e_star
-        beta_stats[k] = max(
-            float(np.max(np.abs(eval_xy(spec, spec.v1, xs[b, None, :], pts[None, :, :]))))
-            for b in row_blocks(xs.shape[0], pts.shape[0]))
+        beta_stats[k] = max(map_blocks(lambda b: _abs_max_v1(spec, xs[b], pts),
+                                       xs.shape[0], pts.shape[0]))
         if gamma_ok:
             try:
                 gamma_stats[k] = float(np.min(delta_at_points(spec, fine, pts, e_star)))

@@ -36,6 +36,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import blocks
+
 W2_SYMMETRY_TOL = 1e-12
 
 
@@ -157,9 +159,25 @@ def _mesh_samples_cached(spec: ModelSpec, grid) -> MeshSamples:
     X = nodes[:, None, :]
     Y = nodes[None, :, :]
     V1 = np.asarray(eval_xy(spec, spec.v1, X, Y))
-    W2 = eval_xy(spec, spec.w2, X, Y).astype(float)
-    asym = float(np.max(np.abs(W2 - W2.T))) if W2.size else 0.0
-    W2 = 0.5 * (W2 + W2.T)
+    n = grid.n
+    W2 = np.empty((n, n))
+    # filled on this thread: worker threads would keep their freed block
+    # temporaries in their own malloc arenas through check_assumption_a's peak
+    for b in blocks.row_blocks(n, n):
+        W2[b] = eval_xy(spec, spec.w2, X[b], Y)
+    # symmetrize in place, one tile and its mirror at a time; 0.5 * (a + b)
+    # is commutative, so the result is exactly symmetric
+    tile = max(1, math.isqrt(blocks.BLOCK_ELEMENTS))
+    tiles = [slice(s, s + tile) for s in range(0, n, tile)]
+    tile_asym = []
+    for i, bi in enumerate(tiles):
+        for bj in tiles[i:]:
+            upper, lower_t = W2[bi, bj], W2[bj, bi].T
+            tile_asym.append(np.max(np.abs(upper - lower_t)))
+            sym = 0.5 * (upper + lower_t)
+            W2[bi, bj] = sym
+            W2[bj, bi] = sym.T
+    asym = float(np.max(tile_asym, initial=0.0))
     for arr in (w1v, v0v, V1, W2):
         arr.setflags(write=False)
     return MeshSamples(w1=w1v, v0=v0v, V1=V1, W2=W2, w2_asym=asym)

@@ -23,9 +23,10 @@ Birman-Schwinger operator
 
 is defined; its eigenvalues above 1 count the bound states below z.
 
-The point evaluations of the symbol and the Hilbert-Schmidt norm of T are
-streamed over row blocks of BLOCK_ELEMENTS samples, so their memory does not
-grow with the square of the grid.
+The symbol at the nodes, its point evaluations and the Hilbert-Schmidt norm
+of T are streamed over row blocks of blocks.BLOCK_ELEMENTS samples, so their
+memory does not grow with the square of the grid, and the blocks run on
+every CPU of the affinity mask (blocks.map_blocks).
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .blocks import map_blocks
 from .grid import Grid
 from .model import ModelSpec, _as_point, _as_points, eval_x, eval_xy, mesh_samples
 
 POLE_TOL = 1e-12
 POLE_MARGIN = 1e-9
-# Samples per row block of the streamed routines (8 MB of float64): a block
-# of an (m, N) sample array has max(1, BLOCK_ELEMENTS // N) rows.
-BLOCK_ELEMENTS = 1 << 20
 
 
 class PoleProximityError(RuntimeError):
@@ -55,12 +54,6 @@ class PoleProximityError(RuntimeError):
             "numerically inside Sigma_1")
         self.z = z
         self.dist = dist
-
-
-def row_blocks(n_rows: int, n_cols: int) -> list:
-    """Slices of max(1, BLOCK_ELEMENTS // n_cols) rows covering range(n_rows)."""
-    step = max(1, BLOCK_ELEMENTS // n_cols)
-    return [slice(s, s + step) for s in range(0, n_rows, step)]
 
 
 def _require_positive(delta_vals: np.ndarray) -> None:
@@ -125,29 +118,30 @@ def _pole_check(W2: np.ndarray, z: float) -> np.ndarray:
 def delta_values(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     """Delta(x_i; z) at every grid node, by the grid's own quadrature."""
     ms = mesh_samples(spec, grid)
-    shifted = _pole_check(ms.W2, z)
-    quad = (np.abs(ms.V1) ** 2 / shifted) @ grid.weights
+    quad = np.empty(grid.n)
+
+    def block(b):
+        quad[b] = (np.abs(ms.V1[b]) ** 2 / _pole_check(ms.W2[b], z)) @ grid.weights
+
+    map_blocks(block, grid.n, grid.n)
     return ms.w1 - z - 0.5 * quad
 
 
-def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z):
-    """The y-integrand of the symbol at the points pts (shape (m, d)), in row blocks.
+def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z, b: slice):
+    """The y-integrand of the symbol at the points pts[b] (pts has shape (m, d)).
 
-    z is a scalar or an array of one value per point.  Yields (rows,
-    w_j |v1(p, y_j)|^2, w2(p, y_j) - z) for each block of points, after the
-    pole check of z against the block's own w2 samples.  When v1 ignores p,
-    the weighted coupling is computed on one row and spread over the block.
+    z is a scalar or an array of one value per point.  Returns
+    (w_j |v1(p, y_j)|^2, w2(p, y_j) - z) for the rows b, after the pole check
+    of z against their own w2 samples.  When v1 ignores p, the weighted
+    coupling is computed on one row and spread over the block.
     """
     Y = grid.nodes[None, :, :]
-    per_point = np.ndim(z) > 0
-    for b in row_blocks(pts.shape[0], grid.n):
-        zb = z[b, None] if per_point else z
-        shifted = _pole_check(eval_xy(spec, spec.w2, pts[b, None, :], Y), zb)
-        V1 = eval_xy(spec, spec.v1, pts[b, None, :], Y)
-        if V1.strides[0] == 0:
-            yield b, np.broadcast_to(grid.weights * np.abs(V1[0]) ** 2, V1.shape), shifted
-        else:
-            yield b, grid.weights * np.abs(V1) ** 2, shifted
+    zb = z[b, None] if np.ndim(z) > 0 else z
+    shifted = _pole_check(eval_xy(spec, spec.w2, pts[b, None, :], Y), zb)
+    V1 = eval_xy(spec, spec.v1, pts[b, None, :], Y)
+    if V1.strides[0] == 0:
+        return np.broadcast_to(grid.weights * np.abs(V1[0]) ** 2, V1.shape), shifted
+    return grid.weights * np.abs(V1) ** 2, shifted
 
 
 def delta_at_points(spec: ModelSpec, grid: Grid, pts, z: float) -> np.ndarray:
@@ -161,8 +155,12 @@ def delta_at_points(spec: ModelSpec, grid: Grid, pts, z: float) -> np.ndarray:
     """
     pts = _as_points(pts, spec.d).reshape(-1, spec.d)
     quad = np.empty(pts.shape[0])
-    for b, wv2, shifted in _point_rows(spec, grid, pts, z):
+
+    def block(b):
+        wv2, shifted = _point_rows(spec, grid, pts, z, b)
         quad[b] = np.sum(wv2 / shifted, axis=-1)
+
+    map_blocks(block, pts.shape[0], grid.n)
     return eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad
 
 
@@ -174,10 +172,14 @@ def delta_and_derivative_at_points(spec: ModelSpec, grid: Grid, pts, z):
     pts = _as_points(pts, spec.d).reshape(-1, spec.d)
     quad = np.empty(pts.shape[0])
     dquad = np.empty(pts.shape[0])
-    for b, wv2, shifted in _point_rows(spec, grid, pts, z):
+
+    def block(b):
+        wv2, shifted = _point_rows(spec, grid, pts, z, b)
         q = wv2 / shifted
         quad[b] = np.sum(q, axis=-1)
         dquad[b] = np.sum(q / shifted, axis=-1)
+
+    map_blocks(block, pts.shape[0], grid.n)
     return eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad, -1.0 - 0.5 * dquad
 
 
@@ -245,29 +247,35 @@ def hs_norm_t(spec: ModelSpec, grid: Grid, z: float) -> float:
         ||T(z)||_HS^2 = 1/4 sum_ij u_i u_j |v1(x_i, x_j)|^2 |v1(x_j, x_i)|^2 / (W_ij - z)^2.
 
     Pass 1 computes Delta(z) at the nodes, pass 2 the quadratic form, both
-    over row blocks, so memory is O(BLOCK_ELEMENTS) at any grid size.  Raises
-    what bs_operator raises: PoleProximityError when a block of W comes
-    within POLE_TOL of z, then ValueError unless Delta(z) > 0.
+    over row blocks, so memory is O(BLOCK_ELEMENTS) per CPU at any grid
+    size; the block partials are summed in block order.  Raises what
+    bs_operator raises: PoleProximityError when a block of W comes within
+    POLE_TOL of z, then ValueError unless Delta(z) > 0.
     """
     X = grid.nodes[:, None, :]
     Y = grid.nodes[None, :, :]
-    blocks = row_blocks(grid.n, grid.n)
 
     def shifted_w2(b):   # rows b of MeshSamples.W2 - z, entry by entry
         w2xy = eval_xy(spec, spec.w2, X[b], Y).astype(float)
         return _pole_check(0.5 * (w2xy + eval_xy(spec, spec.w2, Y, X[b]).astype(float)), z)
 
     quad = np.empty(grid.n)
-    for b in blocks:
-        shifted = shifted_w2(b)
-        quad[b] = (np.abs(eval_xy(spec, spec.v1, X[b], Y)) ** 2 / shifted) @ grid.weights
+
+    def symbol_block(b):
+        quad[b] = (np.abs(eval_xy(spec, spec.v1, X[b], Y)) ** 2 / shifted_w2(b)) @ grid.weights
+
+    map_blocks(symbol_block, grid.n, grid.n)
     delta = eval_x(spec, spec.w1, grid.nodes).astype(float) - z - 0.5 * quad
     _require_positive(delta)
     u = grid.weights / delta
-    total = 0.0
-    for b in blocks:
+
+    def form_block(b):
         coupling = np.abs(eval_xy(spec, spec.v1, X[b], Y) * eval_xy(spec, spec.v1, Y, X[b]))
-        total += float(u[b] @ ((coupling / shifted_w2(b)) ** 2 @ u))
+        return float(u[b] @ ((coupling / shifted_w2(b)) ** 2 @ u))
+
+    total = 0.0
+    for partial in map_blocks(form_block, grid.n, grid.n):
+        total += partial
     return 0.5 * math.sqrt(total)
 
 

@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
+from .blocks import map_blocks
 from .grid import Grid, PairGrid, make_grid
-from .model import ModelSpec, mesh_samples
+from .model import ModelSpec, eval_xy, mesh_samples
 from .schur import delta_and_derivative_at_points, s_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
@@ -108,19 +109,18 @@ def count_below(matrix, z: float, band: float = BOUNDARY_BAND) -> int:
 
 
 def _fine_range_guard(spec: ModelSpec, grid: Grid, samples_per_dim: int):
-    """Min/max of w2 over a dense closed sampling of Omega^2, chunked."""
-    from .model import eval_xy
-
+    """Min/max of w2 over a dense closed sampling of Omega^2, in row blocks."""
     axis = np.linspace(-grid.a, grid.a, samples_per_dim)
     axes = np.meshgrid(*([axis] * spec.d), indexing="ij")
     pts = np.stack([ax.ravel() for ax in axes], axis=-1)
-    n = pts.shape[0]
+
+    def block(b):
+        w2 = eval_xy(spec, spec.w2, pts[b, None, :], pts[None, :, :])
+        return float(np.min(w2)), float(np.max(w2))
+
     lo, hi = np.inf, -np.inf
-    step = max(1, int(2e6) // max(n, 1))
-    for start in range(0, n, step):
-        block = eval_xy(spec, spec.w2, pts[start:start + step, None, :], pts[None, :, :])
-        lo = min(lo, float(np.min(block)))
-        hi = max(hi, float(np.max(block)))
+    for lo_b, hi_b in map_blocks(block, pts.shape[0], pts.shape[0]):
+        lo, hi = min(lo, lo_b), max(hi, hi_b)
     return lo, hi
 
 

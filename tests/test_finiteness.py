@@ -276,7 +276,7 @@ def test_estimate_exponents_independent_of_block_size(monkeypatch):
     g, rep = _report_for(spec, 24)
     t0 = fs.locate_t0(spec, g, rep)
     whole = fs.estimate_exponents(spec, g, rep, t0)
-    monkeypatch.setattr(fs.schur, "BLOCK_ELEMENTS", 1)       # one row per block
+    monkeypatch.setattr(fs.blocks, "BLOCK_ELEMENTS", 1)       # one row per block
     rowwise = fs.estimate_exponents(spec, g, rep, t0)
     assert rowwise.shells == whole.shells
     assert (rowwise.alpha_hat, rowwise.beta_hat, rowwise.gamma_hat) == \

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fockspectra as fs
-from fockspectra import schur
+from fockspectra import blocks, schur
 from conftest import complex_coupling_model, make_decoupled, random_trig_model, simpson
 
 
@@ -233,8 +233,8 @@ def test_hs_norm_t_matches_dense_bs_operator(case, monkeypatch):
         except ValueError:
             continue
         # one block, then single rows, then uneven blocks of 5 rows
-        for budget in (schur.BLOCK_ELEMENTS, 1, 5 * g.n):
-            monkeypatch.setattr(schur, "BLOCK_ELEMENTS", budget)
+        for budget in (blocks.BLOCK_ELEMENTS, 1, 5 * g.n):
+            monkeypatch.setattr(blocks, "BLOCK_ELEMENTS", budget)
             assert fs.hs_norm_t(spec, g, z) == pytest.approx(dense, rel=1e-12, abs=0)
         monkeypatch.undo()
         checked += 1
@@ -249,7 +249,7 @@ def test_hs_norm_t_zero_coupling_is_exactly_zero():
 def test_hs_norm_t_raises_what_bs_operator_raises(mnr, monkeypatch):
     g = fs.make_grid(1, mnr.a, 16)
     z_pole = float(fs.model.mesh_samples(mnr, g).W2[3, 7])
-    monkeypatch.setattr(schur, "BLOCK_ELEMENTS", 4 * g.n)
+    monkeypatch.setattr(blocks, "BLOCK_ELEMENTS", 4 * g.n)
     for z, exc in ((0.5, ValueError), (z_pole, fs.PoleProximityError)):
         with pytest.raises(exc) as dense:
             fs.bs_operator(mnr, g, z)
@@ -266,7 +266,7 @@ def test_delta_at_points_is_bitwise_the_per_point_symbol(d, monkeypatch):
     g = fs.make_grid(d, spec.a, 64 if d == 1 else 24)
     pts = np.random.default_rng(5).uniform(-spec.a, spec.a, (23, d))
     z = -0.3
-    monkeypatch.setattr(schur, "BLOCK_ELEMENTS", 4 * g.n)    # blocks of 4 rows, last one short
+    monkeypatch.setattr(blocks, "BLOCK_ELEMENTS", 4 * g.n)    # blocks of 4 rows, last one short
     batched = fs.delta_at_points(spec, g, pts, z)
     for p, val in zip(pts, batched):
         w2row = fs.model.eval_xy(spec, spec.w2, p[None, :], g.nodes)
