@@ -11,6 +11,8 @@ per-row value is bit-identical to a serial loop over the same blocks.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 
@@ -54,6 +56,21 @@ def _executor():
         return _pool
 
 
+@functools.cache
+def _keep_freed_blocks() -> None:
+    """Have glibc keep freed block temporaries in one arena for reuse.
+
+    Its defaults (mmap from 128 KiB, trim above 128 KiB, an arena per thread)
+    page-fault every block's temporaries in anew: essspec at d = 2, n = 48 took
+    1.2 s and 320,000 minor faults on 2 CPUs, 0.65 s and 30,000 with these.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-8, 1)                     # M_ARENA_MAX
+        mallopt(-3, 8 << 20)               # M_MMAP_THRESHOLD: 4 blocks
+        mallopt(-1, 12 << 20)              # M_TRIM_THRESHOLD: 6 blocks
+
+
 def map_blocks(fn, n_rows: int, n_cols: int) -> list:
     """[fn(rows) for rows in row_blocks(n_rows, n_cols)], the blocks run concurrently.
 
@@ -62,6 +79,8 @@ def map_blocks(fn, n_rows: int, n_cols: int) -> list:
     block order, so the first failing block's exception is the one raised.
     """
     blocks = row_blocks(n_rows, n_cols)
+    if len(blocks) > 1:
+        _keep_freed_blocks()
     if len(blocks) <= 1 or _cpu_count() <= 1 or getattr(_in_worker, "active", False):
         return [fn(b) for b in blocks]
     return list(_executor().map(fn, blocks))

@@ -149,10 +149,8 @@ def _cmd_essspec(args, out_dir: Path) -> int:
         zs = [float(t) for t in args.delta_z.split(",")]
     else:
         zs = [ess.sess_min - 1.0, ess.sess_max + 1.0]
-    rows = []
-    for z in zs:
-        vals = schur.delta_values(spec, g, z)
-        rows += [(*g.nodes[i], z, vals[i]) for i in range(g.n)]
+    vals = schur.delta_values(spec, g, zs)
+    rows = [(*g.nodes[i], z, row[i]) for z, row in zip(zs, vals) for i in range(g.n)]
     _write_csv(out_dir / "delta_profile.csv", cols + ["z", "delta"], rows)
     report.write(out_dir)
     return EXIT_OK

@@ -78,12 +78,14 @@ class BuiltinModel:
 
 @dataclass(frozen=True)
 class AssumptionAReport:
-    """Discrete analogues of the two essential-sup coupling norms."""
+    """Discrete analogues of the two essential-sup coupling norms, and the range of w2."""
 
     sup_norm_2pe: float
     sup_norm_2p4e: float
-    w2_asymmetry: float
+    w2_asymmetry: float      # max |w2(x_i, x_j) - w2(x_j, x_i)|
     passed: bool
+    w2_min: float            # extremes of the symmetrized samples MeshSamples.W2
+    w2_max: float
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def eval_xy(spec: ModelSpec, fn: Callable, xpts: np.ndarray, ypts: np.ndarray) -
 class MeshSamples:
     """Parameter-function samples on a grid, shared by the assembly routines.
 
-    W2 is symmetrized (the raw asymmetry is kept in ``w2_asym``) so that the
+    W2 is symmetrized (check_assumption_a reports the raw asymmetry) so that the
     discrete Schur complement built from these samples is exactly the Schur
     complement of the assembled block matrix.
     """
@@ -148,7 +150,6 @@ class MeshSamples:
     v0: np.ndarray     # (N,)
     V1: np.ndarray     # (N, N), V1[i, j] = v1(x_i, x_j)
     W2: np.ndarray     # (N, N), symmetrized
-    w2_asym: float
 
 
 @lru_cache(maxsize=16)
@@ -161,26 +162,23 @@ def _mesh_samples_cached(spec: ModelSpec, grid) -> MeshSamples:
     V1 = np.asarray(eval_xy(spec, spec.v1, X, Y))
     n = grid.n
     W2 = np.empty((n, n))
-    # filled on this thread: worker threads would keep their freed block
-    # temporaries in their own malloc arenas through check_assumption_a's peak
+    # filled on this thread: the pool's freed block temporaries would stay
+    # resident next to W2
     for b in blocks.row_blocks(n, n):
         W2[b] = eval_xy(spec, spec.w2, X[b], Y)
     # symmetrize in place, one tile and its mirror at a time; 0.5 * (a + b)
     # is commutative, so the result is exactly symmetric
     tile = max(1, math.isqrt(blocks.BLOCK_ELEMENTS))
     tiles = [slice(s, s + tile) for s in range(0, n, tile)]
-    tile_asym = []
     for i, bi in enumerate(tiles):
         for bj in tiles[i:]:
             upper, lower_t = W2[bi, bj], W2[bj, bi].T
-            tile_asym.append(np.max(np.abs(upper - lower_t)))
             sym = 0.5 * (upper + lower_t)
             W2[bi, bj] = sym
             W2[bj, bi] = sym.T
-    asym = float(np.max(tile_asym, initial=0.0))
     for arr in (w1v, v0v, V1, W2):
         arr.setflags(write=False)
-    return MeshSamples(w1=w1v, v0=v0v, V1=V1, W2=W2, w2_asym=asym)
+    return MeshSamples(w1=w1v, v0=v0v, V1=V1, W2=W2)
 
 
 def mesh_samples(spec: ModelSpec, grid) -> MeshSamples:
@@ -188,33 +186,45 @@ def mesh_samples(spec: ModelSpec, grid) -> MeshSamples:
     return _mesh_samples_cached(spec, grid)
 
 
+@lru_cache(maxsize=16)
 def check_assumption_a(spec: ModelSpec, grid) -> AssumptionAReport:
     """Check boundedness/integrability of the parameter functions by quadrature.
 
-    Computes the discrete L^{2+eps} norm of v1(x_i, .) (sup over rows) and the
-    discrete L^{2+4/eps} norm of v1(., x_j) (sup over columns).  Raises
-    ModelEvaluationError if any sample is NaN or infinite; returns
-    passed=False if a norm overflows or the sampled w2 symmetry defect
-    exceeds 1e-12.
+    Computes the discrete L^{2+eps} norm of v1(x_i, .) (sup over rows), the
+    discrete L^{2+4/eps} norm of v1(., x_j) (sup over columns) and the range
+    and symmetry defect of w2 in one cached pass over row blocks of node pairs
+    on the block pool, so memory is O(N).  Raises ModelEvaluationError if any
+    sample is NaN or infinite; returns passed=False if a norm overflows or
+    the symmetry defect exceeds W2_SYMMETRY_TOL.
     """
-    ms = mesh_samples(spec, grid)
-    samples = [np.asarray(spec.w0), ms.w1, ms.v0, ms.V1, ms.W2]
-    for arr in samples:
-        if not np.all(np.isfinite(arr)):
-            raise ModelEvaluationError(
-                "Assumption A check failed: NaN or infinity in a parameter-function sample")
-    w = grid.weights
-    p1 = 2.0 + spec.epsilon
-    p2 = 2.0 + 4.0 / spec.epsilon
-    absV = np.abs(ms.V1)
-    with np.errstate(over="ignore"):
-        row = np.max((absV**p1 @ w)) ** (1.0 / p1)
-        col = np.max((w @ absV**p2)) ** (1.0 / p2)
-    ok = bool(np.isfinite(row) and np.isfinite(col) and ms.w2_asym <= W2_SYMMETRY_TOL)
-    return AssumptionAReport(
-        sup_norm_2pe=float(row), sup_norm_2p4e=float(col),
-        w2_asymmetry=ms.w2_asym, passed=ok,
-    )
+    p1, p2 = 2.0 + spec.epsilon, 2.0 + 4.0 / spec.epsilon
+
+    def block(b):
+        X, Y = grid.nodes[b, None, :], grid.nodes[None, :, :]
+        W = eval_xy(spec, spec.w2, X, Y).astype(float)
+        D = eval_xy(spec, spec.w2, Y, X).astype(float)
+        S = W + D
+        asym = np.max(np.abs(np.subtract(W, D, out=D), out=D))
+        del W, D
+        S *= 0.5                      # rows b of MeshSamples.W2: 0.5 * (W + W.T)
+        absV = np.abs(eval_xy(spec, spec.v1, X, Y))
+        with np.errstate(over="ignore"):
+            row, col = np.max(absV**p1 @ grid.weights), grid.weights[b] @ absV**p2
+        # -min so that one max reduces all five over the blocks
+        return (-np.min(S), np.max(S), asym, np.max(absV), row), col
+
+    parts = blocks.map_blocks(block, grid.n, 2 * grid.n)     # W and its mirror D fill a block
+    neg_lo, hi, asym, v1_max, row = np.max([p for p, _ in parts], axis=0)
+    col = np.max(sum(c for _, c in parts))    # partials summed in block order
+    others = (spec.w0, eval_x(spec, spec.w1, grid.nodes), eval_x(spec, spec.v0, grid.nodes))
+    if not (np.isfinite([neg_lo, hi, v1_max]).all() and all(np.isfinite(v).all() for v in others)):
+        raise ModelEvaluationError(
+            "Assumption A check failed: NaN or infinity in a parameter-function sample")
+    row, col = row ** (1.0 / p1), col ** (1.0 / p2)
+    ok = bool(np.isfinite(row) and np.isfinite(col) and asym <= W2_SYMMETRY_TOL)
+    return AssumptionAReport(sup_norm_2pe=float(row), sup_norm_2p4e=float(col),
+                             w2_asymmetry=float(asym), passed=ok,
+                             w2_min=-float(neg_lo), w2_max=float(hi))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ is defined; its eigenvalues above 1 count the bound states below z.
 The symbol at the nodes, its point evaluations and the Hilbert-Schmidt norm
 of T are streamed over row blocks of blocks.BLOCK_ELEMENTS samples, so their
 memory does not grow with the square of the grid, and the blocks run on
-every CPU of the affinity mask (blocks.map_blocks).
+every CPU of the affinity mask (blocks.map_blocks).  Only the dense matrices
+(K, S, dS/dz and T, for discrete and bs-check) read the N x N mesh samples.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .grid import Grid
 from .model import ModelSpec, _as_point, _as_points, eval_x, eval_xy, mesh_samples
 
 POLE_TOL = 1e-12
-POLE_MARGIN = 1e-9
 
 
 class PoleProximityError(RuntimeError):
@@ -115,16 +115,27 @@ def _pole_check(W2: np.ndarray, z: float) -> np.ndarray:
     return shifted
 
 
-def delta_values(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
-    """Delta(x_i; z) at every grid node, by the grid's own quadrature."""
-    ms = mesh_samples(spec, grid)
-    quad = np.empty(grid.n)
+def _sym_w2(spec: ModelSpec, grid: Grid, b: slice) -> np.ndarray:
+    """Rows b of MeshSamples.W2, entry by entry."""
+    X, Y = grid.nodes[b, None, :], grid.nodes[None, :, :]
+    w2xy = eval_xy(spec, spec.w2, X, Y).astype(float)
+    return 0.5 * (w2xy + eval_xy(spec, spec.w2, Y, X).astype(float))
+
+
+def delta_values(spec: ModelSpec, grid: Grid, z) -> np.ndarray:
+    """Delta(x_i; z) at every grid node, streamed; a sequence of z gives one row per z."""
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    quad = np.empty((zs.size, grid.n))
 
     def block(b):
-        quad[b] = (np.abs(ms.V1[b]) ** 2 / _pole_check(ms.W2[b], z)) @ grid.weights
+        V1 = eval_xy(spec, spec.v1, grid.nodes[b, None, :], grid.nodes[None, :, :])
+        v2, W = np.abs(V1) ** 2, _sym_w2(spec, grid, b)
+        for k, zk in enumerate(zs.tolist()):
+            quad[k, b] = (v2 / _pole_check(W, zk)) @ grid.weights
 
     map_blocks(block, grid.n, grid.n)
-    return ms.w1 - z - 0.5 * quad
+    out = eval_x(spec, spec.w1, grid.nodes).astype(float) - zs[:, None] - 0.5 * quad
+    return out if np.ndim(z) else out[0]
 
 
 def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z, b: slice):
@@ -196,11 +207,7 @@ def delta_derivative_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
 
 def k_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     """Weight-normalized compact-kernel matrix sqrt(w_i) K(x_i, x_j; z) sqrt(w_j)."""
-    ms = mesh_samples(spec, grid)
-    shifted = _pole_check(ms.W2, z)
-    kern = -0.5 * ms.V1 * np.conj(ms.V1.T) / shifted
-    sw = np.sqrt(grid.weights)
-    return sw[:, None] * kern * sw[None, :]
+    return schur_eval(spec, grid, z).k_matrix
 
 
 def s_derivative(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
@@ -224,8 +231,18 @@ def hs_norm_k(spec: ModelSpec, grid: Grid, z: float) -> float:
 
 
 def schur_eval(spec: ModelSpec, grid: Grid, z: float) -> SchurEval:
-    K = k_matrix(spec, grid, z)
-    return SchurEval(z=float(z), delta_vals=delta_values(spec, grid, z), k_matrix=K)
+    """Delta and K at z from the mesh samples and one W2 - z; Delta bit for bit as delta_values."""
+    ms = mesh_samples(spec, grid)
+    shifted = _pole_check(ms.W2, z)
+    quad = np.empty(grid.n)
+
+    def block(b):
+        quad[b] = (np.abs(ms.V1[b]) ** 2 / shifted[b]) @ grid.weights
+
+    map_blocks(block, grid.n, grid.n)
+    sw = np.sqrt(grid.weights)
+    K = sw[:, None] * (-0.5 * ms.V1 * np.conj(ms.V1.T) / shifted) * sw[None, :]
+    return SchurEval(z=float(z), delta_vals=ms.w1 - z - 0.5 * quad, k_matrix=K)
 
 
 def s_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
@@ -246,37 +263,23 @@ def hs_norm_t(spec: ModelSpec, grid: Grid, z: float) -> float:
 
         ||T(z)||_HS^2 = 1/4 sum_ij u_i u_j |v1(x_i, x_j)|^2 |v1(x_j, x_i)|^2 / (W_ij - z)^2.
 
-    Pass 1 computes Delta(z) at the nodes, pass 2 the quadratic form, both
-    over row blocks, so memory is O(BLOCK_ELEMENTS) per CPU at any grid
+    Pass 1 is delta_values, pass 2 the quadratic form over the same row
+    blocks, so memory is O(BLOCK_ELEMENTS) per CPU at any grid
     size; the block partials are summed in block order.  Raises what
     bs_operator raises: PoleProximityError when a block of W comes within
     POLE_TOL of z, then ValueError unless Delta(z) > 0.
     """
     X = grid.nodes[:, None, :]
     Y = grid.nodes[None, :, :]
-
-    def shifted_w2(b):   # rows b of MeshSamples.W2 - z, entry by entry
-        w2xy = eval_xy(spec, spec.w2, X[b], Y).astype(float)
-        return _pole_check(0.5 * (w2xy + eval_xy(spec, spec.w2, Y, X[b]).astype(float)), z)
-
-    quad = np.empty(grid.n)
-
-    def symbol_block(b):
-        quad[b] = (np.abs(eval_xy(spec, spec.v1, X[b], Y)) ** 2 / shifted_w2(b)) @ grid.weights
-
-    map_blocks(symbol_block, grid.n, grid.n)
-    delta = eval_x(spec, spec.w1, grid.nodes).astype(float) - z - 0.5 * quad
+    delta = delta_values(spec, grid, z)
     _require_positive(delta)
     u = grid.weights / delta
 
     def form_block(b):
         coupling = np.abs(eval_xy(spec, spec.v1, X[b], Y) * eval_xy(spec, spec.v1, Y, X[b]))
-        return float(u[b] @ ((coupling / shifted_w2(b)) ** 2 @ u))
+        return float(u[b] @ ((coupling / _pole_check(_sym_w2(spec, grid, b), z)) ** 2 @ u))
 
-    total = 0.0
-    for partial in map_blocks(form_block, grid.n, grid.n):
-        total += partial
-    return 0.5 * math.sqrt(total)
+    return 0.5 * math.sqrt(sum(map_blocks(form_block, grid.n, grid.n)))   # in block order
 
 
 def hs_bound_young(spec: ModelSpec, grid: Grid, z: float) -> float:

@@ -38,7 +38,7 @@ import numpy as np
 from . import operators
 from .blocks import map_blocks
 from .grid import Grid, PairGrid, make_grid
-from .model import ModelSpec, eval_xy, mesh_samples
+from .model import ModelSpec, check_assumption_a, eval_xy
 from .schur import delta_and_derivative_at_points, s_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
@@ -193,7 +193,8 @@ def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
                        z_hi: float | None = None, bisection_tol: float = 1e-10) -> EssSpecReport:
     """Compute the sampled essential spectrum Sigma_1 union Sigma_2.
 
-    m and M are the extremes of w2 over the pair grid.  A node x_i
+    m and M are the extremes of w2 over the pair grid, from the streamed
+    check_assumption_a pass.  A node x_i
     contributes a root below m iff Delta(x_i; .) is negative at the left
     edge probe, and a root above M iff it is positive at the right edge
     probe.  Each root is found by Newton steps from its probe inside a
@@ -202,9 +203,8 @@ def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
     derived or widened.  An explicit window (z_lo, z_hi) must strictly
     contain [m, M] and is checked to lie beyond every root.
     """
-    ms = mesh_samples(spec, grid)
-    m_hat = float(np.min(ms.W2))
-    M_hat = float(np.max(ms.W2))
+    chk = check_assumption_a(spec, grid)
+    m_hat, M_hat = chk.w2_min, chk.w2_max
     if z_lo is not None and z_lo >= m_hat:
         raise ValueError("search window: z_lo must lie strictly below m")
     if z_hi is not None and z_hi <= M_hat:
@@ -316,8 +316,8 @@ def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float | None = None
         ess = essential_spectrum(spec, grid)
         sess_min = ess.sess_min if sess_min is None else sess_min
         sess_max = ess.sess_max if sess_max is None else sess_max
-    W2 = mesh_samples(spec, grid).W2
-    if sess_min > np.min(W2) or sess_max < np.max(W2):
+    chk = check_assumption_a(spec, grid)
+    if sess_min > chk.w2_min or sess_max < chk.w2_max:
         raise ValueError("discrete spectrum: sess_min must not exceed m and sess_max "
                          "must not fall below M, the sampled range of w2")
     sides = []
@@ -330,7 +330,8 @@ def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float | None = None
             z = sign * t
             return sign * schur_eval(spec, grid, z).s_matrix(), s_derivative(spec, grid, z)
 
-        sides.append(sign * _branch_roots(matrices, sign * edge - tol_band, np.min(sign * W2)))
+        pole = chk.w2_min if sign == 1 else -chk.w2_max
+        sides.append(sign * _branch_roots(matrices, sign * edge - tol_band, pole))
     below, above = sides
     return below, above[::-1]
 

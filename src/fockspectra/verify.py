@@ -14,6 +14,7 @@ Hoelder rate 2^{n d (1/2 - 1/q) + 1} with q = (2 + eps)/(1 + eps).
 
 Norms are computed on quadrature grids aligned with the dyadic supports; the
 global analysis grid cannot resolve 2^-n features, so it is never used here.
+Both norms are streamed in row blocks on the block pool (blocks.map_blocks).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .blocks import map_blocks
 from .grid import Grid, PairGrid
 from .model import ModelSpec, _as_point, eval_xy
 from . import operators
@@ -104,15 +106,22 @@ def _level(spec: ModelSpec, cfg: SingularSeqConfig, center: np.ndarray, n: int,
 
 def _h12_term(spec: ModelSpec, xn, xw, xamp, sn, sw, samp) -> float:
     """|| phi(x) * integral v1(x, s) phi~(s) ds ||^2 over the x-bump support."""
-    # contiguous, so the product sums in BLAS order even when v1 ignores x
-    V = np.ascontiguousarray(eval_xy(spec, spec.v1, xn[:, None, :], sn[None, :, :]))
-    inner = V @ (sw * samp)
+    def block(b):
+        # contiguous, so the product sums in BLAS order even when v1 ignores x
+        V = np.ascontiguousarray(eval_xy(spec, spec.v1, xn[b, None, :], sn[None, :, :]))
+        return V @ (sw * samp)
+
+    inner = np.concatenate(map_blocks(block, xn.shape[0], sn.shape[0]))
     return float(np.sum(xw * xamp**2 * np.abs(inner) ** 2))
 
 
 def _h22_term(spec: ModelSpec, z0: float, xn, xw, xamp, yn, yw, yamp) -> float:
-    W = eval_xy(spec, spec.w2, xn[:, None, :], yn[None, :, :])
-    return float(np.einsum("i,j,ij->", xw * xamp**2, yw * yamp**2, (W - z0) ** 2))
+    """sum_ij a_i c_j (w2(x_i, y_j) - z0)^2, a = xw xamp^2 and c = yw yamp^2, in row blocks."""
+    def block(b):
+        W = eval_xy(spec, spec.w2, xn[b, None, :], yn[None, :, :])
+        return float(xw[b] * xamp**2 @ ((W - z0) ** 2 @ (yw * yamp**2)))
+
+    return sum(map_blocks(block, xn.shape[0], yn.shape[0]))      # in block order
 
 
 def singular_sequence_norms(spec: ModelSpec, cfg: SingularSeqConfig):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fockspectra as fs
-from fockspectra import schur
+from fockspectra import schur, spectra
 from conftest import complex_coupling_model, make_decoupled, pick_z_below, random_trig_model
 
 
@@ -281,20 +281,25 @@ def test_narrow_window_cutting_a_root_raises_on_each_side(mnr):
 
 
 def test_bs_check_evaluates_delta_and_k_once_per_z(mnr, monkeypatch):
-    calls = {"delta_values": 0, "k_matrix": 0}
-    for name in calls:
-        original = getattr(schur, name)
+    # one SchurEval per z, whose Delta and K share one pole-checked W2 - z
+    calls = {"_pole_check": [], "schur_eval": []}
+    for mod, name in ((schur, "_pole_check"), (spectra, "schur_eval")):
+        original = getattr(mod, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(schur, name, counted)
+        monkeypatch.setattr(mod, name, counted)
     g = fs.make_grid(1, mnr.a, 12)
     pg = fs.make_pair_grid(g)
-    for z in (-0.5, -0.25):
+    zs = (-0.5, -0.25)
+    for z in zs:
         assert fs.birman_schwinger_check(mnr, g, pg, z).agree
-    assert calls == {"delta_values": 2, "k_matrix": 2}
+    W2 = fs.model.mesh_samples(mnr, g).W2
+    assert [z for _, z in calls["_pole_check"]] == list(zs)
+    assert all(samples is W2 for samples, _ in calls["_pole_check"])
+    assert [args[2] for args in calls["schur_eval"]] == list(zs)
 
 
 @settings(max_examples=15, deadline=None)
