@@ -23,28 +23,18 @@ from .model import (
     sigma2_empty_model,
     synthetic_power_model,
 )
-from .operators import (
-    DiscreteBlocks,
-    assemble_A,
-    assemble_blocks,
-    assemble_full,
-    consistency_check_adjoint,
-    dump_matrix_csv,
-)
+from .operators import DiscreteBlocks, assemble_A, assemble_blocks
 from .schur import (
-    BSOperator,
     PoleProximityError,
     SchurEval,
     bs_operator,
     delta_at,
     delta_at_points,
-    delta_derivative_at,
     delta_values,
-    hs_bound_young,
     hs_norm_k,
     hs_norm_t,
     k_matrix,
-    s_derivative,
+    s_and_derivative,
     s_matrix,
     schur_eval,
 )
@@ -56,8 +46,6 @@ from .spectra import (
     ThresholdCounts,
     birman_schwinger_check,
     birman_schwinger_sweep,
-    count_above,
-    count_below,
     discrete_spectrum,
     discrete_spectrum_above,
     discrete_spectrum_below,
@@ -70,15 +58,11 @@ from .finiteness import (
     estimate_exponents,
     finiteness_verdict,
     locate_t0,
-    phi_s,
 )
 from .verify import (
-    FullVsReducedReport,
     SingularSeqConfig,
     h12_decay_bound,
     holder_conjugate,
-    oracle_full_vs_reduced,
-    singular_sequence_gram,
     singular_sequence_norms,
 )
 

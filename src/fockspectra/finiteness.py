@@ -16,7 +16,7 @@ below the essential spectrum is finite.
 The sharp exponents are inf/sup over admissible one-sided bounds and are not
 computable from samples; this module substitutes log-log regression slopes
 of shell statistics over geometric radii in [delta/64, delta], gated by an
-r^2 >= 0.9 fit-quality requirement and a safety margin (default 0.1) on the
+r^2 >= 0.9 fit-quality requirement and a safety margin MARGIN = 0.1 on the
 criterion, reporting ``inconclusive`` rather than false precision.
 
 The minimizer t0 comes from sampling w2 on the diagonal: the near-minimal
@@ -37,11 +37,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import map_blocks
-from .grid import Grid, make_grid
+from .grid import Grid, lattice, make_grid
 from .model import ModelSpec, eval_xy
 from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t
 
 R2_GATE = 0.9
+MARGIN = 0.1        # safety margin on alpha + gamma < 2 beta + d
+HS_TOL = 0.05       # finest relative step of a Cauchy HS trend
 N_SHELLS = 12
 SHELL_SPAN = 64.0
 BETA_SENTINEL_FLOOR = 1e-300
@@ -76,28 +78,12 @@ class FinitenessReport:
     integral_test_agrees: bool
 
 
-def phi_s(x, y, s: float, delta: float) -> float:
-    """Radial comparison gauge: ||x||^s + ||y||^s on B_delta(0) x B_delta(0), else 1."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx < delta and ny < delta:
-        return float(nx**s + ny**s)
-    return 1.0
-
-
 def _diag_points(spec: ModelSpec, n_fine: int) -> np.ndarray:
     pad = spec.a * 1e-9
-    axis = np.linspace(-spec.a + pad, spec.a - pad, n_fine)
-    if spec.d == 1:
-        return axis[:, None]
-    axes = np.meshgrid(*([axis] * spec.d), indexing="ij")
-    return np.stack([ax.ravel() for ax in axes], axis=-1)
+    return lattice(np.linspace(-spec.a + pad, spec.a - pad, n_fine), spec.d)
 
 
-def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None,
-              offdiag_tol: float | None = None):
+def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None):
     """Locate the diagonal minimizer (t0, t0) of w2, or None when unsupported.
 
     Returns None when the fine-sampled minimum of w2 over the pair space lies
@@ -114,18 +100,10 @@ def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None,
     diag_min = float(np.min(gvals))
 
     # fine full-pair minimum at comparable resolution
-    if spec.d == 1:
-        pair_axis = _diag_points(spec, 801)
-        full = eval_xy(spec, spec.w2, pair_axis[:, None, :], pair_axis[None, :, :])
-        full_min = float(np.min(full))
-    else:
-        coarse = _diag_points(spec, 31)
-        full = eval_xy(spec, spec.w2, coarse[:, None, :], coarse[None, :, :])
-        full_min = min(float(np.min(full)), float(report.m))
+    pairs = _diag_points(spec, 801 if spec.d == 1 else 31)
+    full_min = float(np.min(eval_xy(spec, spec.w2, pairs[:, None, :], pairs[None, :, :])))
     scale = max(1.0, float(report.M) - float(report.m))
-    if offdiag_tol is None:
-        offdiag_tol = 1e-6 * scale
-    if diag_min - min(full_min, float(report.m)) > offdiag_tol:
+    if diag_min - min(full_min, float(report.m)) > 1e-6 * scale:
         return None
 
     # cluster the near-minimal set; separated clusters mean several minimizers
@@ -191,9 +169,7 @@ def _zoom_minimize(f, best: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
     ZOOM_TOL.  The incumbent moves only to a strictly smaller value, so a
     tie keeps it.
     """
-    d = best.size
-    axis = np.arange(-ZOOM_K, ZOOM_K + 1, dtype=float)
-    offsets = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    offsets = lattice(np.arange(-ZOOM_K, ZOOM_K + 1, dtype=float), best.size)
     f_best = f(best[None, :])[0]
     span = float(np.max(hi - lo))       # half-width of the first lattice
     while span > ZOOM_TOL:
@@ -330,16 +306,15 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0, delta: float | N
 
 
 def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid], report,
-                       estimate: ExponentEstimate, margin: float = 0.1,
-                       hs_tol: float = 0.05) -> FinitenessReport:
+                       estimate: ExponentEstimate) -> FinitenessReport:
     """Combine the exponent criterion with the Hilbert-Schmidt refinement trend.
 
     The verdict is ``finite-predicted`` only when alpha + gamma < 2 beta + d
-    with the safety margin, the fits pass the r^2 gate, and the discrete HS
-    norm of the Birman-Schwinger operator at the critical energy is Cauchy
-    across >= 3 refinement levels (successive relative differences
-    nonincreasing and below ``hs_tol`` at the finest pair).  A violation
-    beyond the margin yields ``criterion-violated``; everything else,
+    with the safety margin MARGIN, the fits pass the r^2 gate, and the
+    discrete HS norm of the Birman-Schwinger operator at the critical energy
+    is Cauchy across >= 3 refinement levels (successive relative differences
+    nonincreasing and below HS_TOL at the finest pair).  A violation beyond
+    MARGIN yields ``criterion-violated``; everything else,
     including unavailable gamma or poor fits, is ``inconclusive``.
     """
     if len(grids) < 3:
@@ -354,7 +329,7 @@ def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid], report,
     hs_vals = np.array([h for _, h in hs_trend])
     if np.all(np.isfinite(hs_vals)):
         rel = np.abs(np.diff(hs_vals)) / np.maximum(np.abs(hs_vals[1:]), 1e-300)
-        hs_cauchy = bool(np.all(np.diff(rel) <= 1e-12) and rel[-1] < hs_tol)
+        hs_cauchy = bool(np.all(np.diff(rel) <= 1e-12) and rel[-1] < HS_TOL)
     else:
         hs_cauchy = False
 
@@ -369,12 +344,12 @@ def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid], report,
 
     if gamma is None:
         # alpha alone already exceeding the bound settles the violated case
-        verdict = "criterion-violated" if estimate.alpha_hat > rhs + margin else "inconclusive"
+        verdict = "criterion-violated" if estimate.alpha_hat > rhs + MARGIN else "inconclusive"
     elif not fits_ok:
         verdict = "inconclusive"
-    elif lhs < rhs - margin:
+    elif lhs < rhs - MARGIN:
         verdict = "finite-predicted" if hs_cauchy else "inconclusive"
-    elif lhs > rhs + margin:
+    elif lhs > rhs + MARGIN:
         verdict = "criterion-violated"
     else:
         verdict = "inconclusive"
@@ -385,7 +360,7 @@ def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid], report,
         estimate=estimate,
         criterion_lhs=float(lhs),
         criterion_rhs=float(rhs),
-        margin=float(margin),
+        margin=MARGIN,
         verdict=verdict,
         hs_trend=hs_trend,
         hs_cauchy=hs_cauchy,

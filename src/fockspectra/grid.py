@@ -70,6 +70,12 @@ def _rule_1d(n: int, a: float, rule: str) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def lattice(axis: np.ndarray, d: int) -> np.ndarray:
+    """The points of axis^d in row-major order, shape (len(axis)^d, d)."""
+    axes = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([ax.ravel() for ax in axes], axis=-1)
+
+
 def make_grid(d: int, a: float, n_per_dim: int, rule: str = "midpoint") -> Grid:
     """Build a tensor-product grid with n_per_dim nodes per dimension."""
     if d < 1:
@@ -79,8 +85,7 @@ def make_grid(d: int, a: float, n_per_dim: int, rule: str = "midpoint") -> Grid:
     if n_per_dim < 2:
         raise ValueError("n_per_dim must be at least 2")
     x1, w1 = _rule_1d(n_per_dim, a, rule)
-    axes = np.meshgrid(*([x1] * d), indexing="ij")
-    nodes = np.stack([ax.ravel() for ax in axes], axis=-1)
+    nodes = lattice(x1, d)
     weights = np.ones(1)
     for _ in range(d):
         weights = np.multiply.outer(weights, w1).ravel()

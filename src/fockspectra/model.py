@@ -37,6 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import blocks
+from .grid import lattice
 
 W2_SYMMETRY_TOL = 1e-12
 
@@ -315,9 +316,7 @@ def sigma2_empty_model(base_w2=None, d: int = 1, a: float = 2.0,
 
     else:
         if m is None or M is None:
-            fine = np.linspace(-a, a, 513)
-            axes = np.meshgrid(*([fine] * d), indexing="ij")
-            pts = np.stack([ax.ravel() for ax in axes], axis=-1)
+            pts = lattice(np.linspace(-a, a, 513), d)
             if d == 1:
                 vals = base_w2(pts[:, 0][:, None], pts[:, 0][None, :])
             else:
@@ -384,14 +383,14 @@ def builtin_models() -> dict[str, BuiltinModel]:
 
 
 def synthetic_power_model(beta: float, gamma: float = 1.0, a: float = 1.0,
-                          floor: float = 0.0, coeff: float = 1.0) -> ModelSpec:
+                          floor: float = 0.0) -> ModelSpec:
     """d=1 model with prescribed growth exponents near the spectral bottom.
 
     w2 = floor + x^2 + y^2 (exponent alpha = 2), v1 = |y|^beta (exponent
     beta), and w1 is chosen so that the Schur symbol at the bottom equals
-    coeff * |x|^gamma exactly:
+    |x|^gamma exactly:
 
-        w1(x) = floor + coeff |x|^gamma + (1/2) * integral |y|^{2 beta} / (x^2 + y^2) dy,
+        w1(x) = floor + |x|^gamma + (1/2) * integral |y|^{2 beta} / (x^2 + y^2) dy,
 
     with the integral in closed form (beta in {1, 2}).  Ground truth for the
     exponent estimators.
@@ -412,7 +411,7 @@ def synthetic_power_model(beta: float, gamma: float = 1.0, a: float = 1.0,
         a=a,
         w0=0.0,
         v0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        w1=lambda x: floor + coeff * np.abs(x) ** gamma + 0.5 * coupling_integral(x),
+        w1=lambda x: floor + np.abs(x) ** gamma + 0.5 * coupling_integral(x),
         v1=lambda x, y: np.abs(y) ** beta + 0.0 * x,
         w2=lambda x, y: floor + x**2 + y**2,
         epsilon=2.0,

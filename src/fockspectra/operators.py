@@ -29,8 +29,6 @@ from .model import ModelSpec, mesh_samples
 if TYPE_CHECKING:
     from scipy import sparse
 
-HERMITICITY_TOL = 1e-14
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteBlocks:
@@ -100,49 +98,3 @@ def assemble_A(blocks: DiscreteBlocks) -> np.ndarray:
     A[n:, :n] = B.conj().T
     A[n + np.arange(p), n + np.arange(p)] = blocks.h22
     return A
-
-
-def assemble_full(blocks: DiscreteBlocks) -> np.ndarray:
-    """Dense Hermitian matrix of the full 3x3 operator, dimension 1 + N + P."""
-    n, p = blocks.n, blocks.p
-    H = np.zeros((1 + n + p, 1 + n + p), dtype=blocks.dtype)
-    H[0, 0] = blocks.h00
-    H[0, 1:1 + n] = blocks.h01
-    H[1:1 + n, 0] = np.conj(blocks.h01)
-    H[1:, 1:] = assemble_A(blocks)
-    return H
-
-
-def consistency_check_adjoint(blocks: DiscreteBlocks, spec: ModelSpec,
-                              grid: Grid, pair_grid: PairGrid, seed: int = 0) -> float:
-    """Max deviation between the matrix adjoint and the discretized adjoint formula.
-
-    The continuous adjoint sends f to the symmetric function
-    (1/2) v1(x, y)* f(x) + (1/2) v1(y, x)* f(y); in weight-normalized
-    coordinates this coincides with the conjugate transpose of the coupling
-    block, and the returned deviation should vanish to rounding.
-    """
-    _check_dims(grid, pair_grid)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    lhs = blocks.h12.conj().T @ g
-
-    ms = mesh_samples(spec, grid)
-    f = g / np.sqrt(grid.weights)
-    i = pair_grid.pairs[:, 0]
-    j = pair_grid.pairs[:, 1]
-    formula = 0.5 * np.conj(ms.V1[i, j]) * f[i] + 0.5 * np.conj(ms.V1[j, i]) * f[j]
-    rhs = np.sqrt(pair_grid.pair_weights) * formula
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def dump_matrix_csv(matrix, path) -> None:
-    """Write a dense or sparse matrix as (row, col, re, im) triplet rows."""
-    from scipy import sparse
-
-    mat = sparse.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        fh.write("row,col,re,im\n")
-        order = np.lexsort((mat.col, mat.row))
-        for r, c, v in zip(mat.row[order], mat.col[order], mat.data[order]):
-            fh.write(f"{int(r)},{int(c)},{float(v.real)!r},{float(v.imag)!r}\n")

@@ -27,14 +27,15 @@ The symbol at the nodes, its point evaluations and the Hilbert-Schmidt norm
 of T are streamed over row blocks of blocks.BLOCK_ELEMENTS samples, so their
 memory does not grow with the square of the grid, and the blocks run on
 every CPU of the affinity mask (blocks.map_blocks).  Only the dense matrices
-(K, S, dS/dz and T, for discrete and bs-check) read the N x N mesh samples.
+(K, S, dS/dz and T, for discrete and bs-check) read the N x N mesh samples;
+s_and_derivative builds S(z) and dS/dz for discrete's branch search from one
+pole-checked W2 - z.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,11 +78,6 @@ class SchurEval:
     delta_vals: np.ndarray   # (N,) Delta(x_i; z)
     k_matrix: np.ndarray     # (N, N) weight-normalized, Hermitian
 
-    @cached_property
-    def hs_norm_k(self) -> float:
-        """Hilbert-Schmidt (Frobenius) norm of k_matrix, computed when first read."""
-        return float(np.linalg.norm(self.k_matrix))
-
     def s_matrix(self) -> np.ndarray:
         """Discrete Schur complement diag(Delta(z)) + K(z), as a new array."""
         S = self.k_matrix.copy()
@@ -97,13 +93,6 @@ class SchurEval:
         _require_positive(self.delta_vals)
         scale = self.delta_vals**-0.5
         return -(scale[:, None] * self.k_matrix * scale[None, :])
-
-
-@dataclass(frozen=True, eq=False)
-class BSOperator:
-    z: float
-    t_matrix: np.ndarray     # (N, N) Hermitian
-    hs_norm_t: float
 
 
 def _pole_check(W2: np.ndarray, z: float) -> np.ndarray:
@@ -199,30 +188,9 @@ def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     return float(delta_at_points(spec, grid, _as_point(x, spec.d)[None, :], z)[0])
 
 
-def delta_derivative_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
-    """d/dz of the symbol; always <= -1, so z -> Delta(x; z) is strictly decreasing."""
-    _, slope = delta_and_derivative_at_points(spec, grid, _as_point(x, spec.d)[None, :], z)
-    return float(slope[0])
-
-
 def k_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     """Weight-normalized compact-kernel matrix sqrt(w_i) K(x_i, x_j; z) sqrt(w_j)."""
     return schur_eval(spec, grid, z).k_matrix
-
-
-def s_derivative(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
-    """dS/dz: diag(d Delta/dz) plus K(z) / (w2 - z) entrywise.
-
-    On the grid this is -I - B (h22 - z)^{-2} B* for the coupling block B, so
-    it is at most -I: every eigenvalue of S(z) falls at least as fast as z
-    rises, on either side of ran w2.
-    """
-    ms = mesh_samples(spec, grid)
-    inv2 = _pole_check(ms.W2, z) ** -2.0
-    sw = np.sqrt(grid.weights)
-    dS = sw[:, None] * (-0.5 * ms.V1 * np.conj(ms.V1.T) * inv2) * sw[None, :]
-    dS[np.diag_indices_from(dS)] -= 1.0 + 0.5 * ((np.abs(ms.V1) ** 2 * inv2) @ grid.weights)
-    return dS
 
 
 def hs_norm_k(spec: ModelSpec, grid: Grid, z: float) -> float:
@@ -230,10 +198,11 @@ def hs_norm_k(spec: ModelSpec, grid: Grid, z: float) -> float:
     return float(np.linalg.norm(k_matrix(spec, grid, z)))
 
 
-def schur_eval(spec: ModelSpec, grid: Grid, z: float) -> SchurEval:
-    """Delta and K at z from the mesh samples and one W2 - z; Delta bit for bit as delta_values."""
-    ms = mesh_samples(spec, grid)
-    shifted = _pole_check(ms.W2, z)
+def _delta_and_k(ms, grid: Grid, shifted: np.ndarray, z: float):
+    """Delta at the nodes and K, from the mesh samples and shifted = W2 - z.
+
+    Delta is summed in the row blocks of delta_values and equals it bit for bit.
+    """
     quad = np.empty(grid.n)
 
     def block(b):
@@ -242,7 +211,34 @@ def schur_eval(spec: ModelSpec, grid: Grid, z: float) -> SchurEval:
     map_blocks(block, grid.n, grid.n)
     sw = np.sqrt(grid.weights)
     K = sw[:, None] * (-0.5 * ms.V1 * np.conj(ms.V1.T) / shifted) * sw[None, :]
-    return SchurEval(z=float(z), delta_vals=ms.w1 - z - 0.5 * quad, k_matrix=K)
+    return ms.w1 - z - 0.5 * quad, K
+
+
+def schur_eval(spec: ModelSpec, grid: Grid, z: float) -> SchurEval:
+    """Delta and K at z from the mesh samples and one pole-checked W2 - z."""
+    ms = mesh_samples(spec, grid)
+    delta, K = _delta_and_k(ms, grid, _pole_check(ms.W2, z), z)
+    return SchurEval(z=float(z), delta_vals=delta, k_matrix=K)
+
+
+def s_and_derivative(spec: ModelSpec, grid: Grid, z: float):
+    """S(z) = diag(Delta(z)) + K(z) and dS/dz, from one pole-checked W2 - z.
+
+    dS/dz is diag(d Delta/dz) plus K(z) / (w2 - z) entrywise.  On the grid
+    this is -I - B (h22 - z)^{-2} B* for the coupling block B, so it is at
+    most -I: every eigenvalue of S(z) falls at least as fast as z rises, on
+    either side of ran w2.  S equals schur_eval(...).s_matrix() bit for bit.
+    """
+    ms = mesh_samples(spec, grid)
+    shifted = _pole_check(ms.W2, z)
+    delta, S = _delta_and_k(ms, grid, shifted, z)
+    S[np.diag_indices_from(S)] += delta
+    inv2 = shifted ** -2.0
+    del shifted, delta              # the peak holds only S, inv2 and the dS products
+    sw = np.sqrt(grid.weights)
+    dS = sw[:, None] * (-0.5 * ms.V1 * np.conj(ms.V1.T) * inv2) * sw[None, :]
+    dS[np.diag_indices_from(dS)] -= 1.0 + 0.5 * ((np.abs(ms.V1) ** 2 * inv2) @ grid.weights)
+    return S, dS
 
 
 def s_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
@@ -250,10 +246,9 @@ def s_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     return schur_eval(spec, grid, z).s_matrix()
 
 
-def bs_operator(spec: ModelSpec, grid: Grid, z: float) -> BSOperator:
-    """Birman-Schwinger operator at z; raises ValueError unless Delta(z) > 0."""
-    T = schur_eval(spec, grid, z).t_matrix()
-    return BSOperator(z=float(z), t_matrix=T, hs_norm_t=float(np.linalg.norm(T)))
+def bs_operator(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
+    """Birman-Schwinger matrix T(z); raises ValueError unless Delta(z) > 0."""
+    return schur_eval(spec, grid, z).t_matrix()
 
 
 def hs_norm_t(spec: ModelSpec, grid: Grid, z: float) -> float:
@@ -281,23 +276,3 @@ def hs_norm_t(spec: ModelSpec, grid: Grid, z: float) -> float:
 
     return 0.5 * math.sqrt(sum(map_blocks(form_block, grid.n, grid.n)))   # in block order
 
-
-def hs_bound_young(spec: ModelSpec, grid: Grid, z: float) -> float:
-    """Young-inequality upper bound for the Hilbert-Schmidt norm of K(z).
-
-    From |v1(x,y)|^2 |v1(y,x)|^2 <= 2/(2+e) |v1(x,y)|^{2+e} + e/(2+e) |v1(y,x)|^{2+4/e}
-    and dist(z, ran w2):
-
-        ||K(z)||_HS^2 <= [2 ||v1||_{2+e}^{2+e} + e ||v1~||_{2+4/e}^{2+4/e}]
-                          / (4 (2+e) dist^2).
-    """
-    ms = mesh_samples(spec, grid)
-    w = grid.weights
-    dist = float(np.min(np.abs(ms.W2 - z)))
-    if dist < POLE_TOL:
-        raise PoleProximityError(z, dist)
-    e = spec.epsilon
-    absV = np.abs(ms.V1)
-    A = float(w @ (absV ** (2.0 + e)) @ w)
-    B = float(w @ (absV ** (2.0 + 4.0 / e)) @ w)
-    return float(np.sqrt((2.0 * A + e * B) / (4.0 * (2.0 + e)))) / dist

@@ -37,9 +37,9 @@ import numpy as np
 
 from . import operators
 from .blocks import map_blocks
-from .grid import Grid, PairGrid, make_grid
+from .grid import Grid, PairGrid, lattice, make_grid
 from .model import ModelSpec, check_assumption_a, eval_xy
-from .schur import delta_and_derivative_at_points, s_derivative, schur_eval
+from .schur import delta_and_derivative_at_points, s_and_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
 _MAX_ROOT_STEPS = 200
@@ -88,31 +88,20 @@ def eigvals_hermitian(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(matrix))
 
 
-def _band_counts(ev: np.ndarray, threshold: float, band: float) -> ThresholdCounts:
-    below = int(np.sum(ev < threshold - band))
-    above = int(np.sum(ev > threshold + band))
+def _band_counts(ev: np.ndarray, threshold: float) -> ThresholdCounts:
+    below = int(np.sum(ev < threshold - BOUNDARY_BAND))
+    above = int(np.sum(ev > threshold + BOUNDARY_BAND))
     return ThresholdCounts(below=below, boundary=ev.size - below - above, above=above)
 
 
-def threshold_counts(matrix, threshold: float, band: float = BOUNDARY_BAND) -> ThresholdCounts:
-    return _band_counts(eigvals_hermitian(matrix), threshold, band)
-
-
-def count_above(matrix, lam: float, band: float = BOUNDARY_BAND) -> int:
-    """Number of eigenvalues strictly greater than lam (outside the boundary band)."""
-    return threshold_counts(matrix, lam, band).above
-
-
-def count_below(matrix, z: float, band: float = BOUNDARY_BAND) -> int:
-    """Number of eigenvalues strictly less than z (outside the boundary band)."""
-    return threshold_counts(matrix, z, band).below
+def threshold_counts(matrix, threshold: float) -> ThresholdCounts:
+    """Eigenvalues strictly below and above threshold, and those within BOUNDARY_BAND of it."""
+    return _band_counts(eigvals_hermitian(matrix), threshold)
 
 
 def _fine_range_guard(spec: ModelSpec, grid: Grid, samples_per_dim: int):
     """Min/max of w2 over a dense closed sampling of Omega^2, in row blocks."""
-    axis = np.linspace(-grid.a, grid.a, samples_per_dim)
-    axes = np.meshgrid(*([axis] * spec.d), indexing="ij")
-    pts = np.stack([ax.ravel() for ax in axes], axis=-1)
+    pts = lattice(np.linspace(-grid.a, grid.a, samples_per_dim), spec.d)
 
     def block(b):
         w2 = eval_xy(spec, spec.w2, pts[b, None, :], pts[None, :, :])
@@ -296,14 +285,13 @@ def _branch_roots(matrices, t_edge: float, pole: float) -> np.ndarray:
 
 
 def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float | None = None,
-                      sess_max: float | None = None,
-                      tol_band: float = BOUNDARY_BAND) -> tuple[np.ndarray, np.ndarray]:
+                      sess_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the reduced matrix A outside the essential spectrum, by Schur inertia.
 
     Returns ``(below, above)``: the sorted eigenvalues strictly below
-    sess_min - tol_band and strictly above sess_max + tol_band.  A missing
-    edge is taken from essential_spectrum; an infinite edge leaves its side
-    empty without any work.
+    sess_min - BOUNDARY_BAND and strictly above sess_max + BOUNDARY_BAND.  A
+    missing edge is taken from essential_spectrum; an infinite edge leaves
+    its side empty without any work.
 
     A is never assembled.  For z below min h22 = m, Haynsworth inertia
     additivity on A - z gives #eig(A) < z = #neg S(z), so the eigenvalues
@@ -327,25 +315,25 @@ def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float | None = None
             continue
 
         def matrices(t, sign=sign):
-            z = sign * t
-            return sign * schur_eval(spec, grid, z).s_matrix(), s_derivative(spec, grid, z)
+            S, dS = s_and_derivative(spec, grid, sign * t)
+            return sign * S, dS
 
         pole = chk.w2_min if sign == 1 else -chk.w2_max
-        sides.append(sign * _branch_roots(matrices, sign * edge - tol_band, pole))
+        sides.append(sign * _branch_roots(matrices, sign * edge - BOUNDARY_BAND, pole))
     below, above = sides
     return below, above[::-1]
 
 
-def discrete_spectrum_below(spec: ModelSpec, grid: Grid, sess_min: float | None = None,
-                            tol_band: float = BOUNDARY_BAND) -> np.ndarray:
-    """Sorted eigenvalues of the reduced matrix strictly below sess_min - tol_band."""
-    return discrete_spectrum(spec, grid, sess_min, np.inf, tol_band)[0]
+def discrete_spectrum_below(spec: ModelSpec, grid: Grid,
+                            sess_min: float | None = None) -> np.ndarray:
+    """Sorted eigenvalues of the reduced matrix strictly below sess_min - BOUNDARY_BAND."""
+    return discrete_spectrum(spec, grid, sess_min, np.inf)[0]
 
 
-def discrete_spectrum_above(spec: ModelSpec, grid: Grid, sess_max: float | None = None,
-                            tol_band: float = BOUNDARY_BAND) -> np.ndarray:
-    """Sorted eigenvalues of the reduced matrix strictly above sess_max + tol_band."""
-    return discrete_spectrum(spec, grid, -np.inf, sess_max, tol_band)[1]
+def discrete_spectrum_above(spec: ModelSpec, grid: Grid,
+                            sess_max: float | None = None) -> np.ndarray:
+    """Sorted eigenvalues of the reduced matrix strictly above sess_max + BOUNDARY_BAND."""
+    return discrete_spectrum(spec, grid, -np.inf, sess_max)[1]
 
 
 class MatrixTooLargeError(MemoryError):
@@ -356,8 +344,8 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid, zs,
-                           band: float = BOUNDARY_BAND) -> list[CountingResult]:
+def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
+                           zs) -> list[CountingResult]:
     """Three-way bound-state counts at each z: reduced matrix, Schur complement, BS operator.
 
     Computes N(z; A_h), N(0; S_h(z)) and n(1; T_h(z)) independently and
@@ -381,9 +369,9 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid, zs,
     for z in zs:
         sz = schur_eval(spec, grid, z)
         T = sz.t_matrix()                        # raises if Delta not positive
-        tc_A = _band_counts(ev_A, z, band)
-        tc_S = threshold_counts(sz.s_matrix(), 0.0, band)
-        tc_T = threshold_counts(T, 1.0, band)
+        tc_A = _band_counts(ev_A, z)
+        tc_S = threshold_counts(sz.s_matrix(), 0.0)
+        tc_T = threshold_counts(T, 1.0)
         count_A, count_S, count_T = tc_A.below, tc_S.below, tc_T.above
         results.append(CountingResult(
             z=float(z), count_A=count_A, count_S=count_S, count_T=count_T,
@@ -394,6 +382,6 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid, zs,
 
 
 def birman_schwinger_check(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
-                           z: float, band: float = BOUNDARY_BAND) -> CountingResult:
+                           z: float) -> CountingResult:
     """Three-way bound-state count at one z (see birman_schwinger_sweep)."""
-    return birman_schwinger_sweep(spec, grid, pair_grid, [z], band)[0]
+    return birman_schwinger_sweep(spec, grid, pair_grid, [z])[0]

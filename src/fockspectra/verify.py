@@ -1,4 +1,4 @@
-"""Proof-device verifications: singular-sequence decay and finite-rank invariance.
+"""Proof-device verification: singular-sequence decay.
 
 Any value z0 = w2(x0, y0) is essential spectrum, witnessed by an orthonormal
 sequence of dyadic annular bumps
@@ -26,12 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import map_blocks
-from .grid import Grid, PairGrid
 from .model import ModelSpec, _as_point, eval_xy
-from . import operators
-from .spectra import count_below
-
-RANK_BOUND = 3   # discarded vacuum row/column plus the vacuum eigenvalue
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,15 +38,6 @@ class SingularSeqConfig:
     n_max: int = 6
     quad_depth: int = 128     # quadrature cells per annulus segment
     rho: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class FullVsReducedReport:
-    z: float
-    count_full: int
-    count_reduced: int
-    difference: int
-    within_rank_bound: bool
 
 
 def _auto_rho(spec: ModelSpec, x0: np.ndarray, y0: np.ndarray) -> float:
@@ -149,50 +135,6 @@ def singular_sequence_norms(spec: ModelSpec, cfg: SingularSeqConfig):
     return rows
 
 
-def singular_sequence_gram(spec: ModelSpec, cfg: SingularSeqConfig) -> np.ndarray:
-    """Gram matrix of the psi_n on the union of the aligned grids.
-
-    The supports at distinct levels are disjoint, so this is the identity up
-    to quadrature roundoff.
-    """
-    x0 = _as_point(cfg.x0, spec.d)
-    y0 = _as_point(cfg.y0, spec.d)
-    rho = cfg.rho if cfg.rho is not None else _auto_rho(spec, x0, y0)
-    same = np.array_equal(x0, y0)
-
-    levels = []
-    for n in range(1, cfg.n_max + 1):
-        xn, xw, xa = _level(spec, cfg, x0, n, rho)
-        if same:
-            levels.append(((xn, xw, xa), (xn, xw, xa)))
-        else:
-            levels.append(((xn, xw, xa), _level(spec, cfg, y0, n, rho)))
-
-    def overlap(la, lb):
-        (xa_n, xa_w, xa_a), (ya_n, ya_w, ya_a) = la
-        (xb_n, xb_w, xb_a), (yb_n, yb_w, yb_a) = lb
-        # psi_n psi_m integrates factorwise; distinct levels have disjoint
-        # dyadic supports, so only matching-level pairs can contribute
-        def axis_ip(an, aw, aa, bn, bw, ba):
-            if an.shape != bn.shape or not np.allclose(an, bn):
-                return 0.0
-            return float(np.sum(aw * aa * ba))
-        if same:
-            return axis_ip(xa_n, xa_w, xa_a, xb_n, xb_w, xb_a) ** 2
-        direct = axis_ip(xa_n, xa_w, xa_a, xb_n, xb_w, xb_a) \
-            * axis_ip(ya_n, ya_w, ya_a, yb_n, yb_w, yb_a)
-        cross = axis_ip(xa_n, xa_w, xa_a, yb_n, yb_w, yb_a) \
-            * axis_ip(ya_n, ya_w, ya_a, xb_n, xb_w, xb_a)
-        return direct + cross
-
-    k = len(levels)
-    gram = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = overlap(levels[i], levels[j])
-    return gram
-
-
 def holder_conjugate(epsilon: float) -> float:
     """q = (2 + eps)/(1 + eps), the conjugate exponent of p = 2 + eps."""
     return (2.0 + epsilon) / (1.0 + epsilon)
@@ -203,19 +145,3 @@ def h12_decay_bound(constant: float, n: int, d: int, epsilon: float) -> float:
     q = holder_conjugate(epsilon)
     return constant * 2.0 ** (n * d * (0.5 - 1.0 / q) + 1.0)
 
-
-def oracle_full_vs_reduced(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
-                           z_probe: float) -> FullVsReducedReport:
-    """Eigenvalue counts below z for the full and reduced matrices.
-
-    The discarded vacuum blocks have rank at most 3, so the counts differ by
-    at most 3; essential spectrum and finiteness are untouched.
-    """
-    blocks = operators.assemble_blocks(spec, grid, pair_grid)
-    count_full = count_below(operators.assemble_full(blocks), z_probe)
-    count_reduced = count_below(operators.assemble_A(blocks), z_probe)
-    diff = abs(count_full - count_reduced)
-    return FullVsReducedReport(
-        z=float(z_probe), count_full=count_full, count_reduced=count_reduced,
-        difference=diff, within_rank_bound=bool(diff <= RANK_BOUND),
-    )

@@ -79,7 +79,7 @@ def pick_z_below(spec, grid, pair_grid, rng, guard=1e-8):
     evA = np.linalg.eigvalsh(A)
     for _ in range(60):
         try:
-            T = fs.bs_operator(spec, grid, z).t_matrix
+            T = fs.bs_operator(spec, grid, z)
         except ValueError:
             z -= 0.25 * spread
             continue

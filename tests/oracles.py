@@ -1,0 +1,141 @@
+"""Reference implementations that tests compare the package against.
+
+No command runs these: each one assembles a dense matrix, reads the full mesh
+samples or rebuilds a quantity by a second route, so that a test can check
+the package's own path against it.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+import fockspectra as fs
+from fockspectra.model import _as_point, mesh_samples
+from fockspectra.operators import _check_dims
+from fockspectra.schur import POLE_TOL
+from fockspectra.verify import _auto_rho, _level
+
+RANK_BOUND = 3   # discarded vacuum row/column plus the vacuum eigenvalue
+
+
+def assemble_full(blocks: fs.DiscreteBlocks) -> np.ndarray:
+    """Dense Hermitian matrix of the full 3x3 operator, dimension 1 + N + P."""
+    n, p = blocks.n, blocks.p
+    H = np.zeros((1 + n + p, 1 + n + p), dtype=blocks.dtype)
+    H[0, 0] = blocks.h00
+    H[0, 1:1 + n] = blocks.h01
+    H[1:1 + n, 0] = np.conj(blocks.h01)
+    H[1:, 1:] = fs.assemble_A(blocks)
+    return H
+
+
+def consistency_check_adjoint(blocks, spec, grid, pair_grid, seed: int = 0) -> float:
+    """Max deviation between the matrix adjoint and the discretized adjoint formula.
+
+    The continuous adjoint sends f to the symmetric function
+    (1/2) v1(x, y)* f(x) + (1/2) v1(y, x)* f(y); in weight-normalized
+    coordinates this coincides with the conjugate transpose of the coupling
+    block, and the returned deviation should vanish to rounding.
+    """
+    _check_dims(grid, pair_grid)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    lhs = blocks.h12.conj().T @ g
+
+    ms = mesh_samples(spec, grid)
+    f = g / np.sqrt(grid.weights)
+    i = pair_grid.pairs[:, 0]
+    j = pair_grid.pairs[:, 1]
+    formula = 0.5 * np.conj(ms.V1[i, j]) * f[i] + 0.5 * np.conj(ms.V1[j, i]) * f[j]
+    rhs = np.sqrt(pair_grid.pair_weights) * formula
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def hs_bound_young(spec, grid, z: float) -> float:
+    """Young-inequality upper bound for the Hilbert-Schmidt norm of K(z).
+
+    From |v1(x,y)|^2 |v1(y,x)|^2 <= 2/(2+e) |v1(x,y)|^{2+e} + e/(2+e) |v1(y,x)|^{2+4/e}
+    and dist(z, ran w2):
+
+        ||K(z)||_HS^2 <= [2 ||v1||_{2+e}^{2+e} + e ||v1~||_{2+4/e}^{2+4/e}]
+                          / (4 (2+e) dist^2).
+    """
+    ms = mesh_samples(spec, grid)
+    w = grid.weights
+    dist = float(np.min(np.abs(ms.W2 - z)))
+    if dist < POLE_TOL:
+        raise fs.PoleProximityError(z, dist)
+    e = spec.epsilon
+    absV = np.abs(ms.V1)
+    A = float(w @ (absV ** (2.0 + e)) @ w)
+    B = float(w @ (absV ** (2.0 + 4.0 / e)) @ w)
+    return float(np.sqrt((2.0 * A + e * B) / (4.0 * (2.0 + e)))) / dist
+
+
+@dataclass(frozen=True)
+class FullVsReducedReport:
+    z: float
+    count_full: int
+    count_reduced: int
+    difference: int
+    within_rank_bound: bool
+
+
+def oracle_full_vs_reduced(spec, grid, pair_grid, z_probe: float) -> FullVsReducedReport:
+    """Eigenvalue counts below z for the full and reduced matrices.
+
+    The discarded vacuum blocks have rank at most 3, so the counts differ by
+    at most 3; essential spectrum and finiteness are untouched.
+    """
+    blocks = fs.assemble_blocks(spec, grid, pair_grid)
+    count_full = fs.threshold_counts(assemble_full(blocks), z_probe).below
+    count_reduced = fs.threshold_counts(fs.assemble_A(blocks), z_probe).below
+    diff = abs(count_full - count_reduced)
+    return FullVsReducedReport(
+        z=float(z_probe), count_full=count_full, count_reduced=count_reduced,
+        difference=diff, within_rank_bound=bool(diff <= RANK_BOUND),
+    )
+
+
+def singular_sequence_gram(spec, cfg) -> np.ndarray:
+    """Gram matrix of the psi_n on the union of the aligned grids.
+
+    The supports at distinct levels are disjoint, so this is the identity up
+    to quadrature roundoff.
+    """
+    x0 = _as_point(cfg.x0, spec.d)
+    y0 = _as_point(cfg.y0, spec.d)
+    rho = cfg.rho if cfg.rho is not None else _auto_rho(spec, x0, y0)
+    same = np.array_equal(x0, y0)
+
+    levels = []
+    for n in range(1, cfg.n_max + 1):
+        xn, xw, xa = _level(spec, cfg, x0, n, rho)
+        if same:
+            levels.append(((xn, xw, xa), (xn, xw, xa)))
+        else:
+            levels.append(((xn, xw, xa), _level(spec, cfg, y0, n, rho)))
+
+    def overlap(la, lb):
+        (xa_n, xa_w, xa_a), (ya_n, ya_w, ya_a) = la
+        (xb_n, xb_w, xb_a), (yb_n, yb_w, yb_a) = lb
+        # psi_n psi_m integrates factorwise; distinct levels have disjoint
+        # dyadic supports, so only matching-level pairs can contribute
+        def axis_ip(an, aw, aa, bn, bw, ba):
+            if an.shape != bn.shape or not np.allclose(an, bn):
+                return 0.0
+            return float(np.sum(aw * aa * ba))
+        if same:
+            return axis_ip(xa_n, xa_w, xa_a, xb_n, xb_w, xb_a) ** 2
+        direct = axis_ip(xa_n, xa_w, xa_a, xb_n, xb_w, xb_a) \
+            * axis_ip(ya_n, ya_w, ya_a, yb_n, yb_w, yb_a)
+        cross = axis_ip(xa_n, xa_w, xa_a, yb_n, yb_w, yb_a) \
+            * axis_ip(ya_n, ya_w, ya_a, xb_n, xb_w, xb_a)
+        return direct + cross
+
+    k = len(levels)
+    gram = np.zeros((k, k))
+    for i in range(k):
+        for j in range(k):
+            gram[i, j] = overlap(levels[i], levels[j])
+    return gram

@@ -11,6 +11,7 @@ import numpy as np
 import fockspectra as fs
 from fockspectra import cli
 from conftest import make_decoupled, pick_z_below, random_trig_model
+from oracles import assemble_full, oracle_full_vs_reduced
 
 
 def _ok(k, label):
@@ -23,7 +24,7 @@ def test_acceptance_01_decoupled_exactness():
     g = fs.make_grid(1, 1.0, 32)
     pg = fs.make_pair_grid(g)
     blocks = fs.assemble_blocks(spec, g, pg)
-    ev = np.linalg.eigvalsh(fs.assemble_full(blocks))
+    ev = np.linalg.eigvalsh(assemble_full(blocks))
     expected = np.sort(np.concatenate([[7.0], g.nodes[:, 0],
                                        np.full(pg.p, 5.0)]))
     assert np.max(np.abs(ev - expected)) <= 1e-10
@@ -84,8 +85,8 @@ def test_acceptance_04_weyl_inequality():
         V2 = 0.5 * (B2 + B2.T)
         l1 = float(rng.uniform(0.05, 2.0))
         l2 = float(rng.uniform(0.05, 2.0))
-        assert fs.count_above(V1 + V2, l1 + l2) <= \
-            fs.count_above(V1, l1) + fs.count_above(V2, l2)
+        assert fs.threshold_counts(V1 + V2, l1 + l2).above <= \
+            fs.threshold_counts(V1, l1).above + fs.threshold_counts(V2, l2).above
     _ok(4, "Weyl inequality, 100 trials")
 
 
@@ -107,7 +108,7 @@ def test_acceptance_05_delta_calculus(mnr):
         z = floor - float(rng.uniform(0.05, 4.0))
         h = 1e-6
         fd = (fs.delta_at(s, gg, x, z + h) - fs.delta_at(s, gg, x, z - h)) / (2 * h)
-        an = fs.delta_derivative_at(s, gg, x, z)
+        an = float(fs.schur.delta_and_derivative_at_points(s, gg, [x], z)[1][0])
         assert an <= -1.0
         assert abs(fd - an) <= 1e-6 * abs(an)
 
@@ -199,7 +200,7 @@ def test_acceptance_09_full_vs_reduced_rank_bound():
         pg = fs.make_pair_grid(g)
         ess = fs.essential_spectrum(spec, g)
         z = ess.sess_min - float(rng.uniform(0.05, 1.5))
-        rep = fs.oracle_full_vs_reduced(spec, g, pg, z)
+        rep = oracle_full_vs_reduced(spec, g, pg, z)
         assert rep.within_rank_bound, rep
     _ok(9, "finite-rank invariance over 20 models")
 

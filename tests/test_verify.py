@@ -4,6 +4,7 @@ import pytest
 
 import fockspectra as fs
 from conftest import make_decoupled, random_trig_model
+from oracles import oracle_full_vs_reduced, singular_sequence_gram
 
 
 def test_singular_sequence_zero_coupling():
@@ -16,13 +17,13 @@ def test_singular_sequence_zero_coupling():
 
 def test_gram_identity_same_center(mnr):
     cfg = fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([1.0]), n_max=6)
-    gram = fs.singular_sequence_gram(mnr, cfg)
+    gram = singular_sequence_gram(mnr, cfg)
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
 
 
 def test_gram_identity_distinct_centers(mnr):
     cfg = fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([-1.2]), n_max=5)
-    gram = fs.singular_sequence_gram(mnr, cfg)
+    gram = singular_sequence_gram(mnr, cfg)
     assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
 
 
@@ -72,7 +73,7 @@ def test_full_vs_reduced_decoupled_vacuum():
                            v1=spec.v1, w2=spec.w2)
     g = fs.make_grid(1, spec.a, 10)
     pg = fs.make_pair_grid(g)
-    rep = fs.oracle_full_vs_reduced(spec_hi, g, pg, z_probe=0.0)
+    rep = oracle_full_vs_reduced(spec_hi, g, pg, z_probe=0.0)
     assert rep.difference == 0 and rep.within_rank_bound
 
 
@@ -83,7 +84,7 @@ def test_full_vs_reduced_vacuum_below_probe():
                            v1=spec.v1, w2=spec.w2)
     g = fs.make_grid(1, spec.a, 10)
     pg = fs.make_pair_grid(g)
-    rep = fs.oracle_full_vs_reduced(spec_lo, g, pg, z_probe=0.0)
+    rep = oracle_full_vs_reduced(spec_lo, g, pg, z_probe=0.0)
     assert rep.count_full - rep.count_reduced == 1
 
 
@@ -95,7 +96,7 @@ def test_full_vs_reduced_random_smoke():
         pg = fs.make_pair_grid(g)
         ess = fs.essential_spectrum(spec, g)
         z = ess.sess_min - float(rng.uniform(0.1, 1.0))
-        rep = fs.oracle_full_vs_reduced(spec, g, pg, z)
+        rep = oracle_full_vs_reduced(spec, g, pg, z)
         assert rep.within_rank_bound
 
 
