@@ -286,14 +286,12 @@ def _build_parser() -> _Parser:
                      description="spectral analysis of the truncated-Fock-space operator matrix")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_grid=True):
+    def common(p):
         p.add_argument("--model", required=True,
                        help="builtin name or path to a model config file")
-        if needs_grid:
-            p.add_argument("--n", type=int, default=32, help="nodes per dimension")
-            p.add_argument("--rule", choices=("midpoint", "gauss-legendre"),
-                           default="midpoint")
-            p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--n", type=int, default=32, help="nodes per dimension")
+        p.add_argument("--rule", choices=("midpoint", "gauss-legendre"), default="midpoint")
+        p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("essspec", help="essential spectrum")
     common(p)

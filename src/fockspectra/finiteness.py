@@ -83,7 +83,7 @@ def _diag_points(spec: ModelSpec, n_fine: int) -> np.ndarray:
     return lattice(np.linspace(-spec.a + pad, spec.a - pad, n_fine), spec.d)
 
 
-def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None):
+def locate_t0(spec: ModelSpec, grid: Grid, report):
     """Locate the diagonal minimizer (t0, t0) of w2, or None when unsupported.
 
     Returns None when the fine-sampled minimum of w2 over the pair space lies
@@ -93,8 +93,7 @@ def locate_t0(spec: ModelSpec, grid: Grid, report, n_fine: int | None = None):
     generalization is detection-only).  The sampled minimizer is refined by
     _zoom_minimize, and kept when the refined point is not near-minimal.
     """
-    if n_fine is None:
-        n_fine = 4001 if spec.d == 1 else 101
+    n_fine = 4001 if spec.d == 1 else 101
     diag = _diag_points(spec, n_fine)
     gvals = eval_xy(spec, spec.w2, diag, diag)
     diag_min = float(np.min(gvals))
@@ -213,8 +212,8 @@ def _abs_max_v1(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.max(np.abs(v1[:1] if v1.strides[0] == 0 else v1)))
 
 
-def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0, delta: float | None = None,
-                       fine_n: int | None = None, angular: int = 256) -> ExponentEstimate:
+def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0,
+                       delta: float | None = None) -> ExponentEstimate:
     """Estimate alpha, beta, gamma by shell statistics around t0.
 
     Statistics per shell radius r (12 geometric radii in [delta/64, delta]):
@@ -238,13 +237,12 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0, delta: float | N
         delta = spec.a / 4.0
     if not 0.0 < delta < spec.a:
         raise ValueError("delta must lie in (0, a)")
-    if fine_n is None:
-        fine_n = 8192 if spec.d == 1 else 192
+    fine_n = 8192 if spec.d == 1 else 192
     ball = spec.a - float(np.max(np.abs(t0)))
     delta_eff = min(delta, 0.999 * ball) if ball < delta else delta
 
     radii = np.geomspace(delta_eff / SHELL_SPAN, delta_eff, N_SHELLS)
-    dirs = _directions(spec.d, angular)
+    dirs = _directions(spec.d, 256)
     w2_t0 = float(eval_xy(spec, spec.w2, t0[None, :], t0[None, :])[0])
     e_star = min(float(report.sess_min), w2_t0)
 

@@ -153,30 +153,29 @@ class MeshSamples:
     W2: np.ndarray     # (N, N), symmetrized
 
 
+def _sym_w2(spec: ModelSpec, grid, b: slice) -> np.ndarray:
+    """Rows b of MeshSamples.W2: 0.5 * (w2(x, y) + w2(y, x)).
+
+    The sum is commutative in IEEE arithmetic, so the rows assemble into an
+    exactly symmetric matrix.
+    """
+    X, Y = grid.nodes[b, None, :], grid.nodes[None, :, :]
+    w2xy = eval_xy(spec, spec.w2, X, Y).astype(float)
+    return 0.5 * (w2xy + eval_xy(spec, spec.w2, Y, X).astype(float))
+
+
 @lru_cache(maxsize=16)
 def _mesh_samples_cached(spec: ModelSpec, grid) -> MeshSamples:
     nodes = grid.nodes
     w1v = eval_x(spec, spec.w1, nodes).astype(float)
     v0v = np.asarray(eval_x(spec, spec.v0, nodes))
-    X = nodes[:, None, :]
-    Y = nodes[None, :, :]
-    V1 = np.asarray(eval_xy(spec, spec.v1, X, Y))
+    V1 = np.asarray(eval_xy(spec, spec.v1, nodes[:, None, :], nodes[None, :, :]))
     n = grid.n
     W2 = np.empty((n, n))
     # filled on this thread: the pool's freed block temporaries would stay
     # resident next to W2
     for b in blocks.row_blocks(n, n):
-        W2[b] = eval_xy(spec, spec.w2, X[b], Y)
-    # symmetrize in place, one tile and its mirror at a time; 0.5 * (a + b)
-    # is commutative, so the result is exactly symmetric
-    tile = max(1, math.isqrt(blocks.BLOCK_ELEMENTS))
-    tiles = [slice(s, s + tile) for s in range(0, n, tile)]
-    for i, bi in enumerate(tiles):
-        for bj in tiles[i:]:
-            upper, lower_t = W2[bi, bj], W2[bj, bi].T
-            sym = 0.5 * (upper + lower_t)
-            W2[bi, bj] = sym
-            W2[bj, bi] = sym.T
+        W2[b] = _sym_w2(spec, grid, b)
     for arr in (w1v, v0v, V1, W2):
         arr.setflags(write=False)
     return MeshSamples(w1=w1v, v0=v0v, V1=V1, W2=W2)

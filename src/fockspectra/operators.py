@@ -8,7 +8,8 @@ adjoint of the coupling block is literally the conjugate transpose, so the
 assembled matrices are Hermitian by construction and eigenvalue counts are
 those of honest Hermitian matrices.
 
-The coupling block row i has nonzero entries only at pairs containing i:
+The coupling block is a dense (N, P) array; row i is nonzero only at the
+pairs containing i:
 
     pair {i, j}, j != i :  sqrt(w_j / 2) * v1(x_i, x_j)
     pair {i, i}         :  sqrt(w_i)     * v1(x_i, x_i)
@@ -19,15 +20,11 @@ which reproduces the quadrature of  integral v1(x_i, s) f(x_i, s) ds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import Grid, PairGrid
-from .model import ModelSpec, mesh_samples
-
-if TYPE_CHECKING:
-    from scipy import sparse
+from .model import MeshSamples, ModelSpec, mesh_samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +34,7 @@ class DiscreteBlocks:
     h00: float
     h01: np.ndarray              # (N,) row coupling the vacuum to one boson
     h11: np.ndarray              # (N,) diagonal of the one-boson potential
-    h12: sparse.csr_matrix       # (N, P) coupling block
+    h12: np.ndarray              # (N, P) coupling block, dense
     h22: np.ndarray              # (P,) diagonal of the two-boson potential
     n: int
     p: int
@@ -54,10 +51,13 @@ def _check_dims(grid: Grid, pair_grid: PairGrid) -> None:
         raise ValueError("pair grid is inconsistent with its base grid")
 
 
+def coupling_dtype(ms: MeshSamples) -> type:
+    """The dtype of h01, h12 and A: complex128 when v1 or v0 is complex, else float64."""
+    return np.complex128 if np.iscomplexobj(ms.V1) or np.iscomplexobj(ms.v0) else np.float64
+
+
 def assemble_blocks(spec: ModelSpec, grid: Grid, pair_grid: PairGrid) -> DiscreteBlocks:
     """Sample the parameter functions and build all five blocks."""
-    from scipy import sparse
-
     _check_dims(grid, pair_grid)
     ms = mesh_samples(spec, grid)
     w = grid.weights
@@ -65,20 +65,16 @@ def assemble_blocks(spec: ModelSpec, grid: Grid, pair_grid: PairGrid) -> Discret
     j = pair_grid.pairs[:, 1]
     cols = np.arange(pair_grid.p)
 
-    complex_coupling = np.iscomplexobj(ms.V1) or np.iscomplexobj(ms.v0)
-    dtype = np.complex128 if complex_coupling else np.float64
+    dtype = coupling_dtype(ms)
 
+    # each (row, column) pair is set once: (i, p) and (j, p) with i != j,
+    # then (i, p) for the diagonal pairs
     off = i != j
     diag = ~off
-    rows = np.concatenate([i[off], j[off], i[diag]])
-    colidx = np.concatenate([cols[off], cols[off], cols[diag]])
-    vals = np.concatenate([
-        np.sqrt(w[j[off]] / 2.0) * ms.V1[i[off], j[off]],
-        np.sqrt(w[i[off]] / 2.0) * ms.V1[j[off], i[off]],
-        np.sqrt(w[i[diag]]) * ms.V1[i[diag], i[diag]],
-    ]).astype(dtype)
-    h12 = sparse.csr_matrix((vals, (rows, colidx)), shape=(grid.n, pair_grid.p))
-    h12.eliminate_zeros()
+    h12 = np.zeros((grid.n, pair_grid.p), dtype=dtype)
+    h12[i[off], cols[off]] = np.sqrt(w[j[off]] / 2.0) * ms.V1[i[off], j[off]]
+    h12[j[off], cols[off]] = np.sqrt(w[i[off]] / 2.0) * ms.V1[j[off], i[off]]
+    h12[i[diag], cols[diag]] = np.sqrt(w[i[diag]]) * ms.V1[i[diag], i[diag]]
 
     h01 = (np.sqrt(w) * ms.v0).astype(dtype)
     h22 = ms.W2[i, j]
@@ -93,8 +89,7 @@ def assemble_A(blocks: DiscreteBlocks) -> np.ndarray:
     n, p = blocks.n, blocks.p
     A = np.zeros((n + p, n + p), dtype=blocks.dtype)
     A[np.arange(n), np.arange(n)] = blocks.h11
-    B = blocks.h12.toarray()
-    A[:n, n:] = B
-    A[n:, :n] = B.conj().T
+    A[:n, n:] = blocks.h12
+    A[n:, :n] = blocks.h12.conj().T
     A[n + np.arange(p), n + np.arange(p)] = blocks.h22
     return A

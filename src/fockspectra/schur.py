@@ -41,7 +41,7 @@ import numpy as np
 
 from .blocks import map_blocks
 from .grid import Grid
-from .model import ModelSpec, _as_point, _as_points, eval_x, eval_xy, mesh_samples
+from .model import ModelSpec, _as_point, _as_points, _sym_w2, eval_x, eval_xy, mesh_samples
 
 POLE_TOL = 1e-12
 
@@ -102,13 +102,6 @@ def _pole_check(W2: np.ndarray, z: float) -> np.ndarray:
     if dist < POLE_TOL:
         raise PoleProximityError(z, dist)
     return shifted
-
-
-def _sym_w2(spec: ModelSpec, grid: Grid, b: slice) -> np.ndarray:
-    """Rows b of MeshSamples.W2, entry by entry."""
-    X, Y = grid.nodes[b, None, :], grid.nodes[None, :, :]
-    w2xy = eval_xy(spec, spec.w2, X, Y).astype(float)
-    return 0.5 * (w2xy + eval_xy(spec, spec.w2, Y, X).astype(float))
 
 
 def delta_values(spec: ModelSpec, grid: Grid, z) -> np.ndarray:

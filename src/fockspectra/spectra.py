@@ -38,7 +38,7 @@ import numpy as np
 from . import operators
 from .blocks import map_blocks
 from .grid import Grid, PairGrid, lattice, make_grid
-from .model import ModelSpec, check_assumption_a, eval_xy
+from .model import ModelSpec, check_assumption_a, eval_xy, mesh_samples
 from .schur import delta_and_derivative_at_points, s_and_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
@@ -277,6 +277,7 @@ def _branch_roots(matrices, t_edge: float, pole: float) -> np.ndarray:
             if not lo < step < hi:
                 step = 0.5 * (lo + hi)
             t = step
+            vecs = dF = None            # release the last evaluation before building the next
             mu, vecs, dF = evaluate(t)
         else:
             raise RuntimeError(f"eigenvalue branch {j} did not converge in {_MAX_ROOT_STEPS} steps")
@@ -352,19 +353,21 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
     reports whether all three agree.  Eigenvalues inside the boundary band
     of the respective threshold are tallied separately; agreement is only
     meaningful when that tally is zero.  A does not depend on z, so it is
-    eigensolved once for all zs; MatrixTooLargeError is raised before it is
-    allocated if it and the eigensolver's copy exceed physical memory.
+    eigensolved once for all zs; MatrixTooLargeError is raised before it or
+    the dense (N, P) coupling block is allocated if A and the eigensolver's
+    copy exceed physical memory.
     """
-    blocks = operators.assemble_blocks(spec, grid, pair_grid)
-    dim = blocks.n + blocks.p
-    need = 2 * dim * dim * np.dtype(blocks.dtype).itemsize
+    dim = grid.n + pair_grid.p
+    itemsize = np.dtype(operators.coupling_dtype(mesh_samples(spec, grid))).itemsize
+    need = 2 * dim * dim * itemsize
     have = _physical_memory_bytes()
     if need > have:
         raise MatrixTooLargeError(
             f"the {dim} x {dim} reduced matrix and its eigensolver copy need "
             f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
             "physical memory; use a smaller grid")
-    ev_A = eigvals_hermitian(operators.assemble_A(blocks))
+    # the blocks, the dense h12 among them, are a temporary freed before the eigensolve
+    ev_A = eigvals_hermitian(operators.assemble_A(operators.assemble_blocks(spec, grid, pair_grid)))
     results = []
     for z in zs:
         sz = schur_eval(spec, grid, z)

@@ -119,6 +119,9 @@ def test_bs_check_sweep_eigensolves_A_once(tmp_path, monkeypatch):
 def test_bs_check_refuses_a_matrix_beyond_physical_memory(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(spectra, "_physical_memory_bytes", lambda: 10**5)
     monkeypatch.setattr(operators, "assemble_A", lambda blocks: pytest.fail("A was allocated"))
+    # the dense coupling block is (N, P): the refusal must come before it too
+    monkeypatch.setattr(operators, "assemble_blocks",
+                        lambda *args: pytest.fail("the coupling block was allocated"))
     rc = cli.main(["bs-check", "--model", "mnr-infinite", "--n", "12",
                    "--z", "-0.25", "--out", str(tmp_path)])
     assert rc == 1
@@ -148,8 +151,9 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 
 
 def test_analysis_commands_load_no_scipy(tmp_path):
-    # essspec, discrete, finiteness (d = 1 and the d = 2 cluster check) and
-    # singular-seq must run without importing scipy
+    # every command runs without importing scipy: essspec, discrete,
+    # bs-check (one z and a sweep), finiteness (d = 1 and the d = 2 cluster
+    # check), singular-seq, check-model and list-models
     cfg = tmp_path / "d2.cfg"
     cfg.write_text('domain { d = 2  a = 1 }\nfunctions {\n  w0 = 0\n  v0 = 0\n'
                    '  w1 { expr = "1 + 0.1 * (x1 * x1 + x2 * x2)" }\n'
@@ -159,10 +163,14 @@ def test_analysis_commands_load_no_scipy(tmp_path):
     argvs = [
         ["essspec", "--model", "mnr-infinite", "--n", "16", "--out", out],
         ["discrete", "--model", "mnr-infinite", "--n", "16", "--side", "both", "--out", out],
+        ["bs-check", "--model", "mnr-infinite", "--n", "16", "--z", "-0.25", "--out", out],
+        ["bs-check", "--model", "mnr-infinite", "--n", "12", "--z-sweep=-1:-0.2:5", "--out", out],
         ["finiteness", "--model", "sigma2-empty", "--n", "8", "--levels", "3", "--out", out],
         ["finiteness", "--model", str(cfg), "--n", "4", "--levels", "3", "--out", out],
         ["singular-seq", "--model", "mnr-infinite", "--n", "16", "--x0", "1.0",
          "--n-max", "3", "--out", out],
+        ["check-model", "--model", "mnr-infinite", "--n", "16", "--out", out],
+        ["list-models"],
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))

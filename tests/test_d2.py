@@ -49,9 +49,9 @@ def test_d2_exponents():
     spec = _spec_d2()
     g = fs.make_grid(2, 1.0, 6)
     ess = fs.essential_spectrum(spec, g)
-    t0 = fs.locate_t0(spec, g, ess, n_fine=41)
+    t0 = fs.locate_t0(spec, g, ess)
     assert t0 is not None and np.max(np.abs(t0)) < 1e-4
-    est = fs.estimate_exponents(spec, g, ess, t0, fine_n=48, angular=64)
+    est = fs.estimate_exponents(spec, g, ess, t0)
     assert abs(est.alpha_hat - 2.0) < 0.15
     assert abs(est.beta_hat - 2.0) < 0.15
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -318,6 +320,53 @@ def test_discrete_spectrum_forms_w2_minus_z_once_per_z(mnr, monkeypatch):
     assert fs.discrete_spectrum_below(mnr, g, ess.sess_min).size > 0
     assert len(zs) > 1
     assert len(zs) == len(set(zs))
+
+
+def test_branch_roots_releases_each_evaluation_before_the_next():
+    # F'(t) and the eigenvectors of the last evaluation are two N x N arrays
+    # (85 MB at the d = 2 cap); they must be dead while the next F, F' and
+    # eigh are built
+    rng = np.random.default_rng(5)
+    n, pole = 8, 1.0
+    B = rng.standard_normal((n, n))
+    M = 0.5 * (B + B.T)
+    C = rng.standard_normal((n, 2))
+    last = []
+
+    def matrices(t):
+        assert not last or last[-1]() is None
+        F = M - t * np.eye(n) - C @ C.T / (pole - t)
+        dF = -np.eye(n) - C @ C.T / (pole - t) ** 2
+        last.append(weakref.ref(dF))
+        return F, dF
+
+    roots = spectra._branch_roots(matrices, 0.0, pole)
+    assert roots.size > 1 and len(last) > roots.size
+    for r in roots:
+        assert np.min(np.abs(np.linalg.eigvalsh(matrices(r)[0]))) < 1e-9
+
+
+def test_bs_sweep_frees_the_coupling_block_before_the_eigensolve(mnr, monkeypatch):
+    # the dense (N, P) h12 must not be alive next to A and its eigensolver copy
+    g = fs.make_grid(1, mnr.a, 12)
+    refs, dims = [], []
+    assemble, eigvals = fs.operators.assemble_blocks, spectra.eigvals_hermitian
+
+    def tracked(*args):
+        blocks = assemble(*args)
+        refs.append(weakref.ref(blocks.h12))
+        return blocks
+
+    def solve(matrix):
+        if len(matrix) == g.n + g.n * (g.n + 1) // 2:
+            dims.append(len(matrix))
+            assert refs and refs[-1]() is None
+        return eigvals(matrix)
+
+    monkeypatch.setattr(fs.operators, "assemble_blocks", tracked)
+    monkeypatch.setattr(spectra, "eigvals_hermitian", solve)
+    assert fs.birman_schwinger_check(mnr, g, fs.make_pair_grid(g), -0.5).agree
+    assert len(dims) == 1
 
 
 @settings(max_examples=15, deadline=None)
