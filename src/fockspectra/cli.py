@@ -87,8 +87,8 @@ def _load(args):
     cap = CLI_N_CAP.get(spec.d)
     if cap is None:
         raise UsageError(f"the CLI supports d in {sorted(CLI_N_CAP)}; model has d = {spec.d}")
-    if args.n > cap:
-        raise UsageError(f"n_per_dim {args.n} exceeds the CLI cap {cap} for d = {spec.d}")
+    if not 2 <= args.n <= cap:
+        raise UsageError(f"--n must lie in [2, {cap}] for d = {spec.d} (got {args.n})")
     g = grid_mod.make_grid(spec.d, spec.a, args.n, args.rule)
     return spec, g
 
@@ -128,8 +128,7 @@ def _cmd_essspec(args, out_dir: Path) -> int:
     spec, g = _load(args)
     report = _Report("essspec", args)
     _require_assumption_a(spec, g, report)
-    ess = spectra.essential_spectrum(spec, g, z_lo=args.z_lo, z_hi=args.z_hi,
-                                     bisection_tol=args.bisection_tol)
+    ess = spectra.essential_spectrum(spec, g)
     report.section("sigma1")
     report.kv("m", ess.m)
     report.kv("M", ess.M)
@@ -181,10 +180,6 @@ def _cmd_discrete(args, out_dir: Path) -> int:
 def _cmd_bs_check(args, out_dir: Path) -> int:
     if (args.z is None) == (args.z_sweep is None):
         raise UsageError("bs-check needs exactly one of --z or --z-sweep")
-    spec, g = _load(args)
-    pg = grid_mod.make_pair_grid(g)
-    report = _Report("bs-check", args)
-    _require_assumption_a(spec, g, report)
     if args.z is not None:
         zs = [args.z]
     else:
@@ -193,6 +188,14 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
             zs = list(np.linspace(float(lo), float(hi), int(count)))
         except ValueError as exc:
             raise UsageError(f"bad --z-sweep {args.z_sweep!r}: expected lo:hi:count") from exc
+        if not zs:
+            raise UsageError(f"bad --z-sweep {args.z_sweep!r}: count must be at least 1")
+    if not np.all(np.isfinite(zs)):
+        raise UsageError("every z must be finite")
+    spec, g = _load(args)
+    pg = grid_mod.make_pair_grid(g)
+    report = _Report("bs-check", args)
+    _require_assumption_a(spec, g, report)
     report.section("counting-checks")
     rows = []
     all_agree = True
@@ -218,6 +221,8 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
     if args.levels < 3:
         raise UsageError(f"--levels must be at least 3 (got {args.levels})")
     spec, g = _load(args)
+    if args.delta is not None and not 0.0 < args.delta < spec.a:
+        raise UsageError(f"--delta must lie in (0, a) = (0, {spec.a!r}) (got {args.delta!r})")
     report = _Report("finiteness", args)
     _require_assumption_a(spec, g, report)
     ess = spectra.essential_spectrum(spec, g)
@@ -261,11 +266,19 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
 
 
 def _cmd_singular_seq(args, out_dir: Path) -> int:
+    for flag, value in (("--n-max", args.n_max), ("--quad-depth", args.quad_depth)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1 (got {value})")
     spec, g = _load(args)
+    try:
+        x0, y0 = (np.array([float(t) for t in s.split(",")]) for s in (args.x0, args.y0 or args.x0))
+    except ValueError as exc:
+        raise UsageError(f"bad --x0/--y0: {exc}") from exc
+    if x0.size != spec.d or y0.size != spec.d or not np.all(np.abs(np.r_[x0, y0]) < spec.a):
+        raise UsageError(f"--x0 and --y0 must each be {spec.d} coordinate(s) inside "
+                         f"(-a, a) = ({-spec.a!r}, {spec.a!r})")
     report = _Report("singular-seq", args)
     chk = _require_assumption_a(spec, g, report)
-    x0 = np.array([float(t) for t in args.x0.split(",")])
-    y0 = np.array([float(t) for t in (args.y0 or args.x0).split(",")])
     cfg = verify.SingularSeqConfig(x0=x0, y0=y0, n_max=args.n_max,
                                    quad_depth=args.quad_depth)
     rows = verify.singular_sequence_norms(spec, cfg)
@@ -295,10 +308,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("essspec", help="essential spectrum")
     common(p)
-    p.add_argument("--z-lo", type=float, default=None)
-    p.add_argument("--z-hi", type=float, default=None)
-    p.add_argument("--bisection-tol", type=float, default=1e-10,
-                   help="width of the certified root bracket")
     p.add_argument("--delta-z", default=None,
                    help="comma-separated z values for the symbol profile CSV")
 

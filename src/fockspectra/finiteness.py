@@ -92,7 +92,10 @@ def locate_t0(spec: ModelSpec, grid: Grid, report):
     splits into separated clusters (several minimizers; the multi-point
     generalization is detection-only).  The sampled minimizer is refined by
     _zoom_minimize, and kept when the refined point is not near-minimal.
+    ValueError for d > 2, where the 31^(2d) pair lattice outgrows memory.
     """
+    if spec.d > 2:
+        raise ValueError(f"locate_t0 supports d <= 2; the model has d = {spec.d}")
     n_fine = 4001 if spec.d == 1 else 101
     diag = _diag_points(spec, n_fine)
     gvals = eval_xy(spec, spec.w2, diag, diag)
@@ -201,6 +204,8 @@ def _loglog_fit(radii: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
 def _directions(d: int, count: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
+    if d > 2:
+        raise ValueError(f"shell directions are defined for d <= 2; the model has d = {d}")
     golden = math.pi * (3.0 - math.sqrt(5.0))
     theta = golden * np.arange(count)
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)

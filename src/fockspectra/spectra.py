@@ -8,11 +8,11 @@ z -> Delta(x_i; z), which is strictly decreasing, diverges to +inf as
 z -> -inf, and tends to -inf as z -> +inf; each node therefore contributes
 at most one root per side.  The symbol falls with slope at most -1 and is
 concave on the search side, so Newton steps from the edge probe approach
-the root monotonically inside a bracket the slope bound certifies; no
-search window is derived and none is widened.  The discrete spectrum
-outside [sess_min, sess_max] comes from the N x N Schur complement S(z) by
-inertia (discrete_spectrum); the dense reduced matrix is assembled only as
-the independent leg of the Birman-Schwinger check.
+the root monotonically inside a bracket the slope bound certifies, and a
+root is returned once that bracket is narrower than ROOT_TOL.  The
+discrete spectrum outside [sess_min, sess_max] comes from the N x N Schur
+complement S(z) by inertia (discrete_spectrum); the dense reduced matrix is
+assembled only as the independent leg of the Birman-Schwinger check.
 
 Numerical guard rails (all O(h^2)-scaled so they refine with the grid):
 
@@ -42,6 +42,7 @@ from .model import ModelSpec, check_assumption_a, eval_xy, mesh_samples
 from .schur import delta_and_derivative_at_points, s_and_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
+ROOT_TOL = 1e-10   # width of the certified bracket around a Sigma_2 root
 _MAX_ROOT_STEPS = 200
 
 
@@ -129,11 +130,7 @@ def _merge_hull(roots: np.ndarray, tol: float) -> list:
             for lo, hi in zip(np.r_[0, breaks + 1], np.r_[breaks, rs.size - 1])]
 
 
-_SIDES = {1: ("left", "below", "z_lo"), -1: ("right", "above", "z_hi")}
-
-
-def _one_sided_roots(spec: ModelSpec, grid: Grid, inner: Grid, sign: int, probe: float,
-                     t_lo: float | None, tol: float):
+def _one_sided_roots(spec: ModelSpec, grid: Grid, inner: Grid, sign: int, probe: float):
     """Sigma_2 roots on one side of ran w2, in the mirrored coordinate t = sign * z.
 
     f(t) = sign * Delta(sign * t), at the nodes of grid with the y-quadrature
@@ -144,14 +141,11 @@ def _one_sided_roots(spec: ModelSpec, grid: Grid, inner: Grid, sign: int, probe:
     search side.  A node holds a root iff f(probe) < 0.  Newton steps from
     the probe then move monotonically toward the root without passing it,
     and the slope bound puts the root in [t + f(t), t] at every iterate: a
-    row stops once |f(t)| <= tol and returns t + f(t)/2, within tol/2 of the
-    root.  t_lo, an explicit lower end of the search window in t, is only
-    checked: f must be positive there on every root row.  Negation is exact
-    in IEEE arithmetic, so both sides are bit-identical to a search written
-    out directly in z.  Returns the rows holding a root and the roots in z.
+    row stops once |f(t)| <= ROOT_TOL and returns t + f(t)/2, within
+    ROOT_TOL/2 of the root.  Negation is exact in IEEE arithmetic, so both
+    sides are bit-identical to a search written out directly in z.  Returns
+    the rows holding a root and the roots in z.
     """
-    side, beyond, window = _SIDES[sign]
-
     def f(rows, t):
         delta, slope = delta_and_derivative_at_points(spec, inner, grid.nodes[rows], sign * t)
         return sign * delta, slope
@@ -160,26 +154,24 @@ def _one_sided_roots(spec: ModelSpec, grid: Grid, inner: Grid, sign: int, probe:
     rows = np.flatnonzero(ft < 0.0)
     if rows.size == 0:
         return rows, np.empty(0)
-    if t_lo is not None and not np.all(f(rows, np.full(rows.size, t_lo))[0] > 0.0):
-        raise RuntimeError(f"a Sigma_2 root sits at or {beyond} {window}: widen and retry")
     ft, slope = ft[rows], slope[rows]
     t = np.full(rows.size, probe)
     active = np.arange(rows.size)
     roots = np.empty(rows.size)
     for _ in range(_MAX_ROOT_STEPS):
-        done = np.abs(ft) <= tol
+        done = np.abs(ft) <= ROOT_TOL
         roots[active[done]] = t[done] + 0.5 * ft[done]
         go = ~done
         active, t = active[go], t[go] - ft[go] / slope[go]
         if active.size == 0:
             return rows, sign * roots
         ft, slope = f(rows[active], t)
+    side = "left" if sign == 1 else "right"
     raise RuntimeError(f"{side} Sigma_2 roots not within the tolerance after {_MAX_ROOT_STEPS} "
                        "Newton steps: is it below the rounding error of the symbol?")
 
 
-def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
-                       z_hi: float | None = None, bisection_tol: float = 1e-10) -> EssSpecReport:
+def essential_spectrum(spec: ModelSpec, grid: Grid) -> EssSpecReport:
     """Compute the sampled essential spectrum Sigma_1 union Sigma_2.
 
     m and M are the extremes of w2 over the pair grid, from the streamed
@@ -188,16 +180,10 @@ def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
     edge probe, and a root above M iff it is positive at the right edge
     probe.  Each root is found by Newton steps from its probe inside a
     bracket that the slope bound Delta' <= -1 certifies, to within
-    ``bisection_tol`` (see _one_sided_roots), so no search window is
-    derived or widened.  An explicit window (z_lo, z_hi) must strictly
-    contain [m, M] and is checked to lie beyond every root.
+    ROOT_TOL (see _one_sided_roots), so no search window is needed.
     """
     chk = check_assumption_a(spec, grid)
     m_hat, M_hat = chk.w2_min, chk.w2_max
-    if z_lo is not None and z_lo >= m_hat:
-        raise ValueError("search window: z_lo must lie strictly below m")
-    if z_hi is not None and z_hi <= M_hat:
-        raise ValueError("search window: z_hi must lie strictly above M")
 
     guard_samples = 2049 if spec.d == 1 else (65 if spec.d == 2 else 17)
     lo_fine, hi_fine = _fine_range_guard(spec, grid, guard_samples)
@@ -210,14 +196,12 @@ def essential_spectrum(spec: ModelSpec, grid: Grid, z_lo: float | None = None,
 
     roots = []
     sides = []
-    for sign, e_guard, t_lo in ((1, m_guard, z_lo),
-                                (-1, -M_guard, None if z_hi is None else -z_hi)):
-        rows, found = _one_sided_roots(spec, grid, inner, sign, e_guard - edge, t_lo,
-                                       bisection_tol)
+    for sign, e_guard in ((1, m_guard), (-1, -M_guard)):
+        rows, found = _one_sided_roots(spec, grid, inner, sign, e_guard - edge)
         roots += [(grid.nodes[r].copy(), float(z)) for r, z in zip(rows, found)]
         sides.append(found)
     left, right = sides
-    hull = _merge_hull(left, bisection_tol) + _merge_hull(right, bisection_tol)
+    hull = _merge_hull(left, ROOT_TOL) + _merge_hull(right, ROOT_TOL)
     sess_min = float(left.min(initial=m_hat))
     sess_max = float(right.max(initial=M_hat))
     return EssSpecReport(m=m_hat, M=M_hat, sigma2_roots=roots, sigma2_hull=hull,

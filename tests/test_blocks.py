@@ -89,7 +89,7 @@ def test_pooled_kernels_equal_the_serial_map_bitwise(model, many_blocks, monkeyp
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_mesh_samples_symmetrizes_tile_by_tile_exactly(d, many_blocks):
+def test_mesh_samples_w2_is_exactly_half_raw_plus_transpose(d, many_blocks):
     spec = _asymmetric_model(d)
     g = fs.make_grid(d, 1.0, 100 if d == 1 else 10)
     assert len(blocks.row_blocks(g.n, g.n)) > 2

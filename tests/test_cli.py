@@ -1,4 +1,5 @@
 
+import argparse
 import os
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fockspectra import cli, operators, spectra
+from fockspectra import cli, operators, spectra, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -201,6 +202,35 @@ def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, mo
         assert "--levels must be at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["essspec", "--n", "1"],
+    ["essspec", "--n", "0"],
+    ["discrete", "--n", "-4"],
+    ["singular-seq", "--x0", "1.0,2.0"],
+    ["singular-seq", "--x0", "abc"],
+    ["singular-seq", "--x0", "1.0", "--y0", "1.0,2.0"],
+    ["singular-seq", "--x0", "1.0", "--y0", "abc"],
+    ["singular-seq", "--x0", "4.0"],                    # outside Omega = (-pi, pi)
+    ["singular-seq", "--x0", "1.0", "--quad-depth", "0"],
+    ["singular-seq", "--x0", "1.0", "--quad-depth", "-2"],
+    ["singular-seq", "--x0", "1.0", "--n-max", "0"],
+    ["finiteness", "--delta", "0"],
+    ["finiteness", "--delta", "5"],
+    ["bs-check", "--z-sweep=-1:-0.5:0"],
+    ["bs-check", "--z", "nan"],
+], ids=" ".join)
+def test_bad_numeric_arguments_exit_1_before_any_analysis(argv, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        pytest.fail("analysis ran before the arguments were checked")
+
+    for mod, name in ((cli.model_mod, "check_assumption_a"), (spectra, "essential_spectrum"),
+                      (verify, "singular_sequence_norms")):
+        monkeypatch.setattr(mod, name, refuse)
+    rc = cli.main([argv[0], "--model", "mnr-infinite", *argv[1:], "--out", str(tmp_path)])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_singular_seq_command(tmp_path):
     rc = cli.main(["singular-seq", "--model", "mnr-infinite", "--n", "24",
                    "--x0", "1.0", "--n-max", "4", "--out", str(tmp_path)])
@@ -218,6 +248,8 @@ def test_usage_error_exit_1(capsys):
     assert cli.main(["essspec"]) == 1          # missing --model
     assert cli.main(["bs-check", "--model", "mnr-infinite"]) == 1   # no z
     assert cli.main(["essspec", "--model", "mnr-infinite", "--n", "500"]) == 1
+    for flag in ("--z-lo", "--z-hi", "--bisection-tol"):     # the root search has no window
+        assert cli.main(["essspec", "--model", "mnr-infinite", flag, "1e-6"]) == 1
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -235,6 +267,15 @@ def _readme_block(heading, lang):
     match = re.search(rf"^## {heading}\n.*?^```{lang}\n(.*?)^```", text, re.M | re.S)
     assert match, f"README has no {lang} block under ## {heading}"
     return match.group(1)
+
+
+def test_readme_names_only_flags_the_parser_accepts():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices.values()
+    accepted = {opt for p in (parser, *subparsers) for a in p._actions for opt in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
+    assert named - accepted == set()
 
 
 def test_readme_cli_commands_and_library_sketch_run(tmp_path, monkeypatch, capsys):

@@ -135,6 +135,17 @@ def test_zoom_minimize_against_the_scipy_reference(d, smooth, floor, c, curv, qu
         assert np.max(np.abs(t_new - t_ref)) <= 1e-6
 
 
+def test_d3_is_refused_before_w2_is_sampled(monkeypatch):
+    # at d = 3 locate_t0's 31^(2d) pair lattice alone would be a 29791^2 array
+    spec = fs.sigma2_empty_model(d=3)
+    g = fs.make_grid(3, spec.a, 2)
+    monkeypatch.setattr(fs.finiteness, "eval_xy", lambda *args: pytest.fail("w2 sampled"))
+    with pytest.raises(ValueError, match="d <= 2"):
+        fs.locate_t0(spec, g, None)
+    with pytest.raises(ValueError, match="d <= 2"):
+        fs.estimate_exponents(spec, g, None, np.zeros(3))
+
+
 def test_locate_t0_double_well_returns_none():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x,
                           lambda x, y: (x**2 - 0.25) ** 2 + (y**2 - 0.25) ** 2)
