@@ -153,15 +153,16 @@ class MeshSamples:
     W2: np.ndarray     # (N, N), symmetrized
 
 
-def _sym_w2(spec: ModelSpec, grid, b: slice) -> np.ndarray:
-    """Rows b of MeshSamples.W2: 0.5 * (w2(x, y) + w2(y, x)).
+def _sym_w2(spec: ModelSpec, grid, b: slice, cols: slice = slice(None)) -> np.ndarray:
+    """MeshSamples.W2[b, cols]: 0.5 * (w2(x, y) + w2(y, x)), as a new array.
 
-    The sum is commutative in IEEE arithmetic, so the rows assemble into an
-    exactly symmetric matrix.
+    The sum is commutative in IEEE arithmetic, so W2 is exactly symmetric:
+    a block of it equals the transpose of its mirror image.
     """
-    X, Y = grid.nodes[b, None, :], grid.nodes[None, :, :]
-    w2xy = eval_xy(spec, spec.w2, X, Y).astype(float)
-    return 0.5 * (w2xy + eval_xy(spec, spec.w2, Y, X).astype(float))
+    X, Y = grid.nodes[b, None, :], grid.nodes[None, cols, :]
+    W = np.add(eval_xy(spec, spec.w2, X, Y), eval_xy(spec, spec.w2, Y, X), dtype=float)
+    W *= 0.5
+    return W
 
 
 @lru_cache(maxsize=16)
@@ -173,9 +174,12 @@ def _mesh_samples_cached(spec: ModelSpec, grid) -> MeshSamples:
     n = grid.n
     W2 = np.empty((n, n))
     # filled on this thread: the pool's freed block temporaries would stay
-    # resident next to W2
+    # resident next to W2.  Each row block samples its columns from its
+    # diagonal block on and mirrors those right of that block below it, so a
+    # pair outside the diagonal blocks is sampled once, not twice.
     for b in blocks.row_blocks(n, n):
-        W2[b] = _sym_w2(spec, grid, b)
+        W2[b, b.start:] = _sym_w2(spec, grid, b, slice(b.start, None))
+        W2[b.stop:, b] = W2[b, b.stop:].T
     for arr in (w1v, v0v, V1, W2):
         arr.setflags(write=False)
     return MeshSamples(w1=w1v, v0=v0v, V1=V1, W2=W2)

@@ -96,45 +96,75 @@ class SchurEval:
 
 
 def _pole_check(W2: np.ndarray, z: float) -> np.ndarray:
-    """W2 - z, after checking that no sample of w2 lies within POLE_TOL of z."""
+    """W2 - z, after checking that no sample of w2 lies within POLE_TOL of z.
+
+    z clears every sample when all of W2 - z lies on one side of the pole
+    band, which two reductions show without writing |W2 - z|; only otherwise
+    is the distance min |W2 - z| computed.  A NaN sample fails both tests and
+    makes that distance NaN, which passes.
+    """
     shifted = W2 - z
+    if np.min(shifted) >= POLE_TOL or np.max(shifted) <= -POLE_TOL:
+        return shifted
     dist = float(np.min(np.abs(shifted)))
     if dist < POLE_TOL:
         raise PoleProximityError(z, dist)
     return shifted
 
 
+def _shared_v1_sq(spec: ModelSpec, grid: Grid, pts: np.ndarray):
+    """|v1(p, y_j)|^2 over the nodes y_j as one row for every point p of pts, or None.
+
+    The row is shared when v1 ignores p, which eval_xy shows by spreading
+    the samples at pts[:2] from one row (a zero row stride); a single point
+    is its own row.  Otherwise each row block samples v1 itself (_v1_sq).
+    """
+    V1 = eval_xy(spec, spec.v1, pts[:2, None, :], grid.nodes[None, :, :])
+    if V1.shape[0] == 1 or (V1.shape[0] > 1 and V1.strides[0] == 0):
+        return np.abs(V1[0]) ** 2
+    return None
+
+
+def _v1_sq(spec: ModelSpec, grid: Grid, pts: np.ndarray, b: slice) -> np.ndarray:
+    """|v1(p, y_j)|^2 for the points p of pts[b] and the nodes y_j."""
+    return np.abs(eval_xy(spec, spec.v1, pts[b, None, :], grid.nodes[None, :, :])) ** 2
+
+
 def delta_values(spec: ModelSpec, grid: Grid, z) -> np.ndarray:
     """Delta(x_i; z) at every grid node, streamed; a sequence of z gives one row per z."""
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     quad = np.empty((zs.size, grid.n))
+    row = _shared_v1_sq(spec, grid, grid.nodes)
 
     def block(b):
-        V1 = eval_xy(spec, spec.v1, grid.nodes[b, None, :], grid.nodes[None, :, :])
-        v2, W = np.abs(V1) ** 2, _sym_w2(spec, grid, b)
+        v2 = row if row is not None else _v1_sq(spec, grid, grid.nodes, b)
+        W = _sym_w2(spec, grid, b)
         for k, zk in enumerate(zs.tolist()):
-            quad[k, b] = (v2 / _pole_check(W, zk)) @ grid.weights
+            shifted = _pole_check(W, zk)
+            quad[k, b] = np.divide(v2, shifted, out=shifted) @ grid.weights
 
     map_blocks(block, grid.n, grid.n)
     out = eval_x(spec, spec.w1, grid.nodes).astype(float) - zs[:, None] - 0.5 * quad
     return out if np.ndim(z) else out[0]
 
 
-def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z, b: slice):
-    """The y-integrand of the symbol at the points pts[b] (pts has shape (m, d)).
+def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z):
+    """The y-integrand of the symbol at the points pts (shape (m, d)), by row block.
 
-    z is a scalar or an array of one value per point.  Returns
-    (w_j |v1(p, y_j)|^2, w2(p, y_j) - z) for the rows b, after the pole check
-    of z against their own w2 samples.  When v1 ignores p, the weighted
-    coupling is computed on one row and spread over the block.
+    z is a scalar or an array of one value per point.  Returns a function
+    of a row block b giving (w_j |v1(p, y_j)|^2, w2(p, y_j) - z) for the
+    points pts[b], after the pole check of z against their own w2 samples.
+    When v1 ignores p, the first is one row computed here, once per call.
     """
-    Y = grid.nodes[None, :, :]
-    zb = z[b, None] if np.ndim(z) > 0 else z
-    shifted = _pole_check(eval_xy(spec, spec.w2, pts[b, None, :], Y), zb)
-    V1 = eval_xy(spec, spec.v1, pts[b, None, :], Y)
-    if V1.strides[0] == 0:
-        return np.broadcast_to(grid.weights * np.abs(V1[0]) ** 2, V1.shape), shifted
-    return grid.weights * np.abs(V1) ** 2, shifted
+    row = _shared_v1_sq(spec, grid, pts)
+    wrow = None if row is None else grid.weights * row
+
+    def rows(b):
+        zb = z[b, None] if np.ndim(z) > 0 else z
+        shifted = _pole_check(eval_xy(spec, spec.w2, pts[b, None, :], grid.nodes[None, :, :]), zb)
+        return (wrow if wrow is not None else grid.weights * _v1_sq(spec, grid, pts, b)), shifted
+
+    return rows
 
 
 def delta_at_points(spec: ModelSpec, grid: Grid, pts, z: float) -> np.ndarray:
@@ -148,10 +178,11 @@ def delta_at_points(spec: ModelSpec, grid: Grid, pts, z: float) -> np.ndarray:
     """
     pts = _as_points(pts, spec.d).reshape(-1, spec.d)
     quad = np.empty(pts.shape[0])
+    integrand = _point_rows(spec, grid, pts, z)
 
     def block(b):
-        wv2, shifted = _point_rows(spec, grid, pts, z, b)
-        quad[b] = np.sum(wv2 / shifted, axis=-1)
+        wv2, shifted = integrand(b)
+        quad[b] = np.sum(np.divide(wv2, shifted, out=shifted), axis=-1)
 
     map_blocks(block, pts.shape[0], grid.n)
     return eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad
@@ -165,12 +196,13 @@ def delta_and_derivative_at_points(spec: ModelSpec, grid: Grid, pts, z):
     pts = _as_points(pts, spec.d).reshape(-1, spec.d)
     quad = np.empty(pts.shape[0])
     dquad = np.empty(pts.shape[0])
+    integrand = _point_rows(spec, grid, pts, z)
 
     def block(b):
-        wv2, shifted = _point_rows(spec, grid, pts, z, b)
+        wv2, shifted = integrand(b)
         q = wv2 / shifted
         quad[b] = np.sum(q, axis=-1)
-        dquad[b] = np.sum(q / shifted, axis=-1)
+        dquad[b] = np.sum(np.divide(q, shifted, out=shifted), axis=-1)
 
     map_blocks(block, pts.shape[0], grid.n)
     return eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad, -1.0 - 0.5 * dquad
@@ -253,19 +285,27 @@ def hs_norm_t(spec: ModelSpec, grid: Grid, z: float) -> float:
 
     Pass 1 is delta_values, pass 2 the quadratic form over the same row
     blocks, so memory is O(BLOCK_ELEMENTS) per CPU at any grid
-    size; the block partials are summed in block order.  Raises what
-    bs_operator raises: PoleProximityError when a block of W comes within
-    POLE_TOL of z, then ValueError unless Delta(z) > 0.
+    size; the block partials are summed in block order.  The summand is
+    exactly symmetric in (i, j), so row block b sums only the columns from
+    b.start on: its diagonal block once and the columns right of it twice.
+    Raises what bs_operator raises: PoleProximityError when a block of W
+    comes within POLE_TOL of z (pass 1 checks every sample pass 2 reads),
+    then ValueError unless Delta(z) > 0.
     """
     X = grid.nodes[:, None, :]
-    Y = grid.nodes[None, :, :]
     delta = delta_values(spec, grid, z)
     _require_positive(delta)
     u = grid.weights / delta
 
     def form_block(b):
+        cols = slice(b.start, None)
+        Y = grid.nodes[None, cols, :]
         coupling = np.abs(eval_xy(spec, spec.v1, X[b], Y) * eval_xy(spec, spec.v1, Y, X[b]))
-        return float(u[b] @ ((coupling / _pole_check(_sym_w2(spec, grid, b), z)) ** 2 @ u))
+        shifted = _sym_w2(spec, grid, b, cols)
+        shifted -= z
+        form = np.square(np.divide(coupling, shifted, out=shifted), out=shifted)
+        rows = form.shape[0]
+        return float(u[b] @ (form[:, :rows] @ u[b] + 2.0 * (form[:, rows:] @ u[b.stop:])))
 
     return 0.5 * math.sqrt(sum(map_blocks(form_block, grid.n, grid.n)))   # in block order
 

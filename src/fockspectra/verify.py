@@ -39,6 +39,11 @@ class SingularSeqConfig:
     quad_depth: int = 128     # quadrature cells per annulus segment
     rho: Optional[float] = None
 
+    def __post_init__(self):
+        for name in ("n_max", "quad_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1 (got {getattr(self, name)})")
+
 
 def _auto_rho(spec: ModelSpec, x0: np.ndarray, y0: np.ndarray) -> float:
     dist_x = spec.a - float(np.max(np.abs(x0)))

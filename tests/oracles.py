@@ -51,6 +51,15 @@ def consistency_check_adjoint(blocks, spec, grid, pair_grid, seed: int = 0) -> f
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def pole_check_reference(W2: np.ndarray, z) -> np.ndarray:
+    """W2 - z, after the pole test as the full distance min |W2 - z| (schur._pole_check)."""
+    shifted = W2 - z
+    dist = float(np.min(np.abs(shifted)))
+    if dist < POLE_TOL:
+        raise fs.PoleProximityError(z, dist)
+    return shifted
+
+
 def hs_bound_young(spec, grid, z: float) -> float:
     """Young-inequality upper bound for the Hilbert-Schmidt norm of K(z).
 

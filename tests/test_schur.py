@@ -7,7 +7,7 @@ import pytest
 import fockspectra as fs
 from fockspectra import blocks, schur
 from conftest import complex_coupling_model, make_decoupled, random_trig_model, simpson
-from oracles import hs_bound_young
+from oracles import hs_bound_young, pole_check_reference
 
 
 def test_delta_decoupled_is_affine():
@@ -202,6 +202,43 @@ def test_pole_proximity_error(mnr):
         fs.k_matrix(mnr, g, z_exact)
 
 
+def _pole_outcome(check, W, z):
+    try:
+        return check(W, z)
+    except fs.PoleProximityError as exc:
+        return exc
+
+
+def test_pole_check_equals_the_abs_min_reference():
+    # the reductions-only check returns the same bits, or raises the same
+    # error with the same dist, as the full min |W - z|
+    W = np.random.default_rng(11).uniform(1.0, 3.0, (5, 7))
+    lo, hi, near = float(W.min()), float(W.max()), float(W[2, 3])
+    with_nan = W.copy()
+    with_nan[4, 1] = np.nan
+    cases = {
+        "below": (W, lo - 0.5), "above": (W, hi + 0.5), "inside": (W, 0.5 * (lo + hi)),
+        "near": (W, near + 3e-13), "on": (W, near), "just below": (W, lo - 4e-13),
+        "just above": (W, hi + 4e-13), "band edge": (W, lo - schur.POLE_TOL),
+        "rows": (W, np.linspace(lo - 1.0, hi + 1.0, 5)[:, None]),
+        "nan below": (with_nan, lo - 0.5), "nan inside": (with_nan, 0.5 * (lo + hi)),
+        "nan near": (with_nan, near + 3e-13),
+    }
+    raised = set()
+    for name, (samples, z) in cases.items():
+        got = _pole_outcome(schur._pole_check, samples, z)
+        want = _pole_outcome(pole_check_reference, samples, z)
+        assert type(got) is type(want), name
+        if isinstance(want, fs.PoleProximityError):
+            raised.add(name)
+            assert (str(got), got.dist) == (str(want), want.dist), name
+            assert np.array_equal(got.z, want.z), name
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert {"near", "on", "just below", "just above"} <= raised
+    assert not raised & {"below", "above", "inside", "rows", "nan below", "nan inside", "nan near"}
+
+
 def test_s_derivative_finite_difference_and_bound(mnr):
     # dS/dz on both sides of ran w2: matches a central difference, and is <= -I;
     # S is bit for bit the Schur complement of schur_eval
@@ -216,12 +253,18 @@ def test_s_derivative_finite_difference_and_bound(mnr):
 
 
 BENCH_MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
-HS_CASES = ["mnr-infinite", "sigma2-empty", "complex", "d2-sigma2-empty", "d2-sigma2-both"]
+HS_CASES = ["mnr-infinite", "sigma2-empty", "complex", "asymmetric", "d2-sigma2-empty",
+            "d2-sigma2-both"]
 
 
 def _hs_case(case):
     if case == "complex":
         return complex_coupling_model()
+    if case == "asymmetric":
+        # raw w2 not symmetric, v1 depending on x and y asymmetrically
+        return fs.ModelSpec(d=1, a=1.0, w0=0.0, v0=lambda x: 0.0 * x, w1=lambda x: 3.0 + x,
+                            v1=lambda x, y: np.cos(x - 2.0 * y) + 0.4 * x * y * y,
+                            w2=lambda x, y: 2.0 + np.sin(3.0 * x) * np.cos(y) + x * x + 0.5 * y)
     if case.startswith("d2-"):
         return fs.load_model(BENCH_MODELS / f"{case}.cfg")
     return fs.load_model(case)

@@ -4,6 +4,8 @@ Only discrete and bs-check build N x N mesh samples; every other command
 reduces row blocks of the node pairs on the block pool.
 """
 
+import dataclasses
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 
 import fockspectra as fs
 from conftest import random_trig_model
-from fockspectra import blocks, cli, model, verify
+from fockspectra import blocks, cli, model, schur, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 D2_EMPTY = ROOT / "bench" / "models" / "d2-sigma2-empty.cfg"
@@ -152,6 +154,63 @@ def test_singular_sequence_norms_match_the_dense_formulas(centres, many_blocks, 
     for (_, h12, h22), (_, h12_d, h22_d) in zip(streamed, dense):
         assert h12 == pytest.approx(h12_d, rel=1e-12, abs=0)
         assert h22 == pytest.approx(h22_d, rel=1e-12, abs=0)
+
+
+def _counted_v1(spec, calls):
+    def v1(x, y):
+        calls.append(1)
+        return spec.v1(x, y)
+
+    return dataclasses.replace(spec, v1=v1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_v1_that_ignores_x_is_sampled_once_per_call_and_matches_the_full_coupling(d, many_blocks):
+    base = _v1_ignores_x() if d == 1 else fs.load_model(D2_EMPTY)
+    calls = []
+    y_only = _counted_v1(base, calls)
+    x_part = (lambda x: x) if d == 1 else (lambda x: x[..., 0])
+    full = dataclasses.replace(base, v1=lambda x, y: base.v1(x, y) + 0.0 * x_part(x))
+    g = fs.make_grid(d, base.a, 48 if d == 1 else 7)
+    pts = np.random.default_rng(9).uniform(-base.a, base.a, (40, d))
+    assert min(len(blocks.row_blocks(pts.shape[0], g.n)), len(blocks.row_blocks(g.n, g.n))) > 2
+    zs = np.linspace(-3.0, -0.5, pts.shape[0])
+    for fn, args in ((fs.delta_at_points, (pts, -0.3)),
+                     (schur.delta_and_derivative_at_points, (pts, zs)),
+                     (fs.delta_values, (-0.3,))):
+        calls.clear()
+        shared = np.asarray(fn(y_only, g, *args))
+        assert len(calls) == 1, fn.__name__            # one row per call, not per block
+        own = np.asarray(fn(full, g, *args))
+        assert shared.tobytes() == own.tobytes(), fn.__name__
+
+
+def _counted_w2(spec, samples):
+    def w2(x, y):
+        xs, ys = (x.shape, y.shape) if spec.d == 1 else (x.shape[:-1], y.shape[:-1])
+        samples[0] += math.prod(np.broadcast_shapes(xs, ys))
+        return spec.w2(x, y)
+
+    return dataclasses.replace(spec, w2=w2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_w2_sample_counts_of_the_hs_norm_and_the_mesh(d, monkeypatch):
+    # each off-diagonal-block pair is sampled once per pass; the former code
+    # sampled 4 N^2 in hs_norm_t and 2 N^2 in mesh_samples
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(blocks, "BLOCK_ELEMENTS", 8 * 64)
+    base, z = (_asymmetric_coupled(), -3.0) if d == 1 else (fs.load_model(D2_EMPTY), -0.3)
+    samples = [0]
+    spec = _counted_w2(base, samples)
+    g = fs.make_grid(d, base.a, 64 if d == 1 else 8)
+    n, rows = g.n, blocks.BLOCK_ELEMENTS // g.n
+    assert (n, rows) == (64, 8)
+    fs.hs_norm_t(spec, g, z)
+    assert samples[0] <= 3 * n * n + n * rows
+    samples[0] = 0
+    model.mesh_samples(spec, g)
+    assert samples[0] <= n * n + n * rows
 
 
 @pytest.mark.parametrize("argv", [

@@ -112,3 +112,13 @@ def test_singular_sequence_identical_when_v1_ignores_x():
     for x0, y0 in ((0.3, 0.3), (0.3, -0.4)):
         cfg = fs.SingularSeqConfig(x0=np.array([x0]), y0=np.array([y0]), n_max=5)
         assert fs.singular_sequence_norms(y_only, cfg) == fs.singular_sequence_norms(full, cfg)
+
+
+@pytest.mark.parametrize("field", ["n_max", "quad_depth"])
+def test_singular_seq_config_refuses_fields_below_one(field):
+    # n_max = 0 used to return [] and quad_depth = 0 to divide by zero at d = 1
+    for value in (0, -3):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([1.0]), **{field: value})
+    cfg = fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([1.0]), **{field: 1})
+    assert getattr(cfg, field) == 1
