@@ -19,9 +19,7 @@ from .model import (
     load_model,
     mnr_infinite_model,
     model_from_config,
-    negate_model,
     sigma2_empty_model,
-    synthetic_power_model,
 )
 from .operators import DiscreteBlocks, assemble_A, assemble_blocks
 from .schur import (

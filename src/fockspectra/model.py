@@ -17,10 +17,11 @@ Built-in models
                    Its coupling constant is tuned so that the Schur symbol
                    vanishes at the bottom of the essential spectrum, which
                    is why its discrete spectrum below 0 is infinite.
-``sigma2-empty``   a coupling built from any bounded continuous base w2 so
-                   that the Schur symbol vanishes identically at both ends
-                   of ran(w2); the essential spectrum is then exactly
-                   cl(ran w2) and the Sigma_2 part is empty.
+``sigma2-empty``   the d=1 model on (-2, 2) with a separable sextic base w2
+                   and a coupling built from it so that the Schur symbol
+                   vanishes identically at both ends of ran(w2); the
+                   essential spectrum is then exactly cl(ran w2) and the
+                   Sigma_2 part is empty.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import blocks
-from .grid import lattice
 
 W2_SYMMETRY_TOL = 1e-12
 
@@ -67,12 +67,10 @@ class ModelSpec:
     w2: Callable
     epsilon: float = 2.0
     t0: Optional[np.ndarray] = None
-    name: Optional[str] = None
 
 
 @dataclass(frozen=True, eq=False)
 class BuiltinModel:
-    name: str
     spec: ModelSpec
     expected: dict = field(default_factory=dict)
 
@@ -196,29 +194,39 @@ def check_assumption_a(spec: ModelSpec, grid) -> AssumptionAReport:
 
     Computes the discrete L^{2+eps} norm of v1(x_i, .) (sup over rows), the
     discrete L^{2+4/eps} norm of v1(., x_j) (sup over columns) and the range
-    and symmetry defect of w2 in one cached pass over row blocks of node pairs
-    on the block pool, so memory is O(N).  Raises ModelEvaluationError if any
-    sample is NaN or infinite; returns passed=False if a norm overflows or
-    the symmetry defect exceeds W2_SYMMETRY_TOL.
+    and symmetry defect of w2, cached, in two passes over the same row blocks
+    of node pairs on the block pool, so memory is O(N).  The range and the
+    defect are symmetric in the pair, so the w2 pass samples w2 and its
+    mirror only from each block's diagonal block on: N^2 + N B samples for
+    blocks of B rows, not 2 N^2.  It runs apart from the v1 pass: v1's full
+    rows among the shorter w2 rows of one pass fragment the heap, and
+    essspec at d = 2 then peaked up to 2.9 MB higher in some runs.  Raises
+    ModelEvaluationError if any sample is NaN or infinite; returns
+    passed=False if a norm overflows or the symmetry defect exceeds
+    W2_SYMMETRY_TOL.
     """
     p1, p2 = 2.0 + spec.epsilon, 2.0 + 4.0 / spec.epsilon
 
-    def block(b):
-        X, Y = grid.nodes[b, None, :], grid.nodes[None, :, :]
+    def w2_block(b):
+        X, Y = grid.nodes[b, None, :], grid.nodes[None, b.start:, :]
         W = eval_xy(spec, spec.w2, X, Y).astype(float)
         D = eval_xy(spec, spec.w2, Y, X).astype(float)
         S = W + D
         asym = np.max(np.abs(np.subtract(W, D, out=D), out=D))
         del W, D
         S *= 0.5                      # rows b of MeshSamples.W2: 0.5 * (W + W.T)
-        absV = np.abs(eval_xy(spec, spec.v1, X, Y))
+        return -np.min(S), np.max(S), asym    # -min so that one max reduces all three
+
+    def v1_block(b):
+        absV = np.abs(eval_xy(spec, spec.v1, grid.nodes[b, None, :], grid.nodes[None, :, :]))
         with np.errstate(over="ignore"):
             row, col = np.max(absV**p1 @ grid.weights), grid.weights[b] @ absV**p2
-        # -min so that one max reduces all five over the blocks
-        return (-np.min(S), np.max(S), asym, np.max(absV), row), col
+        return (np.max(absV), row), col
 
-    parts = blocks.map_blocks(block, grid.n, 2 * grid.n)     # W and its mirror D fill a block
-    neg_lo, hi, asym, v1_max, row = np.max([p for p, _ in parts], axis=0)
+    # both passes take blocks sized for w2 and its mirror
+    neg_lo, hi, asym = np.max(blocks.map_blocks(w2_block, grid.n, 2 * grid.n), axis=0)
+    parts = blocks.map_blocks(v1_block, grid.n, 2 * grid.n)
+    v1_max, row = np.max([p for p, _ in parts], axis=0)
     col = np.max(sum(c for _, c in parts))    # partials summed in block order
     others = (spec.w0, eval_x(spec, spec.w1, grid.nodes), eval_x(spec, spec.v0, grid.nodes))
     if not (np.isfinite([neg_lo, hi, v1_max]).all() and all(np.isfinite(v).all() for v in others)):
@@ -234,6 +242,10 @@ def check_assumption_a(spec: ModelSpec, grid) -> AssumptionAReport:
 # ---------------------------------------------------------------------------
 # built-in models
 # ---------------------------------------------------------------------------
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def mnr_infinite_model() -> ModelSpec:
@@ -252,20 +264,13 @@ def mnr_infinite_model() -> ModelSpec:
         d=1,
         a=math.pi,
         w0=1.0,
-        v0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        v0=_zero,
         w1=lambda x: 1.0 + np.sin(x) ** 2,
         v1=lambda x, y: c * np.sin(y) + 0.0 * x,
         w2=lambda x, y: eps(x) + 2.0 * eps(x + y) + eps(y),
         epsilon=2.0,
         t0=np.zeros(1),
-        name="mnr-infinite",
     )
-
-
-def _zero_one_point(d: int):
-    if d == 1:
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return lambda x: np.zeros(np.asarray(x, dtype=float).shape[:-1])
 
 
 def _sextic_bump(t):
@@ -279,89 +284,38 @@ _SEXTIC_PEAK = 2.4          # value of the bump at its interior maximum
 _SEXTIC_INTEGRAL = 2.0 * (2.8 * 8.0 / 3.0 - 32.0 / 5.0 + 0.1 * 128.0 / 7.0)
 
 
-def sigma2_empty_model(base_w2=None, d: int = 1, a: float = 2.0,
-                       m: Optional[float] = None, M: Optional[float] = None) -> ModelSpec:
-    """Model whose Sigma_2 component of the essential spectrum is empty.
+def sigma2_empty_model() -> ModelSpec:
+    """d=1 model on (-2, 2) whose Sigma_2 component of the essential spectrum is empty.
 
-    Given a base w2 with range [m, M], set
+    The base w2(x, y) = b(x) + b(y), with b the sextic bump, has range
+    [m, M] = [0, 2 * 2.4].  With
 
         v1 = c (w2 - m)^{1/2} (M - w2)^{1/2},   c^2 = 2 / vol(Omega),
         w1 = m + M - (1/vol) * integral of w2(x, .) over Omega,
 
-    so that the Schur symbol Delta(. ; m) and Delta(. ; M) vanish
-    identically; by strict monotonicity in z there is then no root of
-    Delta outside [m, M].  The volume factor c generalizes the unit-volume
-    construction to arbitrary a.
-
-    The default base is a separable sextic bump with interior extrema
-    (m = 0, M = 2.4*2d) whose one-dimensional integrals are known in closed
-    form.
+    the Schur symbols Delta(. ; m) and Delta(. ; M) vanish identically; by
+    strict monotonicity in z there is then no root of Delta outside [m, M].
+    The mean of w2 over y is b(x) plus the closed-form integral of b over
+    (-2, 2), divided by vol = 4.
     """
-    vol = (2.0 * a) ** d
-    if base_w2 is None:
-        if a != 2.0:
-            raise ModelError("the built-in sigma2-empty base is defined for a = 2")
-
-        if d == 1:
-            def base_w2(x, y):
-                return _sextic_bump(x) + _sextic_bump(y)
-        else:
-            def base_w2(x, y):
-                return np.sum(_sextic_bump(x), axis=-1) + np.sum(_sextic_bump(y), axis=-1)
-
-        m = 0.0
-        M = 2.0 * d * _SEXTIC_PEAK
-
-        def w2_mean_over_y(x):
-            # (1/vol) * integral of w2(x, y) dy, closed form for the sextic base
-            fx = _sextic_bump(x) if d == 1 else np.sum(_sextic_bump(x), axis=-1)
-            return fx + d * _SEXTIC_INTEGRAL / (2.0 * a)
-
-    else:
-        if m is None or M is None:
-            pts = lattice(np.linspace(-a, a, 513), d)
-            if d == 1:
-                vals = base_w2(pts[:, 0][:, None], pts[:, 0][None, :])
-            else:
-                vals = base_w2(pts[:, None, :], pts[None, :, :])
-            m = float(np.min(vals)) if m is None else m
-            M = float(np.max(vals)) if M is None else M
-
-        n_q = 4096
-        hq = 2.0 * a / n_q
-        yq = -a + (np.arange(n_q) + 0.5) * hq
-
-        if d == 1:
-            def w2_mean_over_y(x, _yq=yq, _hq=hq):
-                x = np.asarray(x, dtype=float)
-                vals = base_w2(x[..., None], _yq)
-                return np.sum(vals, axis=-1) * _hq / vol
-        else:
-            raise ModelError("user-supplied sigma2-empty bases are limited to d = 1")
-
-    csq = 2.0 / vol
+    a = 2.0
+    m, M = 0.0, 2.0 * _SEXTIC_PEAK
+    csq = 2.0 / (2.0 * a)
     span_sq = ((M - m) / 2.0) ** 2
     mid = (m + M) / 2.0
 
+    def w2(x, y):
+        return _sextic_bump(x) + _sextic_bump(y)
+
     def v1(x, y):
-        t = base_w2(x, y)
+        t = w2(x, y)
         return np.sqrt(np.clip(csq * (span_sq - (t - mid) ** 2), 0.0, None))
 
     def w1(x):
-        return m + (M - w2_mean_over_y(x))
+        return m + (M - (_sextic_bump(x) + _SEXTIC_INTEGRAL / (2.0 * a)))
 
-    return ModelSpec(
-        d=d,
-        a=a,
-        w0=0.0,
-        v0=_zero_one_point(d),
-        w1=w1,
-        v1=v1,
-        w2=base_w2,
-        epsilon=2.0,
-        t0=np.zeros(d),
-        name="sigma2-empty",
-    )
+    return ModelSpec(d=1, a=a, w0=0.0, v0=_zero, w1=w1, v1=v1, w2=w2,
+                     epsilon=2.0, t0=np.zeros(1))
 
 
 _BUILTIN_CACHE: dict[str, BuiltinModel] = {}
@@ -371,77 +325,16 @@ def builtin_models() -> dict[str, BuiltinModel]:
     """The registry of named built-in models (exactly two)."""
     if not _BUILTIN_CACHE:
         _BUILTIN_CACHE["mnr-infinite"] = BuiltinModel(
-            name="mnr-infinite",
             spec=mnr_infinite_model(),
             expected={"m": 0.0, "M": 6.25, "sigma2_empty": False,
                       "discrete_below": "infinite"},
         )
         _BUILTIN_CACHE["sigma2-empty"] = BuiltinModel(
-            name="sigma2-empty",
             spec=sigma2_empty_model(),
             expected={"m": 0.0, "M": 2.0 * _SEXTIC_PEAK, "sigma2_empty": True,
                       "discrete_below": "finite"},
         )
     return dict(_BUILTIN_CACHE)
-
-
-def synthetic_power_model(beta: float, gamma: float = 1.0, a: float = 1.0,
-                          floor: float = 0.0) -> ModelSpec:
-    """d=1 model with prescribed growth exponents near the spectral bottom.
-
-    w2 = floor + x^2 + y^2 (exponent alpha = 2), v1 = |y|^beta (exponent
-    beta), and w1 is chosen so that the Schur symbol at the bottom equals
-    |x|^gamma exactly:
-
-        w1(x) = floor + |x|^gamma + (1/2) * integral |y|^{2 beta} / (x^2 + y^2) dy,
-
-    with the integral in closed form (beta in {1, 2}).  Ground truth for the
-    exponent estimators.
-    """
-    if beta == 1.0:
-        def coupling_integral(x):
-            ax = np.abs(x)
-            return 2.0 * a - 2.0 * ax * np.arctan2(a, ax)
-    elif beta == 2.0:
-        def coupling_integral(x):
-            ax = np.abs(x)
-            return 2.0 * a**3 / 3.0 - 2.0 * a * x**2 + 2.0 * ax**3 * np.arctan2(a, ax)
-    else:
-        raise ModelError("closed-form coupling integral available for beta in {1, 2}")
-
-    return ModelSpec(
-        d=1,
-        a=a,
-        w0=0.0,
-        v0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        w1=lambda x: floor + np.abs(x) ** gamma + 0.5 * coupling_integral(x),
-        v1=lambda x, y: np.abs(y) ** beta + 0.0 * x,
-        w2=lambda x, y: floor + x**2 + y**2,
-        epsilon=2.0,
-        t0=np.zeros(1),
-        name=f"synthetic-a2-b{beta:g}-g{gamma:g}",
-    )
-
-
-def negate_model(spec: ModelSpec) -> ModelSpec:
-    """Spectral mirror: the negated model's spectrum is minus the original's.
-
-    A test oracle for the two-sided analysis: negation is exact in floating
-    point, so every spectral quantity of the negated model is the exact
-    mirror of the original's.
-    """
-    return ModelSpec(
-        d=spec.d,
-        a=spec.a,
-        w0=-spec.w0,
-        v0=spec.v0,
-        w1=lambda x, _f=spec.w1: -np.asarray(_f(x)),
-        v1=spec.v1,
-        w2=lambda x, y, _f=spec.w2: -np.asarray(_f(x, y)),
-        epsilon=spec.epsilon,
-        t0=spec.t0,
-        name=None if spec.name is None else spec.name + "-negated",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,43 +350,56 @@ _ALLOWED_OPS = tuple(_FOLD)
 
 
 class _FloatLiterals(ast.NodeTransformer):
-    """Make every literal a float and fold the operators between literals.
+    """Make every literal and pi a float and fold the operators between them.
 
     Exact integer arithmetic on literals is unbounded: 9**9**9 has 370
     million digits, and the CLI would compute them all before converting to
     float.  In floats it overflows at once, and folding moves the overflow to
-    compile time, where it becomes a ModelError.
+    compile time, where it becomes a ModelError.  So does a complex result,
+    the power of a negative constant to a fractional exponent: every
+    arithmetic between constants is folded, so no complex value can arise
+    when the expression is evaluated.
     """
 
+    def _fold(self, value, node):
+        if isinstance(value, complex):
+            raise ArithmeticError(f"{value} is not real")
+        return ast.copy_location(ast.Constant(value), node)
+
     def visit_Constant(self, node):
-        return ast.copy_location(ast.Constant(float(node.value)), node)
+        return self._fold(float(node.value), node)
+
+    def visit_Name(self, node):
+        return self._fold(_EXPR_CONSTS[node.id], node) if node.id in _EXPR_CONSTS else node
 
     def visit_UnaryOp(self, node):
         self.generic_visit(node)
         if isinstance(node.operand, ast.Constant):
-            return ast.copy_location(ast.Constant(_FOLD[type(node.op)](node.operand.value)), node)
+            return self._fold(_FOLD[type(node.op)](node.operand.value), node)
         return node
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
         if isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant):
-            value = _FOLD[type(node.op)](node.left.value, node.right.value)
-            return ast.copy_location(ast.Constant(value), node)
+            return self._fold(_FOLD[type(node.op)](node.left.value, node.right.value), node)
         return node
 
 
 def _compile_expr(text: str, variables: tuple[str, ...]):
     """Compile an arithmetic expression over the given variables.
 
-    Only +, -, *, /, **, the functions sin/cos/exp/sqrt/abs, the constant pi
-    and numeric literals are admitted.  Literals are floats, and arithmetic
-    between literals is done once, here.
+    Only +, -, *, /, **, the functions sin/cos/exp/sqrt/abs called on one
+    argument each, the constant pi and numeric literals are admitted.  A
+    second argument would be numpy's output array, which the function would
+    overwrite.  Literals are floats, and arithmetic between them is done
+    once, here.
     """
     try:
         tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ModelError(f"cannot parse expression {text!r}: {exc}") from exc
     names = set(variables) | set(_EXPR_CONSTS)
+    callees = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant)):
             if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
@@ -504,28 +410,26 @@ def _compile_expr(text: str, variables: tuple[str, ...]):
         if isinstance(node, ast.Call):
             if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS):
                 raise ModelError(f"disallowed call in expression {text!r}")
-            if node.keywords:
-                raise ModelError(f"keyword arguments not allowed in expression {text!r}")
+            if len(node.args) != 1 or node.keywords:
+                raise ModelError(f"{node.func.id} takes exactly one argument in expression {text!r}")
+            callees.add(node.func)
             continue
         if isinstance(node, ast.Name):
-            if node.id not in names and node.id not in _EXPR_FUNCS:
+            if node.id not in names and node not in callees:
                 raise ModelError(f"unknown name {node.id!r} in expression {text!r}")
             continue
         if isinstance(node, ast.Load):
             continue
         raise ModelError(f"disallowed syntax ({type(node).__name__}) in expression {text!r}")
     try:
-        tree = _FloatLiterals().visit(tree)
-    except (OverflowError, ZeroDivisionError) as exc:
+        code = compile(_FloatLiterals().visit(tree), "<model-expr>", "eval")
+    except ArithmeticError as exc:
         raise ModelError(f"constant arithmetic fails in expression {text!r}: {exc}") from exc
-    code = compile(tree, "<model-expr>", "eval")
+    except RecursionError as exc:
+        raise ModelError(f"expression nested too deeply: {text!r}") from exc
 
     def fn(**kwargs):
-        env = {"__builtins__": {}}
-        env.update(_EXPR_FUNCS)
-        env.update(_EXPR_CONSTS)
-        env.update(kwargs)
-        return eval(code, env)
+        return eval(code, {"__builtins__": {}, **_EXPR_FUNCS, **kwargs})
 
     return fn
 
@@ -575,17 +479,20 @@ def _read_table(path: Path, what: str):
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, ValueError, csv.Error) as exc:     # ValueError: a NUL in the name, not UTF-8
         raise ModelError(f"{what}: cannot read table {path}: {exc}") from exc
     if not rows:
         raise ModelError(f"{what}: empty table {path}")
     header = [c.strip().lower() for c in rows[0]]
-    data = np.array([[float(c) for c in r] for r in rows[1:] if r], dtype=float)
-    if header == ["x", "value"]:
-        return "1d", data
-    if header == ["x", "y", "value"]:
-        return "2d", data
-    raise ModelError(f"{what}: expected header 'x,value' or 'x,y,value', got {rows[0]}")
+    if header not in (["x", "value"], ["x", "y", "value"]):
+        raise ModelError(f"{what}: expected header 'x,value' or 'x,y,value', got {rows[0]}")
+    try:
+        data = np.array([[float(c) for c in r] for r in rows[1:] if r], dtype=float)
+    except ValueError as exc:
+        raise ModelError(f"{what}: bad number or ragged row in table {path}: {exc}") from exc
+    if data.ndim != 2 or data.shape[1] != len(header):
+        raise ModelError(f"{what}: table {path} needs rows of {len(header)} numbers")
+    return ("1d" if len(header) == 2 else "2d"), data
 
 
 def _table_function(path: Path, a: float, what: str, two_point: bool, symmetric: bool):
@@ -640,7 +547,7 @@ def _parse_config(text: str) -> dict:
     """Parse the nested key-value document format.
 
     Grammar: a document is a sequence of ``key = value`` or ``key { ... }``
-    entries; values are quoted strings or comma-separated numbers.
+    entries; values are quoted strings or comma-separated finite numbers.
     """
     tokens = _tokenize_config(text)
     pos = 0
@@ -676,13 +583,15 @@ def _parse_config(text: str) -> dict:
                 elif kind == "WORD":
                     nums = []
                     while True:
-                        kind, val = tokens[pos]
+                        kind, val = tokens[pos] if pos < len(tokens) else ("", "")
                         if kind != "WORD":
                             raise ModelError(f"expected number for key {key!r}")
                         try:
                             nums.append(float(val))
                         except ValueError as exc:
                             raise ModelError(f"bad number {val!r} for key {key!r}") from exc
+                        if not math.isfinite(nums[-1]):
+                            raise ModelError(f"number {val!r} for key {key!r} is not finite")
                         pos += 1
                         if pos < len(tokens) and tokens[pos][0] == ",":
                             pos += 1
@@ -697,7 +606,10 @@ def _parse_config(text: str) -> dict:
             raise ModelError("unbalanced '{' in config")
         return out
 
-    return parse_block(True)
+    try:
+        return parse_block(True)
+    except RecursionError as exc:
+        raise ModelError("config sections nested too deeply") from exc
 
 
 def _function_entry(entry, a: float, d: int, base_dir: Path, what: str,
@@ -710,10 +622,11 @@ def _function_entry(entry, a: float, d: int, base_dir: Path, what: str,
         return lambda x: value
     if not isinstance(entry, dict):
         raise ModelError(f"{what}: expected a number or an expr/table section")
+    for key in ("expr", "table"):
+        if key in entry and not isinstance(entry[key], str):
+            raise ModelError(f"{what}: {key} must be a quoted string")
     if "expr" in entry:
         text = entry["expr"]
-        if not isinstance(text, str):
-            raise ModelError(f"{what}: expr must be a quoted string")
         if d == 1:
             variables = ("x", "y") if two_point else ("x",)
             fn = _compile_expr(text, variables)
@@ -740,30 +653,34 @@ def model_from_config(text: str, base_dir: Path | str = ".") -> ModelSpec:
     base_dir = Path(base_dir)
     if "domain" not in doc or "functions" not in doc:
         raise ModelError("config needs 'domain' and 'functions' sections")
-    dom = doc["domain"]
-    try:
-        d = int(dom["d"])
-        a = float(dom["a"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelError("domain section needs numeric 'd' and 'a'") from exc
-    if d < 1:
-        raise ModelError("domain dimension must be positive")
+    dom, fns = doc["domain"], doc["functions"]
+    if not (isinstance(dom, dict) and isinstance(fns, dict)):
+        raise ModelError("'domain' and 'functions' must be { ... } sections")
+    d, a = dom.get("d"), dom.get("a")
+    if not (isinstance(d, float) and isinstance(a, float)):
+        raise ModelError("domain section needs one number each for 'd' and 'a'")
+    if not (d >= 1 and d.is_integer()):
+        raise ModelError(f"domain dimension must be a positive integer (got {d!r})")
     if a <= 0:
         raise ModelError("domain half-width must be positive")
-    fns = doc["functions"]
+    d = int(d)
     missing = [k for k in ("w0", "v0", "w1", "v1", "w2") if k not in fns]
     if missing:
         raise ModelError(f"functions section is missing {missing}")
     w0 = fns["w0"]
     if isinstance(w0, dict):
-        w0 = float(_compile_expr(w0.get("expr", ""), ())())
-    if not isinstance(w0, (int, float)):
-        raise ModelError("w0 must be a real constant")
-    epsilon = float(doc.get("epsilon", 2.0))
-    if epsilon <= 0:
-        raise ModelError("epsilon must be positive")
+        if not isinstance(w0.get("expr"), str):
+            raise ModelError("w0: expr must be a quoted string")
+        w0 = _compile_expr(w0["expr"], ())()
+    if not (isinstance(w0, float) and math.isfinite(w0)):
+        raise ModelError("w0 must be a finite real constant")
+    epsilon = doc.get("epsilon", 2.0)
+    if not (isinstance(epsilon, float) and epsilon > 0):
+        raise ModelError("epsilon must be one positive number")
     t0 = doc.get("t0")
     if t0 is not None:
+        if not isinstance(t0, (float, list)):
+            raise ModelError(f"t0 must be {d} numbers")
         t0 = np.atleast_1d(np.asarray(t0, dtype=float))
         if t0.size != d:
             raise ModelError(f"t0 must have {d} coordinates")
@@ -777,7 +694,6 @@ def model_from_config(text: str, base_dir: Path | str = ".") -> ModelSpec:
         w2=_function_entry(fns["w2"], a, d, base_dir, "w2", two_point=True, symmetric=True),
         epsilon=epsilon,
         t0=t0,
-        name=doc.get("name") if isinstance(doc.get("name"), str) else None,
     )
 
 

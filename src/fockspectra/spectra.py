@@ -269,14 +269,14 @@ def _branch_roots(matrices, t_edge: float, pole: float) -> np.ndarray:
     return roots
 
 
-def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float | None = None,
-                      sess_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float,
+                      sess_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the reduced matrix A outside the essential spectrum, by Schur inertia.
 
     Returns ``(below, above)``: the sorted eigenvalues strictly below
-    sess_min - BOUNDARY_BAND and strictly above sess_max + BOUNDARY_BAND.  A
-    missing edge is taken from essential_spectrum; an infinite edge leaves
-    its side empty without any work.
+    sess_min - BOUNDARY_BAND and strictly above sess_max + BOUNDARY_BAND,
+    the edges of essential_spectrum; an infinite edge leaves its side empty
+    without any work.
 
     A is never assembled.  For z below min h22 = m, Haynsworth inertia
     additivity on A - z gives #eig(A) < z = #neg S(z), so the eigenvalues
@@ -285,10 +285,6 @@ def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float | None = None
     #eig(A) > z = #pos S(z), which is the same search on t -> -S(-t).  The
     identity needs sess_min <= m and sess_max >= M; ValueError otherwise.
     """
-    if sess_min is None or sess_max is None:
-        ess = essential_spectrum(spec, grid)
-        sess_min = ess.sess_min if sess_min is None else sess_min
-        sess_max = ess.sess_max if sess_max is None else sess_max
     chk = check_assumption_a(spec, grid)
     if sess_min > chk.w2_min or sess_max < chk.w2_max:
         raise ValueError("discrete spectrum: sess_min must not exceed m and sess_max "
@@ -309,14 +305,12 @@ def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float | None = None
     return below, above[::-1]
 
 
-def discrete_spectrum_below(spec: ModelSpec, grid: Grid,
-                            sess_min: float | None = None) -> np.ndarray:
+def discrete_spectrum_below(spec: ModelSpec, grid: Grid, sess_min: float) -> np.ndarray:
     """Sorted eigenvalues of the reduced matrix strictly below sess_min - BOUNDARY_BAND."""
     return discrete_spectrum(spec, grid, sess_min, np.inf)[0]
 
 
-def discrete_spectrum_above(spec: ModelSpec, grid: Grid,
-                            sess_max: float | None = None) -> np.ndarray:
+def discrete_spectrum_above(spec: ModelSpec, grid: Grid, sess_max: float) -> np.ndarray:
     """Sorted eigenvalues of the reduced matrix strictly above sess_max + BOUNDARY_BAND."""
     return discrete_spectrum(spec, grid, -np.inf, sess_max)[1]
 

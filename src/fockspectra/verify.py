@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +36,6 @@ class SingularSeqConfig:
     y0: np.ndarray
     n_max: int = 6
     quad_depth: int = 128     # quadrature cells per annulus segment
-    rho: Optional[float] = None
 
     def __post_init__(self):
         for name in ("n_max", "quad_depth"):
@@ -119,7 +117,7 @@ def singular_sequence_norms(spec: ModelSpec, cfg: SingularSeqConfig):
     """Rows (n, ||H12 psi_n||, ||(H22 - z0) psi_n||) for n = 1 .. n_max."""
     x0 = _as_point(cfg.x0, spec.d)
     y0 = _as_point(cfg.y0, spec.d)
-    rho = cfg.rho if cfg.rho is not None else _auto_rho(spec, x0, y0)
+    rho = _auto_rho(spec, x0, y0)
     if rho <= 0:
         raise ValueError("bump scale rho must be positive (center too close to the boundary?)")
     z0 = float(eval_xy(spec, spec.w2, x0[None, :], y0[None, :])[0])

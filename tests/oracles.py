@@ -1,10 +1,11 @@
-"""Reference implementations that tests compare the package against.
+"""Reference implementations and models that tests compare the package against.
 
 No command runs these: each one assembles a dense matrix, reads the full mesh
-samples or rebuilds a quantity by a second route, so that a test can check
-the package's own path against it.
+samples, rebuilds a quantity by a second route or builds a model with a known
+answer, so that a test can check the package's own path against it.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ def singular_sequence_gram(spec, cfg) -> np.ndarray:
     """
     x0 = _as_point(cfg.x0, spec.d)
     y0 = _as_point(cfg.y0, spec.d)
-    rho = cfg.rho if cfg.rho is not None else _auto_rho(spec, x0, y0)
+    rho = _auto_rho(spec, x0, y0)
     same = np.array_equal(x0, y0)
 
     levels = []
@@ -148,3 +149,51 @@ def singular_sequence_gram(spec, cfg) -> np.ndarray:
         for j in range(k):
             gram[i, j] = overlap(levels[i], levels[j])
     return gram
+
+
+def synthetic_power_model(beta: float, gamma: float = 1.0, a: float = 1.0,
+                          floor: float = 0.0) -> fs.ModelSpec:
+    """d=1 model with prescribed growth exponents near the spectral bottom.
+
+    w2 = floor + x^2 + y^2 (exponent alpha = 2), v1 = |y|^beta (exponent
+    beta), and w1 is chosen so that the Schur symbol at the bottom equals
+    |x|^gamma exactly:
+
+        w1(x) = floor + |x|^gamma + (1/2) * integral |y|^{2 beta} / (x^2 + y^2) dy,
+
+    with the integral in closed form (beta in {1, 2}).  Ground truth for the
+    exponent estimators.
+    """
+    if beta == 1.0:
+        def coupling_integral(x):
+            ax = np.abs(x)
+            return 2.0 * a - 2.0 * ax * np.arctan2(a, ax)
+    elif beta == 2.0:
+        def coupling_integral(x):
+            ax = np.abs(x)
+            return 2.0 * a**3 / 3.0 - 2.0 * a * x**2 + 2.0 * ax**3 * np.arctan2(a, ax)
+    else:
+        raise fs.ModelError("closed-form coupling integral available for beta in {1, 2}")
+
+    return fs.ModelSpec(
+        d=1,
+        a=a,
+        w0=0.0,
+        v0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        w1=lambda x: floor + np.abs(x) ** gamma + 0.5 * coupling_integral(x),
+        v1=lambda x, y: np.abs(y) ** beta + 0.0 * x,
+        w2=lambda x, y: floor + x**2 + y**2,
+        epsilon=2.0,
+        t0=np.zeros(1),
+    )
+
+
+def negate_model(spec: fs.ModelSpec) -> fs.ModelSpec:
+    """Spectral mirror: the negated model's spectrum is minus the original's.
+
+    Negation is exact in floating point, so every spectral quantity of the
+    negated model is the exact mirror of the original's.
+    """
+    return dataclasses.replace(spec, w0=-spec.w0,
+                               w1=lambda x, _f=spec.w1: -np.asarray(_f(x)),
+                               w2=lambda x, y, _f=spec.w2: -np.asarray(_f(x, y)))

@@ -11,7 +11,7 @@ import numpy as np
 import fockspectra as fs
 from fockspectra import cli
 from conftest import make_decoupled, pick_z_below, random_trig_model
-from oracles import assemble_full, oracle_full_vs_reduced
+from oracles import assemble_full, oracle_full_vs_reduced, synthetic_power_model
 
 
 def _ok(k, label):
@@ -167,7 +167,7 @@ def test_acceptance_07_infinite_spectrum_consistency(mnr):
 
 def test_acceptance_08_finiteness_criterion_ground_truth():
     # engineered alpha=2, beta=2, gamma=1, d=1: finite-predicted
-    spec = fs.synthetic_power_model(beta=2.0, gamma=1.0)
+    spec = synthetic_power_model(beta=2.0, gamma=1.0)
     g = fs.make_grid(1, spec.a, 24)
     ess = fs.essential_spectrum(spec, g)
     t0 = fs.locate_t0(spec, g, ess)
@@ -181,7 +181,7 @@ def test_acceptance_08_finiteness_criterion_ground_truth():
     assert verdict.verdict == "finite-predicted", verdict
 
     # boundary case alpha=2, beta=1, gamma=1, d=1: 3 < 3 fails, inconclusive
-    spec_b = fs.synthetic_power_model(beta=1.0, gamma=1.0)
+    spec_b = synthetic_power_model(beta=1.0, gamma=1.0)
     g_b = fs.make_grid(1, spec_b.a, 24)
     ess_b = fs.essential_spectrum(spec_b, g_b)
     t0_b = fs.locate_t0(spec_b, g_b, ess_b)

@@ -1,5 +1,6 @@
 
 import argparse
+import ast
 import os
 import re
 import shlex
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fockspectra
 from fockspectra import cli, operators, spectra, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -24,6 +26,17 @@ functions {
 }
 """
 
+VALID_CONFIG = """
+domain { d = 1  a = 1.0 }
+functions {
+  w0 = 0.0
+  v0 = 0.0
+  w1 = 1.0
+  v1 { expr = "0.5 * sin(x) * cos(y)" }
+  w2 { expr = "2 + x * x + y * y" }
+}
+"""
+
 
 def test_list_models(capsys):
     assert cli.main(["list-models"]) == 0
@@ -36,6 +49,9 @@ def test_check_model_ok(tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "report.txt").exists()
+    cfg = tmp_path / "valid.cfg"
+    cfg.write_text(VALID_CONFIG)
+    assert cli.main(["check-model", "--model", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_essspec_mnr(tmp_path, capsys):
@@ -218,6 +234,23 @@ def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, mo
     ["finiteness", "--delta", "5"],
     ["bs-check", "--z-sweep=-1:-0.5:0"],
     ["bs-check", "--z", "nan"],
+    # a config: VALID_CONFIG with one line appended; a later key replaces an earlier one
+    ["check-model", "--model", "config:epsilon = 2,"],
+    ["check-model", "--model", 'config:epsilon = "x"'],
+    ["check-model", "--model", "config:epsilon = 1, 2"],
+    ["check-model", "--model", 'config:t0 = "a"'],
+    ["check-model", "--model", "config:functions = 2"],
+    ["check-model", "--model", "config:domain { d = 1.5  a = 1 }"],
+    ["check-model", "--model", "config:domain { d = 1  a = nan }"],
+    ["check-model", "--model", "config:functions { w0 = 0 v0 = inf w1 = 1 v1 = 0 w2 = 2 }"],
+    ["check-model", "--model",
+     'config:functions { w0 { expr = "sqrt(0 - 1)" } v0 = 0 w1 = 1 v1 = 0 w2 = 2 }'],
+    ["check-model", "--model", "config:functions { w0 { expr = 1 } v0 = 0 w1 = 1 v1 = 0 w2 = 2 }"],
+    ["check-model", "--model", "config:functions { w0 = 0 v0 = 0 w1 = 1 v1 = 0 w2 { table = 3 } }"],
+    ["check-model", "--model",
+     'config:functions { w0 = 0 v0 = 0 w1 = 1 v1 { expr = "cos(x, y)" } w2 = 2 }'],
+    ["check-model", "--model",
+     'config:functions { w0 = 0 v0 = 0 w1 { expr = "x + (-8)**(1/3)" } v1 = 0 w2 = 2 }'],
 ], ids=" ".join)
 def test_bad_numeric_arguments_exit_1_before_any_analysis(argv, tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
@@ -226,6 +259,10 @@ def test_bad_numeric_arguments_exit_1_before_any_analysis(argv, tmp_path, monkey
     for mod, name in ((cli.model_mod, "check_assumption_a"), (spectra, "essential_spectrum"),
                       (verify, "singular_sequence_norms")):
         monkeypatch.setattr(mod, name, refuse)
+    if argv[-1].startswith("config:"):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(VALID_CONFIG + argv[-1].removeprefix("config:") + "\n")
+        argv = [*argv[:-1], str(cfg)]
     rc = cli.main([argv[0], "--model", "mnr-infinite", *argv[1:], "--out", str(tmp_path)])
     assert rc == 1
     assert "usage error" in capsys.readouterr().err
@@ -276,6 +313,25 @@ def test_readme_names_only_flags_the_parser_accepts():
     accepted = {opt for p in (parser, *subparsers) for a in p._actions for opt in a.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
     assert named - accepted == set()
+
+
+def test_every_export_is_used_outside_the_tests():
+    # a name in fockspectra.__all__ must be used by the package's own code
+    # (its definition aside), named in the README, or traced as a bench layer
+    code = [p.read_text() for p in Path(fockspectra.__file__).parent.glob("*.py")
+            if p.name != "__init__.py"]
+    readme = README.read_text()
+    tracer = (README.parent / "bench" / "tracer.py").read_text()
+    layers = ast.literal_eval(re.search(r"^LAYERS = (\{.*?^\})", tracer, re.M | re.S).group(1))
+    traced = {name for names in layers.values() for name in names}
+
+    def used(name):
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^\s*(def|class) {name}\b|^{name}\s*[:=]", re.M)
+        in_code = sum(len(word.findall(text)) - len(definition.findall(text)) for text in code)
+        return in_code > 0 or word.search(readme) is not None or name in traced
+
+    assert [name for name in fockspectra.__all__ if not used(name)] == []
 
 
 def test_readme_cli_commands_and_library_sketch_run(tmp_path, monkeypatch, capsys):

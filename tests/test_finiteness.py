@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import fockspectra as fs
 from conftest import make_decoupled
+from oracles import synthetic_power_model
 from fockspectra.finiteness import ZOOM_TOL, _one_cluster, _zoom_minimize
 
 
@@ -137,7 +139,7 @@ def test_zoom_minimize_against_the_scipy_reference(d, smooth, floor, c, curv, qu
 
 def test_d3_is_refused_before_w2_is_sampled(monkeypatch):
     # at d = 3 locate_t0's 31^(2d) pair lattice alone would be a 29791^2 array
-    spec = fs.sigma2_empty_model(d=3)
+    spec = dataclasses.replace(fs.load_model("sigma2-empty"), d=3, t0=np.zeros(3))
     g = fs.make_grid(3, spec.a, 2)
     monkeypatch.setattr(fs.finiteness, "eval_xy", lambda *args: pytest.fail("w2 sampled"))
     with pytest.raises(ValueError, match="d <= 2"):
@@ -161,7 +163,7 @@ def test_locate_t0_offdiagonal_returns_none():
 
 
 def test_estimate_exponents_synthetic_211():
-    spec = fs.synthetic_power_model(beta=1.0, gamma=1.0)
+    spec = synthetic_power_model(beta=1.0, gamma=1.0)
     g, rep = _report_for(spec, 32)
     t0 = fs.locate_t0(spec, g, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
@@ -210,7 +212,7 @@ def _doctored(est, beta):
 
 
 def test_verdict_monotone_in_beta():
-    spec = fs.synthetic_power_model(beta=2.0, gamma=1.0)
+    spec = synthetic_power_model(beta=2.0, gamma=1.0)
     g, rep = _report_for(spec, 24)
     t0 = fs.locate_t0(spec, g, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
@@ -224,7 +226,7 @@ def test_verdict_monotone_in_beta():
 
 
 def test_verdict_needs_three_levels():
-    spec = fs.synthetic_power_model(beta=2.0, gamma=1.0)
+    spec = synthetic_power_model(beta=2.0, gamma=1.0)
     g, rep = _report_for(spec, 24)
     t0 = fs.locate_t0(spec, g, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
@@ -233,7 +235,7 @@ def test_verdict_needs_three_levels():
 
 
 def test_integral_test_agreement_leg():
-    spec = fs.synthetic_power_model(beta=2.0, gamma=1.0)
+    spec = synthetic_power_model(beta=2.0, gamma=1.0)
     g, rep = _report_for(spec, 24)
     t0 = fs.locate_t0(spec, g, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
@@ -273,7 +275,7 @@ def test_verdict_streams_the_hs_trend_on_refined_grids(s2e, monkeypatch):
 
 
 def test_estimate_exponents_independent_of_block_size(monkeypatch):
-    spec = fs.synthetic_power_model(beta=1.0, gamma=1.0)
+    spec = synthetic_power_model(beta=1.0, gamma=1.0)
     g, rep = _report_for(spec, 24)
     t0 = fs.locate_t0(spec, g, rep)
     whole = fs.estimate_exponents(spec, g, rep, t0)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fockspectra as fs
-from conftest import make_decoupled, simpson
+from conftest import make_decoupled, random_trig_model, simpson
+from oracles import negate_model, synthetic_power_model
 
 
 def test_builtin_registry_has_exactly_two():
@@ -47,23 +49,6 @@ def test_sigma2_empty_circle_identity(s2e):
     w2 = np.asarray(s2e.w2(x, y))
     lhs = np.asarray(s2e.v1(x, y)) ** 2 + csq * (w2 - (m + M) / 2) ** 2
     assert np.max(np.abs(lhs - csq * ((M - m) / 2) ** 2)) <= 1e-12
-
-
-def test_sigma2_empty_custom_base_unit_volume():
-    # at vol(Omega) = 2 the construction has unit coupling factor, so the
-    # unscaled circle identity holds and both edge symbols still vanish
-    base = lambda x, y: 2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)
-    spec = fs.sigma2_empty_model(base_w2=base, a=1.0, m=1.0, M=3.0)
-    rng = np.random.default_rng(2)
-    x = rng.uniform(-1, 1, 200)
-    y = rng.uniform(-1, 1, 200)
-    lhs = np.asarray(spec.v1(x, y)) ** 2 + (np.asarray(spec.w2(x, y)) - 2.0) ** 2
-    assert np.max(np.abs(lhs - 1.0)) <= 1e-12
-    g = fs.make_grid(1, 1.0, 64)
-    for z in (1.0, 3.0):
-        assert max(abs(fs.delta_at(spec, g, xx, z)) for xx in g.nodes[:, 0]) <= 1e-3
-    ess = fs.essential_spectrum(spec, g)
-    assert ess.sigma2_roots == []
 
 
 def test_check_assumption_a_zero_coupling():
@@ -299,6 +284,24 @@ def test_config_malformed(tmp_path):
     path.write_text("domain { d = 1 a = ")
     with pytest.raises(fs.ModelError):
         fs.load_model(path)
+    # a table cell that is not a number, a short row, and rows of the wrong length
+    path.write_text(CONFIG_TABLE_W2)
+    for table in ("x,y,value\n-1,-1,a\n", "x,y,value\n-1,-1\n1,1,1\n", "x,y,value\n-1,-1\n"):
+        (tmp_path / "w2.csv").write_text(table)
+        with pytest.raises(fs.ModelError):
+            fs.load_model(path)
+
+
+CONFIG_TABLE_W2 = """
+domain { d = 1  a = 1.0 }
+functions {
+  w0 = 0.0
+  v0 = 0.0
+  w1 = 0.0
+  v1 = 0.0
+  w2 { table = "w2.csv" }
+}
+"""
 
 
 def test_config_rejects_unknown_names(tmp_path):
@@ -307,23 +310,59 @@ domain { d = 1  a = 1.0 }
 functions {
   w0 = 0.0
   v0 = 0.0
-  w1 { expr = "__import__" }
+  w1 { expr = "EXPR" }
   v1 = 0.0
   w2 = 1.0
 }
 """
     path = tmp_path / "evil.cfg"
-    path.write_text(cfg)
-    with pytest.raises(fs.ModelError):
-        fs.load_model(path)
+    # a second argument would be numpy's output array: cos(x, x) overwrites x;
+    # a negative constant to a fractional power folds to a complex number
+    for expr in ("__import__", "cos(x, x)", "sqrt()", "sin", "(-8)**(1/3)", "x + (-pi) ** 0.5",
+                 "1 / (0 * pi)"):
+        path.write_text(cfg.replace("EXPR", expr))
+        with pytest.raises(fs.ModelError):
+            fs.load_model(path)
+
+
+_config_keys = st.sampled_from(["domain", "functions", "d", "a", "w0", "v0", "w1", "v1", "w2",
+                                "expr", "table", "epsilon", "t0", "name"])
+_config_values = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "2", "1.5", "-1", "nan", "inf", "1e999"]),
+             min_size=1, max_size=3).map(", ".join),
+    st.sampled_from(['"x"', '"a"', '""', '"x * y"', '"cos(x, y)"', '"(-8)**(1/3)"',
+                     '"sin(x) + pi"', '"9**9**9"', '"1/0"', '"w2.csv"']))
+
+
+def _config_sections(inner):
+    entry = st.one_of(st.tuples(_config_keys, _config_values).map(" = ".join),
+                      st.tuples(_config_keys, inner).map(lambda kv: f"{kv[0]} {{ {kv[1]} }}"))
+    return st.lists(entry, max_size=4).map("\n".join)
+
+
+# documents that follow the grammar, ending in a stray token or not
+_config_docs = st.tuples(st.recursive(_config_sections(st.just("")), _config_sections, max_leaves=12),
+                         st.sampled_from(["", ",", "=", "{", "}", "# c", '"'])).map(" ".join)
+
+
+@settings(max_examples=300, deadline=5000)
+@given(text=st.one_of(st.text(max_size=200), _config_docs,
+                      _config_docs.map(lambda tail: CONFIG_EXPR + tail)))
+def test_model_from_config_returns_a_spec_or_raises_model_error(text, tmp_path_factory):
+    # keys given twice take the last value, so a tail appended to a valid
+    # config replaces its sections; the tables it names do not exist
+    base = tmp_path_factory.getbasetemp()
+    try:
+        spec = fs.model_from_config(text, base_dir=base / "no-tables")
+    except fs.ModelError:
+        return
+    assert isinstance(spec, fs.ModelSpec)
 
 
 def test_negate_model_mirrors_spectrum():
     rng = np.random.default_rng(11)
-    from conftest import random_trig_model
-
     spec = random_trig_model(rng)
-    neg = fs.negate_model(spec)
+    neg = negate_model(spec)
     g = fs.make_grid(1, spec.a, 10)
     pg = fs.make_pair_grid(g)
     ev = np.linalg.eigvalsh(fs.assemble_A(fs.assemble_blocks(spec, g, pg)))
@@ -332,10 +371,10 @@ def test_negate_model_mirrors_spectrum():
 
 
 def test_synthetic_power_model_symbol():
-    spec = fs.synthetic_power_model(beta=2.0, gamma=1.0)
+    spec = synthetic_power_model(beta=2.0, gamma=1.0)
     fine = fs.make_grid(1, spec.a, 4096)
     for x in (0.2, 0.05):
         val = fs.delta_at(spec, fine, x, 0.0)
         assert abs(val - x) < 1e-5
     with pytest.raises(fs.ModelError):
-        fs.synthetic_power_model(beta=1.5)
+        synthetic_power_model(beta=1.5)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import fockspectra as fs
 from fockspectra import schur, spectra
 from conftest import complex_coupling_model, make_decoupled, pick_z_below, random_trig_model
+from oracles import negate_model
 
 
 def test_count_above_examples():
@@ -112,7 +113,7 @@ def test_monotone_root_structure(mnr):
 def test_discrete_below_trivial_gap():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x, lambda x, y: 0.0 * x * y)
     g = fs.make_grid(1, 1.0, 8)
-    ev = fs.discrete_spectrum_below(spec, g)
+    ev = fs.discrete_spectrum_below(spec, g, fs.essential_spectrum(spec, g).sess_min)
     assert ev.size == 0
 
 
@@ -211,7 +212,7 @@ def test_negation_mirrors_essential_spectrum_exactly(seed):
     spec = random_trig_model(np.random.default_rng(seed))
     g = fs.make_grid(1, spec.a, 12)
     ess = fs.essential_spectrum(spec, g)
-    neg = fs.essential_spectrum(fs.negate_model(spec), g)
+    neg = fs.essential_spectrum(negate_model(spec), g)
     assert neg.m == -ess.M and neg.M == -ess.m
     assert neg.sess_min == -ess.sess_max and neg.sess_max == -ess.sess_min
     assert _roots_by_value(neg, -1) == _roots_by_value(ess)
@@ -227,7 +228,7 @@ def test_sigma2_roots_sit_inside_their_certified_bracket(seed, negate, tol):
     # has Delta >= 0 at r - tol/2 and Delta <= 0 at r + tol/2 on the
     # inner-refined quadrature the root finder uses (4n nodes at d = 1)
     spec = random_trig_model(np.random.default_rng(seed))
-    spec = fs.negate_model(spec) if negate else spec
+    spec = negate_model(spec) if negate else spec
     g = fs.make_grid(1, spec.a, 12)
     inner = fs.make_grid(1, spec.a, 48)
     # hypothesis rejects function-scoped fixtures such as monkeypatch

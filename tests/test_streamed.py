@@ -197,7 +197,7 @@ def _counted_w2(spec, samples):
 @pytest.mark.parametrize("d", [1, 2])
 def test_w2_sample_counts_of_the_hs_norm_and_the_mesh(d, monkeypatch):
     # each off-diagonal-block pair is sampled once per pass; the former code
-    # sampled 4 N^2 in hs_norm_t and 2 N^2 in mesh_samples
+    # sampled 4 N^2 in hs_norm_t and 2 N^2 in mesh_samples and check_assumption_a
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 1)
     monkeypatch.setattr(blocks, "BLOCK_ELEMENTS", 8 * 64)
     base, z = (_asymmetric_coupled(), -3.0) if d == 1 else (fs.load_model(D2_EMPTY), -0.3)
@@ -211,6 +211,10 @@ def test_w2_sample_counts_of_the_hs_norm_and_the_mesh(d, monkeypatch):
     samples[0] = 0
     model.mesh_samples(spec, g)
     assert samples[0] <= n * n + n * rows
+    # the Assumption A pass sizes its blocks for w2 and its mirror: rows // 2 rows
+    samples[0] = 0
+    fs.check_assumption_a(spec, g)
+    assert samples[0] <= n * n + n * (rows // 2)
 
 
 @pytest.mark.parametrize("argv", [

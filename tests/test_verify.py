@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import fockspectra as fs
+from fockspectra import verify
 from conftest import make_decoupled, random_trig_model
 from oracles import oracle_full_vs_reduced, singular_sequence_gram
 
@@ -55,8 +56,10 @@ def test_distinct_centers_decay(mnr):
     assert rows[-1][2] < rows[0][2]
 
 
-def test_support_escape_raises(mnr):
-    cfg = fs.SingularSeqConfig(x0=np.array([3.0]), y0=np.array([3.0]), n_max=3, rho=2.0)
+def test_support_escape_raises(mnr, monkeypatch):
+    # the automatic scale keeps every level inside Omega; a larger one escapes
+    monkeypatch.setattr(verify, "_auto_rho", lambda spec, x0, y0: 2.0)
+    cfg = fs.SingularSeqConfig(x0=np.array([3.0]), y0=np.array([3.0]), n_max=3)
     with pytest.raises(ValueError, match="escapes"):
         fs.singular_sequence_norms(mnr, cfg)
 
