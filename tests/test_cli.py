@@ -40,6 +40,11 @@ functions {
 """
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
 def test_list_models(capsys):
     assert cli.main(["list-models"]) == 0
     out = capsys.readouterr().out
@@ -151,11 +156,9 @@ def test_config_literal_overflow_exits_1_without_hanging(tmp_path):
     # exact integer arithmetic would compute 9**9**9 for hours before overflowing
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(NAN_CONFIG.replace('"sqrt(0 - 1 - x * 0 - y * 0)"', '"x * y * 9**9**9"'))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "fockspectra.cli", "check-model",
                            "--model", str(cfg), "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 1
     assert "9**9**9" in proc.stderr
 
@@ -191,17 +194,10 @@ def test_analysis_commands_load_no_scipy(tmp_path):
         ["check-model", "--model", "mnr-infinite", "--n", "16", "--out", out],
         ["list-models"],
     ]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT.format(argvs=argvs)],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-
-
-def _child_env():
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
 
 
 LOADED_MODULES_SCRIPT = """
