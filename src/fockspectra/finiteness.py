@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import map_blocks
-from .grid import Grid, lattice, make_grid
+from .grid import Grid, _zoom_minimize, lattice, make_grid
 from .model import ModelSpec, eval_xy
 from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t
 
@@ -47,8 +47,6 @@ HS_TOL = 0.05       # finest relative step of a Cauchy HS trend
 N_SHELLS = 12
 SHELL_SPAN = 64.0
 BETA_SENTINEL_FLOOR = 1e-300
-ZOOM_K = 8          # a zoom lattice has 2 ZOOM_K + 1 points per axis
-ZOOM_TOL = 1e-12    # spacing of the finest zoom lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,30 +159,6 @@ def _one_cluster(mask: np.ndarray) -> bool:
         seen = grown
 
 
-def _zoom_minimize(f, best: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Minimize f near best inside the box [lo, hi]; f maps (m, d) points to m values.
-
-    Each pass evaluates a lattice of (2 ZOOM_K + 1)^d points of spacing h,
-    centred on the incumbent and clipped to the box.  The first lattice
-    spans the box; each next one spans one spacing of the last on either
-    side of the incumbent, at spacing h / ZOOM_K, until h is at most
-    ZOOM_TOL.  The incumbent moves only to a strictly smaller value, so a
-    tie keeps it.
-    """
-    offsets = lattice(np.arange(-ZOOM_K, ZOOM_K + 1, dtype=float), best.size)
-    f_best = f(best[None, :])[0]
-    span = float(np.max(hi - lo))       # half-width of the first lattice
-    while span > ZOOM_TOL:
-        step = span / ZOOM_K
-        cand = np.clip(best + step * offsets, lo, hi)
-        vals = f(cand)
-        i = int(np.argmin(vals))
-        if vals[i] < f_best:
-            best, f_best = cand[i].copy(), vals[i]
-        span = step
-    return best
-
-
 def _loglog_fit(radii: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of log(vals) against log(radii), with r^2."""
     keep = np.isfinite(vals) & (vals > 0.0)
@@ -212,9 +186,19 @@ def _directions(d: int, count: int) -> np.ndarray:
 
 
 def _abs_max_v1(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray) -> float:
-    """max |v1(x, y)| over the points xs and ys; one row of x when v1 ignores x."""
-    v1 = eval_xy(spec, spec.v1, xs[:, None, :], ys[None, :, :])
-    return float(np.max(np.abs(v1[:1] if v1.strides[0] == 0 else v1)))
+    """max |v1(x, y)| over the points xs and ys, in row blocks of xs.
+
+    When v1 ignores x, which eval_xy shows by spreading the samples at
+    xs[:2] from one row (a zero row stride, as in schur._shared_v1_sq), that
+    row holds the maximum and v1 is sampled once.
+    """
+    def block_max(b):
+        return float(np.max(np.abs(eval_xy(spec, spec.v1, xs[b, None, :], ys[None, :, :]))))
+
+    probe = eval_xy(spec, spec.v1, xs[:2, None, :], ys[None, :, :])
+    if probe.strides[0] == 0:
+        return float(np.max(np.abs(probe[0])))
+    return max(map_blocks(block_max, xs.shape[0], ys.shape[0]))
 
 
 def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0,
@@ -265,8 +249,7 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0,
         pts = t0[None, :] + r * dirs                     # (ndir, d)
         w2v = eval_xy(spec, spec.w2, pts[:, None, :], pts[None, :, :])
         alpha_stats[k] = float(np.min(w2v)) - e_star
-        beta_stats[k] = max(map_blocks(lambda b: _abs_max_v1(spec, xs[b], pts),
-                                       xs.shape[0], pts.shape[0]))
+        beta_stats[k] = _abs_max_v1(spec, xs, pts)
         if gamma_ok:
             try:
                 gamma_stats[k] = float(np.min(delta_at_points(spec, fine, pts, e_star)))

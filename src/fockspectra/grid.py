@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 RULES = ("midpoint", "gauss-legendre")
+ZOOM_K = 8          # a zoom lattice has 2 k + 1 points per axis, k = ZOOM_K unless given
+ZOOM_TOL = 1e-12    # spacing of the finest zoom lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +76,30 @@ def lattice(axis: np.ndarray, d: int) -> np.ndarray:
     """The points of axis^d in row-major order, shape (len(axis)^d, d)."""
     axes = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([ax.ravel() for ax in axes], axis=-1)
+
+
+def _zoom_minimize(f, best: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   k: int = ZOOM_K, tol: float = ZOOM_TOL) -> np.ndarray:
+    """Minimize f near best inside the box [lo, hi]; f maps (m, dim) points to m values.
+
+    Each pass evaluates a lattice of (2 k + 1)^dim points of spacing h,
+    centred on the incumbent and clipped to the box.  The first lattice
+    spans the box; each next one spans one spacing of the last on either
+    side of the incumbent, at spacing h / k, until h is at most tol.
+    The incumbent moves only to a strictly smaller value, so a tie keeps it.
+    """
+    offsets = lattice(np.arange(-k, k + 1, dtype=float), best.size)
+    f_best = f(best[None, :])[0]
+    span = float(np.max(hi - lo))       # half-width of the first lattice
+    while span > tol:
+        step = span / k
+        cand = np.clip(best + step * offsets, lo, hi)
+        vals = f(cand)
+        i = int(np.argmin(vals))
+        if vals[i] < f_best:
+            best, f_best = cand[i].copy(), vals[i]
+        span = step
+    return best
 
 
 def make_grid(d: int, a: float, n_per_dim: int, rule: str = "midpoint") -> Grid:

@@ -16,9 +16,10 @@ assembled only as the independent leg of the Birman-Schwinger check.
 
 Numerical guard rails (all O(h^2)-scaled so they refine with the grid):
 
-* edge probes sit max(1e-9, (M - m + 1)/n^2) outside a fine-sampled hull of
-  ran w2, so that roots closer to the edge than the quadrature can resolve
-  are not reported;
+* edge probes sit max(1e-9, (M - m + 1)/n^2) outside the edges of ran w2,
+  sampled on a coarse lattice of pairs and refined by lattice zooms over
+  Omega^2 (_w2_edges), so that roots closer to the edge than the quadrature
+  can resolve are not reported;
 * the symbol used for root detection is streamed at the analysis nodes
   with an inner-refined y-quadrature (the reported m, M stay those of the
   analysis grid).
@@ -35,14 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import map_blocks
-from .grid import Grid, PairGrid, lattice, make_grid
+from .grid import ZOOM_TOL, Grid, PairGrid, _zoom_minimize, lattice, make_grid
 from .model import ModelSpec, check_assumption_a, eval_xy, mesh_samples
 from .schur import delta_and_derivative_at_points, s_and_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
 ROOT_TOL = 1e-10   # width of the certified bracket around a Sigma_2 root
 _MAX_ROOT_STEPS = 200
+EDGE_ZOOM_K = 2    # the edge zoom's lattice has 5 points per axis and halves its span
+EDGE_STARTS = 8    # lattice extremes zoomed per edge of ran w2
 
 
 @dataclass(frozen=True)
@@ -99,18 +101,62 @@ def threshold_counts(matrix, threshold: float) -> ThresholdCounts:
     return _band_counts(eigvals_hermitian(matrix), threshold)
 
 
-def _fine_range_guard(spec: ModelSpec, grid: Grid, samples_per_dim: int):
-    """Min/max of w2 over a dense closed sampling of Omega^2, in row blocks."""
-    pts = lattice(np.linspace(-grid.a, grid.a, samples_per_dim), spec.d)
+def _w2_edges(spec: ModelSpec, a: float) -> tuple[float, float]:
+    """Tight bounds (lo, hi) of ran w2 over the closed cube [-a, a]^(2d).
 
-    def block(b):
-        w2 = eval_xy(spec, spec.w2, pts[b, None, :], pts[None, :, :])
-        return float(np.min(w2)), float(np.max(w2))
+    w2 is sampled on a closed lattice of pairs, 129 points per axis at
+    d = 1 (17 at d = 2, 5 above), and each extreme is refined over Omega^2,
+    2d coordinates, by lattice zooms of 5^(2d) points whose span halves
+    each pass.  The starts are the lattice's local extremes against their
+    face neighbours, best first, at most EDGE_STARTS of them; of a pair
+    (x, y), (y, x) of equal value only the first is taken, since a
+    symmetric w2 gives every off-diagonal extreme such a mirror image.
+    Each start is zoomed inside the box of one lattice spacing around it
+    down to a sixteenth of that spacing, and the best of them on to
+    ZOOM_TOL.  lo and hi are the smaller and the larger of the lattice and
+    zoom values.  A NaN sample (w2 may be undefined on the cube's boundary,
+    which the quadrature grids never reach) counts as no extreme: fmin
+    turns it into +inf on the side being minimized.
+    """
+    d = spec.d
+    n_axis = 129 if d == 1 else (17 if d == 2 else 5)
+    axis = np.linspace(-a, a, n_axis)
+    pts = lattice(axis, d)
+    w2 = eval_xy(spec, spec.w2, pts[:, None, :], pts[None, :, :])
+    reach = 2.0 * a / (n_axis - 1)
+    edges = []
+    for sign in (1.0, -1.0):
+        def f(z, sign=sign):            # z: (m, 2d) points of Omega^2, x then y
+            return np.fmin(sign * eval_xy(spec, spec.w2, z[:, :d], z[:, d:]), np.inf)
 
-    lo, hi = np.inf, -np.inf
-    for lo_b, hi_b in map_blocks(block, pts.shape[0], pts.shape[0]):
-        lo, hi = min(lo, lo_b), max(hi, hi_b)
-    return lo, hi
+        def zoom(z, r, tol):
+            return _zoom_minimize(f, z, np.maximum(z - r, -a), np.minimum(z + r, a),
+                                  EDGE_ZOOM_K, tol)
+
+        W = np.fmin(sign * w2, np.inf)
+        local = _lattice_minima(W.reshape((n_axis,) * (2 * d))).reshape(W.shape)
+        i, j = np.nonzero(local)
+        keep = (i <= j) | ~(local[j, i] & (W[j, i] == W[i, j]))
+        i, j = i[keep], j[keep]
+        first = np.argsort(W[i, j], kind="stable")[:EDGE_STARTS]
+        near = [zoom(np.concatenate([pts[p], pts[q]]), reach, reach / 16)
+                for p, q in zip(i[first], j[first])]
+        best = near[int(np.argmin(f(np.array(near))))]
+        z = zoom(best, reach / 16, ZOOM_TOL)
+        edges.append(min(float(np.min(W)), float(f(z[None, :])[0])))
+    lo, neg_hi = edges
+    return lo, -neg_hi
+
+
+def _lattice_minima(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of values no larger than any of their face neighbours."""
+    local = np.ones(values.shape, dtype=bool)
+    for axis in range(values.ndim):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        local[tail] &= values[tail] <= values[head]
+        local[head] &= values[head] <= values[tail]
+    return local
 
 
 def _merge_hull(roots: np.ndarray, tol: float) -> list:
@@ -174,20 +220,20 @@ def essential_spectrum(spec: ModelSpec, grid: Grid) -> EssSpecReport:
     """Compute the sampled essential spectrum Sigma_1 union Sigma_2.
 
     m and M are the extremes of w2 over the pair grid, from the streamed
-    check_assumption_a pass.  A node x_i
-    contributes a root below m iff Delta(x_i; .) is negative at the left
-    edge probe, and a root above M iff it is positive at the right edge
-    probe.  Each root is found by Newton steps from its probe inside a
-    bracket that the slope bound Delta' <= -1 certifies, to within
-    ROOT_TOL (see _one_sided_roots), so no search window is needed.
+    check_assumption_a pass.  The edge probes sit outside the refined
+    edges of ran w2 (_w2_edges).  A node x_i contributes a root below m iff
+    Delta(x_i; .) is negative at the left edge probe, and a root above M iff
+    it is positive at the right edge probe.  Each root is found by Newton
+    steps from its probe inside a bracket that the slope bound
+    Delta' <= -1 certifies, to within ROOT_TOL (see _one_sided_roots), so
+    no search window is needed.
     """
     chk = check_assumption_a(spec, grid)
     m_hat, M_hat = chk.w2_min, chk.w2_max
 
-    guard_samples = 2049 if spec.d == 1 else (65 if spec.d == 2 else 17)
-    lo_fine, hi_fine = _fine_range_guard(spec, grid, guard_samples)
-    m_guard = min(m_hat, lo_fine)
-    M_guard = max(M_hat, hi_fine)
+    w2_lo, w2_hi = _w2_edges(spec, grid.a)
+    m_guard = min(m_hat, w2_lo)
+    M_guard = max(M_hat, w2_hi)
 
     n1 = grid.n_per_dim
     edge = max(1e-9, (M_guard - m_guard + 1.0) / n1**2)

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 import fockspectra as fs
-from fockspectra.model import _as_point, mesh_samples
+from fockspectra.blocks import map_blocks
+from fockspectra.grid import lattice
+from fockspectra.model import _as_point, eval_xy, mesh_samples
 from fockspectra.operators import _check_dims
 from fockspectra.schur import POLE_TOL
 from fockspectra.verify import _auto_rho, _level
@@ -28,6 +30,25 @@ def assemble_full(blocks: fs.DiscreteBlocks) -> np.ndarray:
     H[1:1 + n, 0] = np.conj(blocks.h01)
     H[1:, 1:] = fs.assemble_A(blocks)
     return H
+
+
+def fine_range_guard(spec, a: float, samples_per_dim: int) -> tuple[float, float]:
+    """Min/max of w2 over a dense closed lattice of Omega^2, in row blocks.
+
+    The range guard essential_spectrum used before spectra._w2_edges, with
+    2049 samples per axis at d = 1 and 65 at d = 2: the reference that the
+    refined edges must contain.
+    """
+    pts = lattice(np.linspace(-a, a, samples_per_dim), spec.d)
+
+    def block(b):
+        w2 = eval_xy(spec, spec.w2, pts[b, None, :], pts[None, :, :])
+        return float(np.min(w2)), float(np.max(w2))
+
+    lo, hi = np.inf, -np.inf
+    for lo_b, hi_b in map_blocks(block, pts.shape[0], pts.shape[0]):
+        lo, hi = min(lo, lo_b), max(hi, hi_b)
+    return lo, hi
 
 
 def consistency_check_adjoint(blocks, spec, grid, pair_grid, seed: int = 0) -> float:

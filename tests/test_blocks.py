@@ -1,5 +1,6 @@
 """The block pool: pooled and serial runs agree bit for bit, and errors keep block order."""
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import fockspectra as fs
-from fockspectra import blocks, cli, spectra
+from fockspectra import blocks, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_MODELS = ROOT / "bench" / "models"
@@ -79,11 +80,15 @@ def test_pooled_kernels_equal_the_serial_map_bitwise(model, many_blocks, monkeyp
     assert len(blocks.row_blocks(g.n, g.n)) > 2
     pts = np.random.default_rng(3).uniform(-spec.a, spec.a, (41, spec.d))
     zs = np.linspace(-3.0, -0.5, 41)
+
+    def assumption_a(*args):          # uncached, so that both runs compute it
+        return dataclasses.astuple(fs.model.check_assumption_a.__wrapped__(*args))
+
     for fn, args in ((fs.delta_at_points, (spec, g, pts, -0.3)),
                      (fs.schur.delta_and_derivative_at_points, (spec, g, pts, zs)),
                      (fs.hs_norm_t, (spec, g, -0.3)),
                      (fs.schur.delta_values, (spec, g, -0.3)),
-                     (spectra._fine_range_guard, (spec, g, 257 if spec.d == 1 else 33))):
+                     (assumption_a, (spec, g))):
         pooled, serial = fn(*args), _serially(monkeypatch, fn, *args)
         np.testing.assert_array_equal(pooled, serial, strict=True)
 
@@ -171,8 +176,8 @@ def test_no_traced_layer_runs_in_a_worker(pool, monkeypatch, tmp_path):
     pooled = []
     executor = blocks._executor
     monkeypatch.setattr(blocks, "_executor", lambda: pooled.append(1) or executor())
-    # each command makes multi-block calls at the default block size: the range
-    # guard, delta_values on 576 nodes, and the shell statistics and HS trend
+    # the commands make multi-block calls at the default block size:
+    # delta_values on 576 nodes, and the shell statistics and HS trend
     for argv in (["essspec", "--model", str(D2_BOTH), "--n", "8"],
                  ["discrete", "--model", str(D2_EMPTY), "--n", "24", "--side", "below"],
                  ["finiteness", "--model", str(D2_EMPTY), "--n", "8", "--levels", "3"]):

@@ -251,6 +251,23 @@ def test_each_path_loads_only_the_modules_it_runs(path, expected, tmp_path):
     assert set(proc.stdout.splitlines()[-1].split()) == expected
 
 
+@pytest.mark.parametrize("model, n", [("mnr-infinite", "80"), ("sigma2-empty", "64")])
+def test_d1_discrete_starts_no_block_pool(model, n, tmp_path):
+    # every kernel of d = 1 discrete fits in one row block, so the pool, its
+    # threads and the freed blocks they leave behind never appear; two CPUs
+    # are claimed so that the pool would start on any machine
+    argv = ["discrete", "--model", model, "--n", n, "--side", "both", "--out", str(tmp_path)]
+    code = ("import sys\n"
+            "from fockspectra import blocks, cli\n"
+            "blocks._cpu_count = lambda: 2\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(blocks._pool is None, 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True False"
+
+
 @pytest.mark.parametrize("argv, rc", [
     pytest.param(argv, rc, id=" ".join(argv)) for argv, rc in [
         (["check-model", "--model", "mnr-infinite", "--n", "8"], 0),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis.extra import numpy as hnp
 import fockspectra as fs
 from conftest import make_decoupled
 from oracles import synthetic_power_model
-from fockspectra.finiteness import ZOOM_TOL, _one_cluster, _zoom_minimize
+from fockspectra.finiteness import _one_cluster
+from fockspectra.grid import ZOOM_TOL, _zoom_minimize
+
+D2_EMPTY = Path(__file__).resolve().parents[1] / "bench" / "models" / "d2-sigma2-empty.cfg"
 
 
 def _report_for(spec, n=24):
@@ -179,6 +183,26 @@ def test_estimate_beta_sentinel_for_vanishing_coupling():
     t0 = fs.locate_t0(spec, g, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
     assert est.beta_hat == math.inf
+
+
+def test_beta_statistic_samples_v1_once_per_shell_when_v1_ignores_x():
+    # v1 = 0.5 |y|^2: every x-row of the beta statistic is the same row
+    spec = fs.load_model(D2_EMPTY)
+    g, rep = _report_for(spec, 8)
+    t0 = fs.locate_t0(spec, g, rep)
+    y_points = []
+
+    def v1(x, y, _f=spec.v1):
+        y_points.append(np.shape(y)[-2])
+        return _f(x, y)
+
+    shared = fs.estimate_exponents(dataclasses.replace(spec, v1=v1), g, rep, t0)
+    assert y_points.count(256) == fs.finiteness.N_SHELLS      # 256 shell directions
+    # the same v1 sampled at every x gives the same statistic, bit for bit
+    full = fs.estimate_exponents(
+        dataclasses.replace(spec, v1=lambda x, y, _f=spec.v1: _f(x, y) + 0.0 * x[..., 0]),
+        g, rep, t0)
+    assert [s[2] for s in shared.shells] == [s[2] for s in full.shells]
 
 
 def test_estimate_exponents_mnr(mnr):

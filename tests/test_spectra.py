@@ -1,4 +1,6 @@
+import dataclasses
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 import fockspectra as fs
 from fockspectra import schur, spectra
 from conftest import complex_coupling_model, make_decoupled, pick_z_below, random_trig_model
-from oracles import negate_model
+from oracles import fine_range_guard, negate_model
+
+BENCH_MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
+SHIPPED_MODELS = ["mnr-infinite", "sigma2-empty", "d2-sigma2-empty", "d2-sigma2-both"]
+
+
+def _shipped_model(name):
+    return fs.load_model(name if name in fs.builtin_models() else BENCH_MODELS / f"{name}.cfg")
 
 
 def test_count_above_examples():
@@ -404,3 +413,102 @@ def test_discrete_spectrum_refuses_edges_inside_ran_w2(mnr):
         fs.discrete_spectrum(mnr, g, ess.m + 1e-6, ess.sess_max)
     with pytest.raises(ValueError, match="sess_max"):
         fs.discrete_spectrum(mnr, g, ess.sess_min, ess.M - 1e-6)
+
+
+def _multiwell_trig_model(rng):
+    """Random d=1 model whose symmetric w2 has up to three harmonics with phases.
+
+    Its extremes sit off the lattice points and in several wells of nearly
+    equal depth, unlike random_trig_model's, which lie at 0 and +-a.
+    """
+    a = float(rng.uniform(0.8, 3.2))
+    k = np.pi / a
+    harmonics = int(rng.integers(1, 4))
+    amp = rng.uniform(-1.0, 1.0, harmonics)
+    phase = rng.uniform(0.0, 2.0 * np.pi, harmonics)
+    c, psi = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 2.0 * np.pi))
+
+    def g(x):
+        return sum(amp[j] * np.cos((j + 1) * k * x + phase[j]) for j in range(harmonics))
+
+    def w2(x, y):
+        return 3.0 + g(x) + g(y) + c * np.cos(k * (x - y) + psi) * np.cos(k * (y - x) + psi)
+
+    return fs.ModelSpec(d=1, a=a, w0=0.0, v0=lambda x: 0.0, w1=lambda x: 1.0,
+                        v1=lambda x, y: 0.0, w2=w2)
+
+
+def _assert_edges_contain_the_fine_lattice_range(spec):
+    lo, hi = spectra._w2_edges(spec, spec.a)
+    ref_lo, ref_hi = fine_range_guard(spec, spec.a, 2049 if spec.d == 1 else 65)
+    slack = 1e-12 * (ref_hi - ref_lo + 1.0)
+    assert lo <= ref_lo + slack and hi >= ref_hi - slack, (lo, hi, ref_lo, ref_hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), multiwell=st.booleans())
+def test_w2_edges_contain_the_fine_lattice_range(seed, multiwell):
+    rng = np.random.default_rng(seed)
+    _assert_edges_contain_the_fine_lattice_range(
+        _multiwell_trig_model(rng) if multiwell else random_trig_model(rng))
+
+
+@pytest.mark.parametrize("model", SHIPPED_MODELS)
+def test_w2_edges_contain_the_fine_lattice_range_on_the_shipped_models(model):
+    _assert_edges_contain_the_fine_lattice_range(_shipped_model(model))
+
+
+@pytest.mark.parametrize("model", [*SHIPPED_MODELS, "multiwell"])
+def test_w2_edge_search_sample_budget(model):
+    spec = (_multiwell_trig_model(np.random.default_rng(1)) if model == "multiwell"
+            else _shipped_model(model))
+    samples = []
+
+    def w2(x, y, _f=spec.w2):
+        out = np.asarray(_f(x, y))
+        samples.append(out.size)
+        return out
+
+    edges = spectra._w2_edges(dataclasses.replace(spec, w2=w2), spec.a)
+    assert sum(samples) <= (3 * 10**4 if spec.d == 1 else 2 * 10**5)
+    assert edges == spectra._w2_edges(spec, spec.a)
+
+
+def test_w2_edges_skip_nan_samples_on_the_cube_boundary():
+    # w2 is NaN at x = +-1, where log(1 - x^2) is -inf: no quadrature node
+    # lies there, and the edge search ignores those samples
+    spec = make_decoupled(lambda x: 1.0,
+                          lambda x, y: 2.0 + x * x + y * y + 0.0 * np.log(1.0 - x * x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = spectra._w2_edges(spec, 1.0)
+        ess = fs.essential_spectrum(spec, fs.make_grid(1, 1.0, 16))
+    assert lo == 2.0 and 4.0 - 1e-9 < hi < 4.0
+    assert len(ess.left_roots) == 16
+
+
+def _permuted(grid, perm):
+    return fs.Grid(d=grid.d, a=grid.a, rule=grid.rule, n_per_dim=grid.n_per_dim,
+                   nodes=grid.nodes[perm], weights=grid.weights[perm])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), negate=st.booleans(), d2=st.booleans())
+def test_results_are_invariant_under_node_permutation(seed, negate, d2):
+    # each Sigma_2 root depends only on its own node and on the inner grid,
+    # which essential_spectrum builds unpermuted; the range and asymmetry of
+    # w2 are extremes over the same unordered pairs; only the norms sum in
+    # another order
+    rng = np.random.default_rng(seed)
+    spec = _shipped_model("d2-sigma2-both") if d2 else random_trig_model(rng)
+    spec = negate_model(spec) if negate else spec
+    g = fs.make_grid(spec.d, spec.a, 6 if d2 else 12)
+    p = _permuted(g, rng.permutation(g.n))
+    chk, chk_p = fs.check_assumption_a(spec, g), fs.check_assumption_a(spec, p)
+    assert (chk_p.w2_min, chk_p.w2_max, chk_p.w2_asymmetry) == \
+        (chk.w2_min, chk.w2_max, chk.w2_asymmetry)
+    assert chk_p.sup_norm_2pe == pytest.approx(chk.sup_norm_2pe, rel=1e-12, abs=0)
+    assert chk_p.sup_norm_2p4e == pytest.approx(chk.sup_norm_2p4e, rel=1e-12, abs=0)
+    ess, ess_p = fs.essential_spectrum(spec, g), fs.essential_spectrum(spec, p)
+    assert _roots_by_value(ess_p) == _roots_by_value(ess)
+    assert ess_p.sigma2_hull == ess.sigma2_hull
+    assert (ess_p.sess_min, ess_p.sess_max) == (ess.sess_min, ess.sess_max)
