@@ -24,6 +24,7 @@ _FOLD = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
          ast.Div: operator.truediv, ast.Pow: operator.pow,
          ast.USub: operator.neg, ast.UAdd: operator.pos}
 _ALLOWED_OPS = tuple(_FOLD)
+MAX_EXPR_CHARS = 2048     # longer expressions are refused unparsed
 
 
 class _FloatLiterals(ast.NodeTransformer):
@@ -69,41 +70,45 @@ def _compile_expr(text: str, variables: tuple[str, ...]):
     argument each, the constant pi and numeric literals are admitted.  A
     second argument would be numpy's output array, which the function would
     overwrite.  Literals are floats, and arithmetic between them is done
-    once, here.
+    once, here.  An expression longer than MAX_EXPR_CHARS is refused before
+    it is parsed, and an error quotes at most its first 60 characters.
     """
+    shown = repr(text[:60]) + ("..." if len(text) > 60 else "")
+    if len(text) > MAX_EXPR_CHARS:
+        raise ModelError(f"expression longer than {MAX_EXPR_CHARS} characters: {shown}")
     try:
         tree = ast.parse(text, mode="eval")
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-        raise ModelError(f"cannot parse expression {text!r}: {exc}") from exc
+        raise ModelError(f"cannot parse expression {shown}: {exc}") from exc
     names = set(variables) | set(_EXPR_CONSTS)
     callees = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant)):
             if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-                raise ModelError(f"non-numeric literal in expression {text!r}")
+                raise ModelError(f"non-numeric literal in expression {shown}")
             continue
         if isinstance(node, _ALLOWED_OPS):
             continue
         if isinstance(node, ast.Call):
             if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS):
-                raise ModelError(f"disallowed call in expression {text!r}")
+                raise ModelError(f"disallowed call in expression {shown}")
             if len(node.args) != 1 or node.keywords:
-                raise ModelError(f"{node.func.id} takes exactly one argument in expression {text!r}")
+                raise ModelError(f"{node.func.id} takes exactly one argument in expression {shown}")
             callees.add(node.func)
             continue
         if isinstance(node, ast.Name):
             if node.id not in names and node not in callees:
-                raise ModelError(f"unknown name {node.id!r} in expression {text!r}")
+                raise ModelError(f"unknown name {node.id!r} in expression {shown}")
             continue
         if isinstance(node, ast.Load):
             continue
-        raise ModelError(f"disallowed syntax ({type(node).__name__}) in expression {text!r}")
+        raise ModelError(f"disallowed syntax ({type(node).__name__}) in expression {shown}")
     try:
         code = compile(_FloatLiterals().visit(tree), "<model-expr>", "eval")
     except ArithmeticError as exc:
-        raise ModelError(f"constant arithmetic fails in expression {text!r}: {exc}") from exc
+        raise ModelError(f"constant arithmetic fails in expression {shown}: {exc}") from exc
     except RecursionError as exc:
-        raise ModelError(f"expression nested too deeply: {text!r}") from exc
+        raise ModelError(f"expression nested too deeply: {shown}") from exc
 
     def fn(**kwargs):
         return eval(code, {"__builtins__": {}, **_EXPR_FUNCS, **kwargs})

@@ -19,13 +19,11 @@ of shell statistics over geometric radii in [delta/64, delta], gated by an
 r^2 >= 0.9 fit-quality requirement and a safety margin MARGIN = 0.1 on the
 criterion, reporting ``inconclusive`` rather than false precision.
 
-The minimizer t0 comes from sampling w2 on the diagonal: the near-minimal
-samples must form one cluster (one run in d = 1, one face-connected set of
-cells in d >= 2), and the best sample (or the model's t0 hint, when it is
-no worse) is refined by nested lattice zooms of (2k + 1)^d points, k = 8,
-each k times finer than the last, inside a box of four sample spacings,
-down to a spacing of 1e-12.  Plain numpy throughout, so the finiteness
-path imports no scipy.
+The minimizer t0 comes from the minima of w2 that the edge search of
+essential_spectrum found, refined on the diagonal by nested lattice zooms
+of (2k + 1)^d points, k = 8, each k times finer than the last, down to a
+spacing of 1e-12.  Plain numpy throughout, so the finiteness path imports
+no scipy.
 """
 
 from __future__ import annotations
@@ -37,9 +35,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import map_blocks
-from .grid import Grid, _zoom_minimize, lattice, make_grid
+from .grid import Grid, _lattice_minima, _zoom_minimize, lattice, make_grid
 from .model import ModelSpec, eval_xy
 from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t
+from .spectra import w2_second_minimizer
 
 R2_GATE = 0.9
 MARGIN = 0.1        # safety margin on alpha + gamma < 2 beta + d
@@ -47,6 +46,7 @@ HS_TOL = 0.05       # finest relative step of a Cauchy HS trend
 N_SHELLS = 12
 SHELL_SPAN = 64.0
 BETA_SENTINEL_FLOOR = 1e-300
+DIAG_STARTS = 8     # least diagonal lattice minima zoomed by locate_t0
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,87 +76,45 @@ class FinitenessReport:
     integral_test_agrees: bool
 
 
-def _diag_points(spec: ModelSpec, n_fine: int) -> np.ndarray:
-    pad = spec.a * 1e-9
-    return lattice(np.linspace(-spec.a + pad, spec.a - pad, n_fine), spec.d)
-
-
 def locate_t0(spec: ModelSpec, grid: Grid, report):
     """Locate the diagonal minimizer (t0, t0) of w2, or None when unsupported.
 
-    Returns None when the fine-sampled minimum of w2 over the pair space lies
-    materially below its diagonal minimum (the minimizer is off-diagonal, so
-    the radial-gauge assumptions fail) or when the near-minimal diagonal set
-    splits into separated clusters (several minimizers; the multi-point
-    generalization is detection-only).  The sampled minimizer is refined by
-    _zoom_minimize, and kept when the refined point is not near-minimal.
-    ValueError for d > 2, where the 31^(2d) pair lattice outgrows memory.
+    The diagonal within two spacings of the edge search's lattice around the
+    midpoint of its best minimizer (x*, y*) (report.w2_minima), inside the
+    cube shrunk by 1e-9, is sampled at an eighth of a spacing, since
+    minimizers this close may share one start of that search.  Its
+    DIAG_STARTS least local minima are zoomed on; t0 is the best of them, or
+    the model's hint when no worse.  With tol = 1e-6 max(1, M - m), None
+    when w2(t0, t0) exceeds min(w2(x*, y*), m) by more than tol (the
+    minimizer is off the diagonal), or when w2_second_minimizer finds
+    several minimizers among these points and the edge search's (the
+    multi-point case is detection-only).  ValueError for d > 2, which
+    estimate_exponents does not support.
     """
-    if spec.d > 2:
-        raise ValueError(f"locate_t0 supports d <= 2; the model has d = {spec.d}")
-    n_fine = 4001 if spec.d == 1 else 101
-    diag = _diag_points(spec, n_fine)
-    gvals = eval_xy(spec, spec.w2, diag, diag)
-    diag_min = float(np.min(gvals))
-
-    # fine full-pair minimum at comparable resolution
-    pairs = _diag_points(spec, 801 if spec.d == 1 else 31)
-    full_min = float(np.min(eval_xy(spec, spec.w2, pairs[:, None, :], pairs[None, :, :])))
-    scale = max(1.0, float(report.M) - float(report.m))
-    if diag_min - min(full_min, float(report.m)) > 1e-6 * scale:
-        return None
-
-    # cluster the near-minimal set; separated clusters mean several minimizers
-    cluster_tol = max(1e-12, 1e-6 * scale)
-    mask = gvals <= diag_min + cluster_tol
-    if spec.d == 1:
-        idx = np.where(mask)[0]
-        if np.any(np.diff(idx) > 16):
-            return None
-    elif not _one_cluster(mask.reshape((n_fine,) * spec.d)):
-        return None
-
-    best = diag[np.argmin(gvals)]
-    if spec.t0 is not None:
-        hint = np.atleast_1d(np.asarray(spec.t0, dtype=float))
-        if hint.size == spec.d:
-            g_hint = float(eval_xy(spec, spec.w2, hint[None, :], hint[None, :])[0])
-            if g_hint <= diag_min:
-                best = hint
-    spacing = 2.0 * spec.a / (n_fine - 1)
-    lo = np.maximum(best - 4 * spacing, -spec.a + 1e-9)
-    hi = np.minimum(best + 4 * spacing, spec.a - 1e-9)
+    d = spec.d
+    if d > 2:
+        raise ValueError(f"locate_t0 supports d <= 2; the model has d = {d}")
+    minima = report.w2_minima
+    tol = 1e-6 * max(1.0, float(report.M) - float(report.m))
 
     def w2_diag(pts):
-        return eval_xy(spec, spec.w2, pts, pts)
+        return np.fmin(eval_xy(spec, spec.w2, pts, pts), np.inf)
 
-    t0 = _zoom_minimize(w2_diag, best, lo, hi)
-    return t0 if float(w2_diag(t0[None, :])[0]) <= diag_min + cluster_tol else best
-
-
-def _one_cluster(mask: np.ndarray) -> bool:
-    """True when the set cells of mask form exactly one face-connected cluster.
-
-    Face neighbours differ by one step along one axis, the connectivity of
-    scipy.ndimage.label's default structure.  The cluster of the first set
-    cell grows by one step per pass until it stops growing; it must then be
-    the whole mask.
-    """
-    if not mask.any():
-        return False
-    seen = np.zeros_like(mask)
-    seen.flat[np.argmax(mask)] = True
-    while True:
-        grown = seen.copy()
-        for axis in range(mask.ndim):
-            head = (slice(None),) * axis + (slice(None, -1),)
-            tail = (slice(None),) * axis + (slice(1, None),)
-            grown[tail] |= seen[head]
-            grown[head] |= seen[tail]
-        grown &= mask
-        if np.array_equal(grown, seen):
-            return bool(np.array_equal(seen, mask))
-        seen = grown
+    h = minima.spacing / 8
+    t = 0.5 * (minima.points[0][:d] + minima.points[0][d:])
+    lo = np.maximum(t - 16 * h, -spec.a + 1e-9)
+    hi = np.minimum(t + 16 * h, spec.a - 1e-9)
+    pts = np.clip(t + h * lattice(np.arange(-16.0, 17.0), d), lo, hi)
+    vals = w2_diag(pts)
+    near = np.flatnonzero(_lattice_minima(vals.reshape((33,) * d)).ravel())
+    hint = [] if spec.t0 is None else [np.atleast_1d(np.asarray(spec.t0, dtype=float))]
+    starts = np.array([p for p in hint if p.size == d] + [
+        _zoom_minimize(w2_diag, pts[i], np.maximum(pts[i] - h, lo), np.minimum(pts[i] + h, hi))
+        for i in near[np.argsort(vals[near], kind="stable")][:DIAG_STARTS]])
+    t0 = starts[np.argmin(w2_diag(starts))]       # a tie keeps the hint
+    if float(w2_diag(t0[None, :])[0]) - min(float(minima.values[0]), float(report.m)) > tol:
+        return None
+    return None if w2_second_minimizer(spec, minima, tol, np.tile(starts, 2)) is not None else t0
 
 
 def _loglog_fit(radii: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
@@ -239,7 +197,9 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0,
     half = make_grid(spec.d, spec.a, fine_n // 2, "midpoint")
 
     # x-samples for the sup over x in the beta statistic
-    xs = np.concatenate([grid.nodes, _diag_points(spec, 257)], axis=0)
+    pad = spec.a * 1e-9
+    xs = np.concatenate([grid.nodes, lattice(np.linspace(-spec.a + pad, spec.a - pad, 257),
+                                             spec.d)], axis=0)
 
     alpha_stats = np.empty(radii.size)
     beta_stats = np.empty(radii.size)

@@ -102,6 +102,17 @@ def _zoom_minimize(f, best: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return best
 
 
+def _lattice_minima(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of values no larger than any of their face neighbours."""
+    local = np.ones(values.shape, dtype=bool)
+    for axis in range(values.ndim):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        local[tail] &= values[tail] <= values[head]
+        local[head] &= values[head] <= values[tail]
+    return local
+
+
 def make_grid(d: int, a: float, n_per_dim: int, rule: str = "midpoint") -> Grid:
     """Build a tensor-product grid with n_per_dim nodes per dimension."""
     if d < 1:

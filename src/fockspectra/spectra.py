@@ -31,12 +31,14 @@ separately, since strict counting at machine precision is ill-posed.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ZOOM_TOL, Grid, PairGrid, _zoom_minimize, lattice, make_grid
+from .grid import ZOOM_TOL, Grid, PairGrid, _lattice_minima, _zoom_minimize, lattice, make_grid
 from .model import ModelSpec, check_assumption_a, eval_xy, mesh_samples
 from .schur import delta_and_derivative_at_points, s_and_derivative, schur_eval
 
@@ -44,7 +46,8 @@ BOUNDARY_BAND = 1e-10
 ROOT_TOL = 1e-10   # width of the certified bracket around a Sigma_2 root
 _MAX_ROOT_STEPS = 200
 EDGE_ZOOM_K = 2    # the edge zoom's lattice has 5 points per axis and halves its span
-EDGE_STARTS = 8    # lattice extremes zoomed per edge of ran w2
+EDGE_STARTS = 8    # lattice extremes zoomed per edge of ran w2, at least
+EDGE_STARTS_MAX = 48   # and at most: a w2 faster than the lattice puts all in the band
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,15 @@ class CountingResult:
     agree: bool
 
 
+class W2Minima(NamedTuple):
+    """The edge search's zoomed lattice minima of w2 over Omega^2, best first."""
+
+    points: np.ndarray          # rows (x, y)
+    values: np.ndarray          # w2 at the points
+    spacing: float              # of the edge search's lattice
+    band: float                 # how far w2 may still fall below the value of a point
+
+
 @dataclass(frozen=True, eq=False)
 class EssSpecReport:
     """Sampled essential spectrum: [m, M] plus the Sigma_2 root set."""
@@ -76,6 +88,7 @@ class EssSpecReport:
     sigma2_hull: list           # closed intervals [lo, hi] after gap merging
     sess_min: float
     sess_max: float
+    w2_minima: W2Minima         # lattice minima of w2 over Omega^2, from _w2_edges
 
     @property
     def left_roots(self):
@@ -101,22 +114,31 @@ def threshold_counts(matrix, threshold: float) -> ThresholdCounts:
     return _band_counts(eigvals_hermitian(matrix), threshold)
 
 
-def _w2_edges(spec: ModelSpec, a: float) -> tuple[float, float]:
-    """Tight bounds (lo, hi) of ran w2 over the closed cube [-a, a]^(2d).
+def _w2_pairs(spec: ModelSpec, z: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """sign * w2 at the rows (x, y) of z, points of Omega^2; NaN counts as +inf."""
+    return np.fmin(sign * eval_xy(spec, spec.w2, z[:, :spec.d], z[:, spec.d:]), np.inf)
 
-    w2 is sampled on a closed lattice of pairs, 129 points per axis at
-    d = 1 (17 at d = 2, 5 above), and each extreme is refined over Omega^2,
-    2d coordinates, by lattice zooms of 5^(2d) points whose span halves
-    each pass.  The starts are the lattice's local extremes against their
-    face neighbours, best first, at most EDGE_STARTS of them; of a pair
-    (x, y), (y, x) of equal value only the first is taken, since a
-    symmetric w2 gives every off-diagonal extreme such a mirror image.
-    Each start is zoomed inside the box of one lattice spacing around it
-    down to a sixteenth of that spacing, and the best of them on to
-    ZOOM_TOL.  lo and hi are the smaller and the larger of the lattice and
-    zoom values.  A NaN sample (w2 may be undefined on the cube's boundary,
-    which the quadrature grids never reach) counts as no extreme: fmin
-    turns it into +inf on the side being minimized.
+
+def _zoom_w2(spec: ModelSpec, a: float, z: np.ndarray, r: float, tol: float,
+             sign: float = 1.0) -> np.ndarray:
+    """Minimize sign * w2 over [-a, a]^(2d) from z inside the box of half-width r, down to tol."""
+    return _zoom_minimize(lambda p: _w2_pairs(spec, p, sign), z, np.maximum(z - r, -a),
+                          np.minimum(z + r, a), EDGE_ZOOM_K, tol)
+
+
+def _w2_edges(spec: ModelSpec, a: float) -> tuple[float, float, W2Minima]:
+    """Tight bounds (lo, hi) of ran w2 over the closed cube [-a, a]^(2d), and its minima.
+
+    w2 is sampled on a closed lattice of pairs, 129 points per axis at d = 1
+    (17 at d = 2, 5 above).  Its local extremes, best first and one of each
+    mirror pair (x, y), (y, x) of equal value, are zoomed over Omega^2 by
+    lattices of 5^(2d) points whose span halves each pass, inside one
+    spacing down to a sixteenth of it: the first EDGE_STARTS, then each next
+    one within the curvature band of the best zoomed value, up to
+    EDGE_STARTS_MAX.  The best goes on to ZOOM_TOL.  A NaN sample (w2 may be
+    undefined on the cube's boundary, which no quadrature node reaches)
+    counts as +inf on the side minimized.  The zoomed minima come back as
+    W2Minima, with the band scaled to a zoom of a sixteenth of a spacing.
     """
     d = spec.d
     n_axis = 129 if d == 1 else (17 if d == 2 else 5)
@@ -124,39 +146,53 @@ def _w2_edges(spec: ModelSpec, a: float) -> tuple[float, float]:
     pts = lattice(axis, d)
     w2 = eval_xy(spec, spec.w2, pts[:, None, :], pts[None, :, :])
     reach = 2.0 * a / (n_axis - 1)
+    # a quadratic's fall over half a spacing, from the largest second differences
+    dd = (np.abs(np.diff(w2.reshape((n_axis,) * (2 * d)), 2, axis=k)) for k in range(2 * d))
+    band = sum(float(np.max(x, initial=0.0, where=np.isfinite(x))) for x in dd) / 8
     edges = []
     for sign in (1.0, -1.0):
-        def f(z, sign=sign):            # z: (m, 2d) points of Omega^2, x then y
-            return np.fmin(sign * eval_xy(spec, spec.w2, z[:, :d], z[:, d:]), np.inf)
-
-        def zoom(z, r, tol):
-            return _zoom_minimize(f, z, np.maximum(z - r, -a), np.minimum(z + r, a),
-                                  EDGE_ZOOM_K, tol)
-
         W = np.fmin(sign * w2, np.inf)
         local = _lattice_minima(W.reshape((n_axis,) * (2 * d))).reshape(W.shape)
         i, j = np.nonzero(local)
         keep = (i <= j) | ~(local[j, i] & (W[j, i] == W[i, j]))
         i, j = i[keep], j[keep]
-        first = np.argsort(W[i, j], kind="stable")[:EDGE_STARTS]
-        near = [zoom(np.concatenate([pts[p], pts[q]]), reach, reach / 16)
-                for p, q in zip(i[first], j[first])]
-        best = near[int(np.argmin(f(np.array(near))))]
-        z = zoom(best, reach / 16, ZOOM_TOL)
-        edges.append(min(float(np.min(W)), float(f(z[None, :])[0])))
+        first = np.argsort(W[i, j], kind="stable")
+        near, vals = [], []
+        for p, q in zip(i[first], j[first]):
+            if len(near) >= EDGE_STARTS and (len(near) == EDGE_STARTS_MAX
+                                             or W[p, q] - band >= min(vals)):
+                break
+            near.append(_zoom_w2(spec, a, np.r_[pts[p], pts[q]], reach, reach / 16, sign))
+            vals.append(_w2_pairs(spec, near[-1][None, :], sign)[0])
+        b = int(np.argmin(vals))
+        near[b] = _zoom_w2(spec, a, near[b], reach / 16, ZOOM_TOL, sign)
+        vals[b] = _w2_pairs(spec, near[b][None, :], sign)[0]
+        edges.append(min(float(np.min(W)), float(vals[b])))
+        if sign == 1.0:
+            rank = np.argsort(vals, kind="stable")
+            minima = W2Minima(np.array(near)[rank], np.array(vals)[rank], reach, band / 256)
     lo, neg_hi = edges
-    return lo, -neg_hi
+    return lo, -neg_hi, minima
 
 
-def _lattice_minima(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of values no larger than any of their face neighbours."""
-    local = np.ones(values.shape, dtype=bool)
-    for axis in range(values.ndim):
-        head = (slice(None),) * axis + (slice(None, -1),)
-        tail = (slice(None),) * axis + (slice(1, None),)
-        local[tail] &= values[tail] <= values[head]
-        local[head] &= values[head] <= values[tail]
-    return local
+def w2_second_minimizer(spec: ModelSpec, minima: W2Minima, tol: float, points=()):
+    """A minimizer of w2 within tol of the best of minima that a barrier parts from it, or None.
+
+    The barrier is a value above the best plus tol at one of 31 inner points
+    of the segment between the two.  The given points (rows (x, y)) are
+    tried first, then the further minima within the band plus tol of the
+    best, each zoomed on to ZOOM_TOL.
+    """
+    best, level = minima.points[0], minima.values[0] + tol
+    further = (_zoom_w2(spec, spec.a, z, minima.spacing / 16, ZOOM_TOL)
+               for z, value in zip(minima.points[1:], minima.values[1:])
+               if value <= level + minima.band)
+    for z in itertools.chain(points, further):
+        if _w2_pairs(spec, z[None, :])[0] <= level:
+            segment = best + np.linspace(0.0, 1.0, 33)[1:-1, None] * (z - best)
+            if np.max(_w2_pairs(spec, segment)) > level:
+                return z
+    return None
 
 
 def _merge_hull(roots: np.ndarray, tol: float) -> list:
@@ -231,7 +267,7 @@ def essential_spectrum(spec: ModelSpec, grid: Grid) -> EssSpecReport:
     chk = check_assumption_a(spec, grid)
     m_hat, M_hat = chk.w2_min, chk.w2_max
 
-    w2_lo, w2_hi = _w2_edges(spec, grid.a)
+    w2_lo, w2_hi, minima = _w2_edges(spec, grid.a)
     m_guard = min(m_hat, w2_lo)
     M_guard = max(M_hat, w2_hi)
 
@@ -250,7 +286,7 @@ def essential_spectrum(spec: ModelSpec, grid: Grid) -> EssSpecReport:
     sess_min = float(left.min(initial=m_hat))
     sess_max = float(right.max(initial=M_hat))
     return EssSpecReport(m=m_hat, M=M_hat, sigma2_roots=roots, sigma2_hull=hull,
-                         sess_min=sess_min, sess_max=sess_max)
+                         sess_min=sess_min, sess_max=sess_max, w2_minima=minima)
 
 
 def _branch_roots(matrices, t_edge: float, pole: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fockspectra as fs
+from fockspectra import config
 from conftest import make_decoupled, random_trig_model, simpson
 from oracles import negate_model, synthetic_power_model
 
@@ -323,6 +324,39 @@ functions {
         path.write_text(cfg.replace("EXPR", expr))
         with pytest.raises(fs.ModelError):
             fs.load_model(path)
+
+
+def _expr_config(expr):
+    return ("domain { d = 1  a = 1.0 }\nfunctions {\n  w0 = 0\n  v0 = 0\n  w1 = 1\n  v1 = 0\n"
+            f'  w2 {{ expr = "{expr}" }}\n}}\n')
+
+
+def _balanced_sum(terms):
+    if terms == 1:
+        return "x * y"
+    return f"({_balanced_sum(terms // 2)} + {_balanced_sum(terms - terms // 2)})"
+
+
+def test_long_expression_is_refused_before_it_is_parsed(monkeypatch):
+    expr = _balanced_sum(2**12)       # about 45k characters, each of them parseable
+    assert len(expr) > config.MAX_EXPR_CHARS
+    parsed = []
+    parse = config.ast.parse
+    monkeypatch.setattr(config.ast, "parse",
+                        lambda text, *args, **kw: parsed.append(text) or parse(text, *args, **kw))
+    with pytest.raises(fs.ModelError, match="characters") as info:
+        fs.model_from_config(_expr_config(expr))
+    assert expr not in parsed
+    assert expr[:60] in str(info.value) and expr[:61] not in str(info.value)
+
+
+@pytest.mark.parametrize("expr", ["x+" * 1000 + "x", "x + " * 30 + "y(x)", "(" * 300 + "x"])
+def test_expression_errors_quote_at_most_60_characters(expr):
+    # too deeply nested, a disallowed call, unparseable: each quotes the expression's start
+    with pytest.raises(fs.ModelError) as info:
+        fs.model_from_config(_expr_config(expr))
+    assert expr[:60] in str(info.value) and expr[:61] not in str(info.value)
+    assert len(str(info.value)) < 200
 
 
 _config_keys = st.sampled_from(["domain", "functions", "d", "a", "w0", "v0", "w1", "v1", "w2",
