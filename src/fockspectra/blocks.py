@@ -7,6 +7,12 @@ its own point), so map_blocks runs them on one worker thread per CPU of the
 affinity mask: numpy releases the interpreter lock inside its large ufunc
 loops, so the blocks overlap.  Results come back in block order, so every
 per-row value is bit-identical to a serial loop over the same blocks.
+
+A kernel evaluates into the row block it owns: eval_xy hands back a new
+array, and each next step writes into it (out=), as the config expressions
+do with their temporaries.  So a worker holds at most two row blocks at a
+time: the symbol at points one, its derivative, the symbol at the nodes and
+the HS form two.
 """
 
 from __future__ import annotations

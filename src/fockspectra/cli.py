@@ -133,6 +133,14 @@ def _cmd_check_model(args, out_dir: Path) -> int:
 def _cmd_essspec(args, out_dir: Path) -> int:
     from . import schur, spectra
 
+    zs = None
+    if args.delta_z:
+        try:
+            zs = [float(t) for t in args.delta_z.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad --delta-z {args.delta_z!r}: expected numbers") from exc
+        if not np.all(np.isfinite(zs)):
+            raise UsageError(f"bad --delta-z {args.delta_z!r}: every z must be finite")
     spec, g = _load(args)
     report = _Report("essspec", args)
     _require_assumption_a(spec, g, report)
@@ -152,9 +160,7 @@ def _cmd_essspec(args, out_dir: Path) -> int:
     cols = _node_columns(spec.d)
     _write_csv(out_dir / "sigma2.csv", ["side"] + cols + ["root"],
                [("left" if z < ess.m else "right", *pt, z) for pt, z in ess.sigma2_roots])
-    if args.delta_z:
-        zs = [float(t) for t in args.delta_z.split(",")]
-    else:
+    if zs is None:
         zs = [ess.sess_min - 1.0, ess.sess_max + 1.0]
     vals = schur.delta_values(spec, g, zs)
     rows = [(*g.nodes[i], z, row[i]) for z, row in zip(zs, vals) for i in range(g.n)]

@@ -12,6 +12,7 @@ import ast
 import csv
 import math
 import operator
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,52 @@ _FOLD = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
          ast.USub: operator.neg, ast.UAdd: operator.pos}
 _ALLOWED_OPS = tuple(_FOLD)
 MAX_EXPR_CHARS = 2048     # longer expressions are refused unparsed
+
+# each operator's augmented form, for a temporary on its left, and its ufunc,
+# for one on its right or its only operand
+_IN_PLACE = {ast.Add: (operator.iadd, np.add), ast.Sub: (operator.isub, np.subtract),
+             ast.Mult: (operator.imul, np.multiply), ast.Div: (operator.itruediv, np.divide),
+             ast.Pow: (operator.ipow, np.power)}
+_UNARY_UFUNCS = {ast.USub: np.negative, ast.UAdd: np.positive}
+
+
+def _fits(t, u=0.0) -> bool:
+    """Whether t, a temporary, can hold the result of an operation with u: a
+    float64 array of the result's shape (u a constant or float64 too)."""
+    if type(t) is not np.ndarray or t.dtype != np.float64:
+        return False
+    return type(u) is float or (u.dtype == np.float64 and (
+        u.shape == t.shape or np.broadcast(t, u).shape == t.shape))
+
+
+def _binary(op, ip, ufunc):
+    """The call op(u, v), writing into whichever of u, v is a temporary that fits.
+
+    A left temporary takes the augmented operator, so ``t **= c`` takes the
+    scalar-exponent fast paths of ``t ** c`` (sqrt for 0.5, which differs from
+    a plain power at -0 and -inf), whatever np.power itself does; the
+    operands keep their order.
+    """
+    def bind(u, v, left, right):
+        if left and _fits(u, v):
+            return partial(ip, u, v)
+        if right and _fits(v, u):
+            return partial(ufunc, u, v, out=v)
+        return partial(op, u, v)
+
+    return bind
+
+
+def _unary(op, ufunc):
+    return lambda t: partial(ufunc, t, out=t) if _fits(t) else partial(op, t)
+
+
+# the names the rewritten expressions call; none of them can be a user name
+_IN_PLACE_CALLS = {
+    **{f"_{op.__name__}": _binary(_FOLD[op], ip, uf) for op, (ip, uf) in _IN_PLACE.items()},
+    **{f"_{op.__name__}": _unary(_FOLD[op], uf) for op, uf in _UNARY_UFUNCS.items()},
+    **{f"_{name}": _unary(fn, fn) for name, fn in _EXPR_FUNCS.items()},
+}
 
 
 class _FloatLiterals(ast.NodeTransformer):
@@ -63,6 +110,51 @@ class _FloatLiterals(ast.NodeTransformer):
         return node
 
 
+def _temporary(node) -> bool:
+    """Whether node evaluates to a new array: not a name (a view of the
+    caller's points) and not a constant."""
+    return not isinstance(node, (ast.Name, ast.Constant))
+
+
+class _InPlace(ast.NodeTransformer):
+    """Make each operation on a temporary write into it.
+
+    The result of a BinOp, UnaryOp or Call is a temporary of the expression,
+    so the operation that consumes it may overwrite it: ``t + u`` becomes
+    ``np.add(t, u, out=t)`` and ``sin(t)`` ``np.sin(t, out=t)`` whenever t
+    has the result's shape and dtype (decided per call, as the shapes are
+    only known then).  Each numpy operation, its operands and their order
+    stay as written, so every result keeps its bits; an expression over a
+    row block of points then holds one block, not one per operation.  A
+    helper of _IN_PLACE_CALLS picks the call and the expression makes it, so
+    numpy's floating-point warnings still name <model-expr>.
+    """
+
+    def _call(self, name, args, node):
+        pick = ast.Call(ast.Name(name, ast.Load()), args, [])
+        return ast.copy_location(ast.Call(pick, [], []), node)
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        left, right = _temporary(node.left), _temporary(node.right)
+        if not (left or right):
+            return node
+        return self._call(f"_{type(node.op).__name__}",
+                          [node.left, node.right, ast.Constant(left), ast.Constant(right)], node)
+
+    def visit_UnaryOp(self, node):
+        self.generic_visit(node)
+        if not _temporary(node.operand):
+            return node
+        return self._call(f"_{type(node.op).__name__}", [node.operand], node)
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if not _temporary(node.args[0]):
+            return node
+        return self._call(f"_{node.func.id}", node.args, node)
+
+
 def _compile_expr(text: str, variables: tuple[str, ...]):
     """Compile an arithmetic expression over the given variables.
 
@@ -70,8 +162,10 @@ def _compile_expr(text: str, variables: tuple[str, ...]):
     argument each, the constant pi and numeric literals are admitted.  A
     second argument would be numpy's output array, which the function would
     overwrite.  Literals are floats, and arithmetic between them is done
-    once, here.  An expression longer than MAX_EXPR_CHARS is refused before
-    it is parsed, and an error quotes at most its first 60 characters.
+    once, here.  Each operation on an intermediate result writes into it
+    (_InPlace); the variables, views of the caller's points, are never
+    written.  An expression longer than MAX_EXPR_CHARS is refused before it
+    is parsed, and an error quotes at most its first 60 characters.
     """
     shown = repr(text[:60]) + ("..." if len(text) > 60 else "")
     if len(text) > MAX_EXPR_CHARS:
@@ -104,14 +198,15 @@ def _compile_expr(text: str, variables: tuple[str, ...]):
             continue
         raise ModelError(f"disallowed syntax ({type(node).__name__}) in expression {shown}")
     try:
-        code = compile(_FloatLiterals().visit(tree), "<model-expr>", "eval")
+        tree = _InPlace().visit(_FloatLiterals().visit(tree))
+        code = compile(ast.fix_missing_locations(tree), "<model-expr>", "eval")
     except ArithmeticError as exc:
         raise ModelError(f"constant arithmetic fails in expression {shown}: {exc}") from exc
     except RecursionError as exc:
         raise ModelError(f"expression nested too deeply: {shown}") from exc
 
     def fn(**kwargs):
-        return eval(code, {"__builtins__": {}, **_EXPR_FUNCS, **kwargs})
+        return eval(code, {"__builtins__": {}, **_EXPR_FUNCS, **_IN_PLACE_CALLS, **kwargs})
 
     return fn
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .blocks import map_blocks
 from .grid import Grid, _lattice_minima, _zoom_minimize, lattice, make_grid
-from .model import ModelSpec, eval_xy
+from .model import ModelSpec, _owned, eval_xy
 from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t
 from .spectra import w2_second_minimizer
 
@@ -151,7 +151,8 @@ def _abs_max_v1(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray) -> float:
     row holds the maximum and v1 is sampled once.
     """
     def block_max(b):
-        return float(np.max(np.abs(eval_xy(spec, spec.v1, xs[b, None, :], ys[None, :, :]))))
+        V = eval_xy(spec, spec.v1, xs[b, None, :], ys[None, :, :])
+        return float(np.max(np.abs(V, out=_owned(V))))
 
     probe = eval_xy(spec, spec.v1, xs[:2, None, :], ys[None, :, :])
     if probe.strides[0] == 0:

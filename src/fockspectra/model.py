@@ -125,15 +125,25 @@ def eval_x(spec: ModelSpec, fn: Callable, pts: np.ndarray) -> np.ndarray:
 def eval_xy(spec: ModelSpec, fn: Callable, xpts: np.ndarray, ypts: np.ndarray) -> np.ndarray:
     """Evaluate a two-point function; xpts and ypts broadcast against each other.
 
-    A function that ignores an argument (or a constant) returns fewer values
-    than the broadcast shape; they are spread to it as a read-only view, not
-    copied, so callers that write into the result take a copy first.
+    The result is a read-only view or a new array that the caller owns and
+    may overwrite (_owned).  A view spreads the fewer values of a constant or
+    of a function that ignores an argument, or holds an argument returned as
+    it is.  Any other result is new: a function must not return an array
+    that it keeps.
     """
     xpts = _as_points(xpts, spec.d)
     ypts = _as_points(ypts, spec.d)
     shape = np.broadcast_shapes(xpts.shape[:-1], ypts.shape[:-1])
     out = np.asarray(fn(_strip(xpts, spec.d), _strip(ypts, spec.d)))
-    return np.broadcast_to(out, shape) if out.shape != shape else out
+    if out.shape != shape or np.may_share_memory(out, xpts) or np.may_share_memory(out, ypts):
+        return np.broadcast_to(out, shape)
+    return out
+
+
+def _owned(samples: np.ndarray):
+    """An eval_xy result as the out= of a float64 step: itself when the caller
+    owns it (writeable, by eval_xy's contract), else None for a new array."""
+    return samples if samples.flags.writeable and samples.dtype == np.float64 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,11 +164,13 @@ class MeshSamples:
 def _sym_w2(spec: ModelSpec, grid, b: slice, cols: slice = slice(None)) -> np.ndarray:
     """MeshSamples.W2[b, cols]: 0.5 * (w2(x, y) + w2(y, x)), as a new array.
 
+    The mirror is added into the first evaluation when that is a new array.
     The sum is commutative in IEEE arithmetic, so W2 is exactly symmetric:
     a block of it equals the transpose of its mirror image.
     """
     X, Y = grid.nodes[b, None, :], grid.nodes[None, cols, :]
-    W = np.add(eval_xy(spec, spec.w2, X, Y), eval_xy(spec, spec.w2, Y, X), dtype=float)
+    W = eval_xy(spec, spec.w2, X, Y)
+    W = np.add(W, eval_xy(spec, spec.w2, Y, X), out=_owned(W), dtype=float)
     W *= 0.5
     return W
 
@@ -209,10 +221,11 @@ def check_assumption_a(spec: ModelSpec, grid) -> AssumptionAReport:
 
     def w2_block(b):
         X, Y = grid.nodes[b, None, :], grid.nodes[None, b.start:, :]
-        W = eval_xy(spec, spec.w2, X, Y).astype(float)
-        D = eval_xy(spec, spec.w2, Y, X).astype(float)
-        S = W + D
-        asym = np.max(np.abs(np.subtract(W, D, out=D), out=D))
+        W = eval_xy(spec, spec.w2, X, Y)
+        D = eval_xy(spec, spec.w2, Y, X)
+        S = np.add(W, D, dtype=float)
+        D = np.subtract(W, D, out=_owned(D), dtype=float)
+        asym = np.max(np.abs(D, out=D))
         del W, D
         S *= 0.5                      # rows b of MeshSamples.W2: 0.5 * (W + W.T)
         return -np.min(S), np.max(S), asym    # -min so that one max reduces all three

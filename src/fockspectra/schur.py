@@ -41,7 +41,8 @@ import numpy as np
 
 from .blocks import map_blocks
 from .grid import Grid
-from .model import ModelSpec, _as_point, _as_points, _sym_w2, eval_x, eval_xy, mesh_samples
+from .model import (ModelSpec, _as_point, _as_points, _owned, _sym_w2, eval_x, eval_xy,
+                    mesh_samples)
 
 POLE_TOL = 1e-12
 
@@ -95,15 +96,16 @@ class SchurEval:
         return -(scale[:, None] * self.k_matrix * scale[None, :])
 
 
-def _pole_check(W2: np.ndarray, z: float) -> np.ndarray:
+def _pole_check(W2: np.ndarray, z: float, out=None) -> np.ndarray:
     """W2 - z, after checking that no sample of w2 lies within POLE_TOL of z.
 
-    z clears every sample when all of W2 - z lies on one side of the pole
-    band, which two reductions show without writing |W2 - z|; only otherwise
-    is the distance min |W2 - z| computed.  A NaN sample fails both tests and
-    makes that distance NaN, which passes.
+    The difference goes into out (W2 itself if the caller owns it and is done
+    with it).  z clears every sample when all of W2 - z lies on one side of
+    the pole band, which two reductions show without writing |W2 - z|; only
+    otherwise is the distance min |W2 - z| computed.  A NaN sample fails
+    both tests and makes that distance NaN, which passes.
     """
-    shifted = W2 - z
+    shifted = np.subtract(W2, z, out=out)
     if np.min(shifted) >= POLE_TOL or np.max(shifted) <= -POLE_TOL:
         return shifted
     dist = float(np.min(np.abs(shifted)))
@@ -126,8 +128,10 @@ def _shared_v1_sq(spec: ModelSpec, grid: Grid, pts: np.ndarray):
 
 
 def _v1_sq(spec: ModelSpec, grid: Grid, pts: np.ndarray, b: slice) -> np.ndarray:
-    """|v1(p, y_j)|^2 for the points p of pts[b] and the nodes y_j."""
-    return np.abs(eval_xy(spec, spec.v1, pts[b, None, :], grid.nodes[None, :, :])) ** 2
+    """|v1(p, y_j)|^2 for the points p of pts[b] and the nodes y_j, as a new array."""
+    V = eval_xy(spec, spec.v1, pts[b, None, :], grid.nodes[None, :, :])
+    sq = np.abs(V, out=_owned(V))
+    return np.square(sq, out=sq)
 
 
 def delta_values(spec: ModelSpec, grid: Grid, z) -> np.ndarray:
@@ -140,7 +144,7 @@ def delta_values(spec: ModelSpec, grid: Grid, z) -> np.ndarray:
         v2 = row if row is not None else _v1_sq(spec, grid, grid.nodes, b)
         W = _sym_w2(spec, grid, b)
         for k, zk in enumerate(zs.tolist()):
-            shifted = _pole_check(W, zk)
+            shifted = _pole_check(W, zk, out=W if k == zs.size - 1 else None)   # last z takes W
             quad[k, b] = np.divide(v2, shifted, out=shifted) @ grid.weights
 
     map_blocks(block, grid.n, grid.n)
@@ -154,15 +158,20 @@ def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z):
     z is a scalar or an array of one value per point.  Returns a function
     of a row block b giving (w_j |v1(p, y_j)|^2, w2(p, y_j) - z) for the
     points pts[b], after the pole check of z against their own w2 samples.
-    When v1 ignores p, the first is one row computed here, once per call.
+    Both are new arrays, z subtracted in the w2 block just sampled, except
+    when v1 ignores p: then the first is one row computed here, once per call.
     """
     row = _shared_v1_sq(spec, grid, pts)
     wrow = None if row is None else grid.weights * row
 
     def rows(b):
         zb = z[b, None] if np.ndim(z) > 0 else z
-        shifted = _pole_check(eval_xy(spec, spec.w2, pts[b, None, :], grid.nodes[None, :, :]), zb)
-        return (wrow if wrow is not None else grid.weights * _v1_sq(spec, grid, pts, b)), shifted
+        W = eval_xy(spec, spec.w2, pts[b, None, :], grid.nodes[None, :, :])
+        shifted = _pole_check(W, zb, out=_owned(W))
+        if wrow is not None:
+            return wrow, shifted
+        sq = _v1_sq(spec, grid, pts, b)
+        return np.multiply(grid.weights, sq, out=sq), shifted
 
     return rows
 
@@ -300,9 +309,10 @@ def hs_norm_t(spec: ModelSpec, grid: Grid, z: float) -> float:
     def form_block(b):
         cols = slice(b.start, None)
         Y = grid.nodes[None, cols, :]
-        coupling = np.abs(eval_xy(spec, spec.v1, X[b], Y) * eval_xy(spec, spec.v1, Y, X[b]))
-        shifted = _sym_w2(spec, grid, b, cols)
+        shifted = _sym_w2(spec, grid, b, cols)      # before the coupling: two blocks at a time
         shifted -= z
+        coupling = eval_xy(spec, spec.v1, X[b], Y) * eval_xy(spec, spec.v1, Y, X[b])
+        coupling = np.abs(coupling, out=coupling.real)      # in place for a real v1
         form = np.square(np.divide(coupling, shifted, out=shifted), out=shifted)
         rows = form.shape[0]
         return float(u[b] @ (form[:, :rows] @ u[b] + 2.0 * (form[:, rows:] @ u[b.stop:])))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import map_blocks
-from .model import ModelSpec, _as_point, eval_xy
+from .model import ModelSpec, _as_point, _owned, eval_xy
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +108,9 @@ def _h22_term(spec: ModelSpec, z0: float, xn, xw, xamp, yn, yw, yamp) -> float:
     """sum_ij a_i c_j (w2(x_i, y_j) - z0)^2, a = xw xamp^2 and c = yw yamp^2, in row blocks."""
     def block(b):
         W = eval_xy(spec, spec.w2, xn[b, None, :], yn[None, :, :])
-        return float(xw[b] * xamp**2 @ ((W - z0) ** 2 @ (yw * yamp**2)))
+        W = np.subtract(W, z0, out=_owned(W))
+        W **= 2
+        return float(xw[b] * xamp**2 @ (W @ (yw * yamp**2)))
 
     return sum(map_blocks(block, xn.shape[0], yn.shape[0]))      # in block order
 

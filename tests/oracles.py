@@ -5,12 +5,14 @@ samples, rebuilds a quantity by a second route or builds a model with a known
 answer, so that a test can check the package's own path against it.
 """
 
+import ast
 import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 import fockspectra as fs
+from fockspectra import config
 from fockspectra.blocks import map_blocks
 from fockspectra.grid import lattice
 from fockspectra.model import _as_point, eval_xy, mesh_samples
@@ -71,6 +73,20 @@ def consistency_check_adjoint(blocks, spec, grid, pair_grid, seed: int = 0) -> f
     formula = 0.5 * np.conj(ms.V1[i, j]) * f[i] + 0.5 * np.conj(ms.V1[j, i]) * f[j]
     rhs = np.sqrt(pair_grid.pair_weights) * formula
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def plain_expr(text: str):
+    """A config expression evaluated as written: every operation makes a new array.
+
+    config._compile_expr without its in-place rewrite, for expressions that
+    compile there; each rewritten expression must equal it bit for bit.
+    """
+    code = compile(config._FloatLiterals().visit(ast.parse(text, mode="eval")), "<plain>", "eval")
+
+    def fn(**kwargs):
+        return eval(code, {"__builtins__": {}, **config._EXPR_FUNCS, **kwargs})
+
+    return fn
 
 
 def pole_check_reference(W2: np.ndarray, z) -> np.ndarray:

@@ -366,6 +366,12 @@ def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, mo
 @pytest.mark.parametrize("argv", [
     ["essspec", "--n", "1"],
     ["essspec", "--n", "0"],
+    # --delta-z values are parsed and checked before the Assumption A pass
+    ["essspec", "--delta-z=abc"],
+    ["essspec", "--delta-z=0.5,abc"],
+    ["essspec", "--delta-z=nan"],
+    ["essspec", "--delta-z=-1,inf"],
+    ["essspec", "--delta-z=1e400"],
     ["discrete", "--n", "-4"],
     ["singular-seq", "--x0", "1.0,2.0"],
     ["singular-seq", "--x0", "abc"],

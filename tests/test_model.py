@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import fockspectra as fs
 from fockspectra import config
 from conftest import make_decoupled, random_trig_model, simpson
-from oracles import negate_model, synthetic_power_model
+from oracles import negate_model, plain_expr, synthetic_power_model
 
 
 def test_builtin_registry_has_exactly_two():
@@ -357,6 +357,51 @@ def test_expression_errors_quote_at_most_60_characters(expr):
         fs.model_from_config(_expr_config(expr))
     assert expr[:60] in str(info.value) and expr[:61] not in str(info.value)
     assert len(str(info.value)) < 200
+
+
+def _expr_trees(names):
+    leaves = st.sampled_from([*names, "0.5", "2", "3", "pi", "1e308"])
+
+    def extend(inner):
+        ops, funcs = st.sampled_from("+-*/"), st.sampled_from(sorted(config._EXPR_FUNCS))
+        return st.one_of(
+            st.tuples(inner, ops, inner).map("({0[0]} {0[1]} {0[2]})".format),
+            inner.map("-({})".format),
+            st.tuples(funcs, inner).map("{0[0]}({0[1]})".format),
+            st.tuples(inner, st.sampled_from(["2", "0.5", "-1", "3"])).map("({0[0]}) ** {0[1]}".format),
+            inner.map("2 ** ({})".format))
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+_EXPR_VARS = {1: (("x",), ("y",)), 2: (("x1", "x2"), ("y1", "y2"))}
+_expr_values = st.one_of(st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-310]),
+                         st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]))
+def test_in_place_expressions_equal_the_plain_evaluation_bit_for_bit(data, d):
+    # x variables are views of (B, 1, d) points and y variables of (1, N, d)
+    # points, as _function_entry passes them, so each operation broadcasts
+    # the way a row block does; the rewrite writes only into its temporaries
+    xnames, ynames = _EXPR_VARS[d]
+    text = data.draw(_expr_trees(xnames + ynames))
+    try:
+        fn = config._compile_expr(text, xnames + ynames)
+    except fs.ModelError:             # constant arithmetic that fails, as in the oracle
+        return
+    X = np.array(data.draw(st.lists(_expr_values, min_size=3 * d, max_size=3 * d))).reshape(3, 1, d)
+    Y = np.array(data.draw(st.lists(_expr_values, min_size=4 * d, max_size=4 * d))).reshape(1, 4, d)
+    before = X.tobytes() + Y.tobytes()
+    kwargs = {**{n: X[..., k] for k, n in enumerate(xnames)},
+              **{n: Y[..., k] for k, n in enumerate(ynames)}}
+    with np.errstate(all="ignore"):
+        got = np.asarray(fn(**kwargs))
+        want = np.asarray(plain_expr(text)(**kwargs))
+    assert (got.shape, got.dtype) == (want.shape, want.dtype), text
+    assert got.tobytes() == want.tobytes(), text
+    assert X.tobytes() + Y.tobytes() == before, text
 
 
 _config_keys = st.sampled_from(["domain", "functions", "d", "a", "w0", "v0", "w1", "v1", "w2",

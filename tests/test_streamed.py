@@ -14,7 +14,8 @@ import pytest
 
 import fockspectra as fs
 from conftest import random_trig_model
-from fockspectra import blocks, cli, model, schur, verify
+from fockspectra import blocks, cli, finiteness, model, schur, verify
+from oracles import negate_model
 
 ROOT = Path(__file__).resolve().parents[1]
 D2_EMPTY = ROOT / "bench" / "models" / "d2-sigma2-empty.cfg"
@@ -245,3 +246,126 @@ def test_check_assumption_a_d2_cap_peak_is_a_fraction_of_one_w2(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * g.n * g.n * np.dtype(float).itemsize
+
+
+# ---------------------------------------------------------------------------
+# ownership: each kernel writes only into arrays it owns
+# ---------------------------------------------------------------------------
+
+
+def _coupled(w2, z):
+    # v1 depends on both points, so its row blocks are new arrays as well
+    return fs.ModelSpec(d=1, a=1.0, w0=0.0, v0=lambda x: 0.0 * x, w1=lambda x: 4.0 + x * x,
+                        v1=lambda x, y: np.cos(x - 2.0 * y) + 0.3 * x, w2=w2), z
+
+
+OWNERSHIP_MODELS = {
+    "w2 returns x": lambda: _coupled(lambda x, y: x, -3.0),
+    "w2 returns y": lambda: _coupled(lambda x, y: y, -3.0),
+    "constant w2": lambda: _coupled(lambda x, y: 2.0, -1.0),
+    "w2 ignores y": lambda: _coupled(lambda x, y: 1.0 + x * x, -1.0),
+    "negated mnr-infinite": lambda: (negate_model(fs.load_model("mnr-infinite")), -8.0),
+}
+
+
+def _full_shape_copies(spec):
+    """spec with v1 and w2 returning new arrays of the broadcast shape: every
+    kernel then writes its next step into them instead of a new array."""
+    def copying(fn):
+        def full(x, y):
+            return np.array(np.broadcast_to(fn(x, y), np.broadcast_shapes(x.shape, y.shape)),
+                            order="C")
+        return full
+
+    return dataclasses.replace(spec, v1=copying(spec.v1), w2=copying(spec.w2))
+
+
+def _kernel_bits(spec, g, pts, z):
+    """Every streamed kernel's output at z, as bytes, or its error."""
+    xs, ys = np.concatenate([g.nodes, pts]), pts[::-1].copy()
+    xw, yw = np.linspace(0.5, 1.5, xs.shape[0]), np.linspace(1.0, 2.0, ys.shape[0])
+    kernels = {
+        "delta_values": lambda: fs.delta_values(spec, g, [z - 1.0, z]),
+        "delta_at_points": lambda: fs.delta_at_points(spec, g, pts, z),
+        "delta_at": lambda: fs.delta_at(spec, g, pts[0], z),
+        "delta_and_derivative": lambda: schur.delta_and_derivative_at_points(
+            spec, g, pts, np.linspace(z - 1.0, z, pts.shape[0])),
+        "hs_norm_t": lambda: fs.hs_norm_t(spec, g, z),
+        "schur_eval": lambda: fs.schur_eval(spec, g, z).k_matrix,
+        "s_and_derivative": lambda: fs.s_and_derivative(spec, g, z),
+        "mesh W2": lambda: model.mesh_samples(spec, g).W2,
+        "assumption_a": lambda: dataclasses.astuple(fs.check_assumption_a(spec, g)),
+        "abs_max_v1": lambda: finiteness._abs_max_v1(spec, xs, ys),
+        "h22_term": lambda: verify._h22_term(spec, z, xs, xw, 2.0, ys, yw, 0.5),
+    }
+    out = {}
+    for name, kernel in kernels.items():
+        try:
+            out[name] = np.asarray(kernel(), dtype=object if name == "assumption_a" else None)
+        except (ValueError, fs.PoleProximityError) as exc:
+            out[name] = (type(exc), str(exc))
+            continue
+        out[name] = out[name].tobytes() if out[name].dtype != object else repr(out[name].tolist())
+    return out
+
+
+@pytest.mark.parametrize("name", OWNERSHIP_MODELS)
+def test_kernels_write_only_into_arrays_they_own(name, many_blocks):
+    # a read-only view of eval_xy and a new array give the same bits, and no
+    # kernel writes into the nodes, the points or the mesh samples
+    spec, z = OWNERSHIP_MODELS[name]()
+    g = fs.make_grid(1, spec.a, 16)
+    pts = np.random.default_rng(3).uniform(-spec.a, spec.a, (9, 1))
+    W2 = model.mesh_samples(spec, g).W2
+    before = g.nodes.tobytes(), pts.tobytes(), W2.tobytes()
+    views = _kernel_bits(spec, g, pts, z)
+    assert (g.nodes.tobytes(), pts.tobytes(), W2.tobytes()) == before
+    owned = _kernel_bits(_full_shape_copies(spec), g, pts, z)
+    assert (g.nodes.tobytes(), pts.tobytes(), W2.tobytes()) == before
+    assert views == owned
+    assert not isinstance(views["delta_values"], tuple)        # z lies outside ran w2
+
+
+def test_eval_xy_hands_an_argument_back_read_only():
+    spec, _ = OWNERSHIP_MODELS["w2 returns y"]()
+    nodes = np.linspace(-0.9, 0.9, 5)[:, None]
+    W = model.eval_xy(spec, spec.w2, nodes[:1, None, :], nodes[None, :, :])
+    assert W.shape == (1, 5) and not W.flags.writeable and model._owned(W) is None
+    fresh = model.eval_xy(spec, spec.v1, nodes[:1, None, :], nodes[None, :, :])
+    assert model._owned(fresh) is fresh
+
+
+# ---------------------------------------------------------------------------
+# memory: a worker holds one or two row blocks
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_kernels_hold_one_or_two_row_blocks(monkeypatch):
+    # serial, so the peak is one worker's: the symbol at points holds its w2
+    # block, then w2 - z in it (about 1.25 blocks with the O(N) rows);
+    # the derivative adds the quotient and the HS form the coupling, two blocks
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(blocks, "_pool", None)
+    spec = fs.load_model(D2_EMPTY)
+    fine = fs.make_grid(2, spec.a, 192)       # the fine quadrature of the gamma statistic
+    pts = 0.05 * finiteness._directions(2, 256)
+    g48 = fs.make_grid(2, spec.a, 48)
+
+    def bound(g, blocks_held):
+        rows = blocks.row_blocks(g.n, g.n)[0]
+        block = (rows.stop - rows.start) * g.n * 8
+        return blocks_held * block + 4 * g.n * 8 + (256 << 10)
+
+    assert _traced_peak(lambda: fs.delta_at_points(spec, fine, pts, 0.0)) <= bound(fine, 1.25)
+    assert _traced_peak(lambda: schur.delta_and_derivative_at_points(
+        spec, fine, pts, 0.0)) <= bound(fine, 2)
+    assert _traced_peak(lambda: fs.hs_norm_t(spec, g48, -0.1)) <= bound(g48, 2)
