@@ -149,8 +149,8 @@ def _cmd_essspec(args, out_dir: Path) -> int:
     report.kv("m", ess.m)
     report.kv("M", ess.M)
     report.section("sigma2")
-    report.kv("left_roots", len(ess.left_roots))
-    report.kv("right_roots", len(ess.right_roots))
+    report.kv("left_roots", ess.left.rows.size)
+    report.kv("right_roots", ess.right.rows.size)
     for lo, hi in ess.sigma2_hull:
         report.kv("hull_interval", f"[{_fmt(lo)}, {_fmt(hi)}]")
     report.section("summary")
@@ -159,7 +159,8 @@ def _cmd_essspec(args, out_dir: Path) -> int:
 
     cols = _node_columns(spec.d)
     _write_csv(out_dir / "sigma2.csv", ["side"] + cols + ["root"],
-               [("left" if z < ess.m else "right", *pt, z) for pt, z in ess.sigma2_roots])
+               [(name, *g.nodes[r], z) for name, side in (("left", ess.left), ("right", ess.right))
+                for r, z in zip(*side)])
     if zs is None:
         zs = [ess.sess_min - 1.0, ess.sess_max + 1.0]
     vals = schur.delta_values(spec, g, zs)
@@ -250,7 +251,7 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
     report = _Report("finiteness", args)
     _require_assumption_a(spec, g, report)
     ess = spectra.essential_spectrum(spec, g)
-    t0 = finiteness.locate_t0(spec, g, ess)
+    t0 = finiteness.locate_t0(spec, ess)
     if t0 is None:
         report.section("minimizer")
         report.kv("t0", "not-located")
@@ -260,7 +261,7 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
     est = finiteness.estimate_exponents(spec, g, ess, t0, delta=args.delta)
     grids = [grid_mod.make_grid(spec.d, spec.a, args.n * 2**k, args.rule)
              for k in range(args.levels)]
-    fin = finiteness.finiteness_verdict(spec, grids, ess, est)
+    fin = finiteness.finiteness_verdict(spec, grids, est)
     report.section("exponents")
     report.kv("t0", ",".join(_fmt(float(t)) for t in est.t0))
     report.kv("alpha_hat", est.alpha_hat)

@@ -461,6 +461,8 @@ def model_from_config(text: str, base_dir: Path | str = ".") -> ModelSpec:
         t0 = np.atleast_1d(np.asarray(t0, dtype=float))
         if t0.size != d:
             raise ModelError(f"t0 must have {d} coordinates")
+        if not np.all(np.abs(t0) < a):
+            raise ModelError(f"t0 must lie inside Omega = (-a, a)^{d}, a = {a!r}")
     return ModelSpec(
         d=d,
         a=a,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .blocks import map_blocks
 from .grid import Grid, _lattice_minima, _zoom_minimize, lattice, make_grid
-from .model import ModelSpec, _owned, eval_xy
+from .model import ModelSpec, _owned, eval_xy, shared_v1_row
 from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t
 from .spectra import w2_second_minimizer
 
@@ -65,7 +65,6 @@ class ExponentEstimate:
 
 @dataclass(frozen=True, eq=False)
 class FinitenessReport:
-    estimate: ExponentEstimate
     criterion_lhs: float             # alpha_hat + gamma_hat
     criterion_rhs: float             # 2 beta_hat + d
     margin: float
@@ -76,7 +75,7 @@ class FinitenessReport:
     integral_test_agrees: bool
 
 
-def locate_t0(spec: ModelSpec, grid: Grid, report):
+def locate_t0(spec: ModelSpec, report):
     """Locate the diagonal minimizer (t0, t0) of w2, or None when unsupported.
 
     The diagonal within two spacings of the edge search's lattice around the
@@ -84,7 +83,8 @@ def locate_t0(spec: ModelSpec, grid: Grid, report):
     cube shrunk by 1e-9, is sampled at an eighth of a spacing, since
     minimizers this close may share one start of that search.  Its
     DIAG_STARTS least local minima are zoomed on; t0 is the best of them, or
-    the model's hint when no worse.  With tol = 1e-6 max(1, M - m), None
+    the model's hint when no worse (a hint outside the open cube, or of the
+    wrong size, is ignored).  With tol = 1e-6 max(1, M - m), None
     when w2(t0, t0) exceeds min(w2(x*, y*), m) by more than tol (the
     minimizer is off the diagonal), or when w2_second_minimizer finds
     several minimizers among these points and the edge search's (the
@@ -108,7 +108,7 @@ def locate_t0(spec: ModelSpec, grid: Grid, report):
     vals = w2_diag(pts)
     near = np.flatnonzero(_lattice_minima(vals.reshape((33,) * d)).ravel())
     hint = [] if spec.t0 is None else [np.atleast_1d(np.asarray(spec.t0, dtype=float))]
-    starts = np.array([p for p in hint if p.size == d] + [
+    starts = np.array([p for p in hint if p.size == d and np.all(np.abs(p) < spec.a)] + [
         _zoom_minimize(w2_diag, pts[i], np.maximum(pts[i] - h, lo), np.minimum(pts[i] + h, hi))
         for i in near[np.argsort(vals[near], kind="stable")][:DIAG_STARTS]])
     t0 = starts[np.argmin(w2_diag(starts))]       # a tie keeps the hint
@@ -146,17 +146,15 @@ def _directions(d: int, count: int) -> np.ndarray:
 def _abs_max_v1(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray) -> float:
     """max |v1(x, y)| over the points xs and ys, in row blocks of xs.
 
-    When v1 ignores x, which eval_xy shows by spreading the samples at
-    xs[:2] from one row (a zero row stride, as in schur._shared_v1_sq), that
-    row holds the maximum and v1 is sampled once.
+    When v1 ignores x (shared_v1_row), its one row holds the maximum.
     """
     def block_max(b):
         V = eval_xy(spec, spec.v1, xs[b, None, :], ys[None, :, :])
         return float(np.max(np.abs(V, out=_owned(V))))
 
-    probe = eval_xy(spec, spec.v1, xs[:2, None, :], ys[None, :, :])
-    if probe.strides[0] == 0:
-        return float(np.max(np.abs(probe[0])))
+    row = shared_v1_row(spec, xs, ys)
+    if row is not None:
+        return float(np.max(np.abs(row)))
     return max(map_blocks(block_max, xs.shape[0], ys.shape[0]))
 
 
@@ -252,7 +250,7 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0,
     )
 
 
-def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid], report,
+def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid],
                        estimate: ExponentEstimate) -> FinitenessReport:
     """Combine the exponent criterion with the Hilbert-Schmidt refinement trend.
 
@@ -304,7 +302,6 @@ def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid], report,
     exponent = rhs - lhs           # integral_0^delta t^(exponent - 1) dt
     integral_finite = bool(exponent > 0.0)
     return FinitenessReport(
-        estimate=estimate,
         criterion_lhs=float(lhs),
         criterion_rhs=float(rhs),
         margin=MARGIN,

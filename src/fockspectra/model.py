@@ -146,6 +146,17 @@ def _owned(samples: np.ndarray):
     return samples if samples.flags.writeable and samples.dtype == np.float64 else None
 
 
+def shared_v1_row(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray):
+    """v1(x, y) at the points ys (shape (m, d)) as one row for every x of xs, or None.
+
+    The row is shared when v1 ignores x, which eval_xy shows by spreading
+    the samples at xs[:2] from one row (a zero row stride); a single x is
+    its own row.
+    """
+    V = eval_xy(spec, spec.v1, xs[:2, None, :], ys[None, :, :])
+    return V[0] if V.shape[0] == 1 or (V.shape[0] > 1 and V.strides[0] == 0) else None
+
+
 @dataclass(frozen=True, eq=False)
 class MeshSamples:
     """Parameter-function samples on a grid, shared by the assembly routines.
@@ -175,7 +186,7 @@ def _sym_w2(spec: ModelSpec, grid, b: slice, cols: slice = slice(None)) -> np.nd
     return W
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _mesh_samples_cached(spec: ModelSpec, grid) -> MeshSamples:
     nodes = grid.nodes
     w1v = eval_x(spec, spec.w1, nodes).astype(float)
@@ -196,7 +207,7 @@ def _mesh_samples_cached(spec: ModelSpec, grid) -> MeshSamples:
 
 
 def mesh_samples(spec: ModelSpec, grid) -> MeshSamples:
-    """Cached samples of w1, v0, v1, w2 on a grid (keyed by object identity)."""
+    """Samples of w1, v0, v1, w2 on a grid, cached for the last grid (by object identity)."""
     return _mesh_samples_cached(spec, grid)
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from .blocks import map_blocks
 from .grid import Grid
 from .model import (ModelSpec, _as_point, _as_points, _owned, _sym_w2, eval_x, eval_xy,
-                    mesh_samples)
+                    mesh_samples, shared_v1_row)
 
 POLE_TOL = 1e-12
 
@@ -114,19 +114,6 @@ def _pole_check(W2: np.ndarray, z: float, out=None) -> np.ndarray:
     return shifted
 
 
-def _shared_v1_sq(spec: ModelSpec, grid: Grid, pts: np.ndarray):
-    """|v1(p, y_j)|^2 over the nodes y_j as one row for every point p of pts, or None.
-
-    The row is shared when v1 ignores p, which eval_xy shows by spreading
-    the samples at pts[:2] from one row (a zero row stride); a single point
-    is its own row.  Otherwise each row block samples v1 itself (_v1_sq).
-    """
-    V1 = eval_xy(spec, spec.v1, pts[:2, None, :], grid.nodes[None, :, :])
-    if V1.shape[0] == 1 or (V1.shape[0] > 1 and V1.strides[0] == 0):
-        return np.abs(V1[0]) ** 2
-    return None
-
-
 def _v1_sq(spec: ModelSpec, grid: Grid, pts: np.ndarray, b: slice) -> np.ndarray:
     """|v1(p, y_j)|^2 for the points p of pts[b] and the nodes y_j, as a new array."""
     V = eval_xy(spec, spec.v1, pts[b, None, :], grid.nodes[None, :, :])
@@ -138,7 +125,8 @@ def delta_values(spec: ModelSpec, grid: Grid, z) -> np.ndarray:
     """Delta(x_i; z) at every grid node, streamed; a sequence of z gives one row per z."""
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     quad = np.empty((zs.size, grid.n))
-    row = _shared_v1_sq(spec, grid, grid.nodes)
+    shared = shared_v1_row(spec, grid.nodes, grid.nodes)      # None unless v1 ignores x
+    row = None if shared is None else np.abs(shared) ** 2
 
     def block(b):
         v2 = row if row is not None else _v1_sq(spec, grid, grid.nodes, b)
@@ -161,8 +149,8 @@ def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z):
     Both are new arrays, z subtracted in the w2 block just sampled, except
     when v1 ignores p: then the first is one row computed here, once per call.
     """
-    row = _shared_v1_sq(spec, grid, pts)
-    wrow = None if row is None else grid.weights * row
+    row = shared_v1_row(spec, pts, grid.nodes)
+    wrow = None if row is None else grid.weights * np.abs(row) ** 2
 
     def rows(b):
         zb = z[b, None] if np.ndim(z) > 0 else z

@@ -78,25 +78,25 @@ class W2Minima(NamedTuple):
     band: float                 # how far w2 may still fall below the value of a point
 
 
+class Sigma2Side(NamedTuple):
+    """The Sigma_2 roots on one side of ran w2, as _one_sided_roots found them."""
+
+    rows: np.ndarray            # strictly increasing indices of the grid nodes holding a root
+    roots: np.ndarray           # the root z of each
+
+
 @dataclass(frozen=True, eq=False)
 class EssSpecReport:
-    """Sampled essential spectrum: [m, M] plus the Sigma_2 root set."""
+    """Sampled essential spectrum: [m, M] plus the Sigma_2 roots below m and above M."""
 
     m: float
     M: float
-    sigma2_roots: list          # (x node, root z) pairs, left then right
+    left: Sigma2Side            # roots below m
+    right: Sigma2Side           # roots above M
     sigma2_hull: list           # closed intervals [lo, hi] after gap merging
     sess_min: float
     sess_max: float
     w2_minima: W2Minima         # lattice minima of w2 over Omega^2, from _w2_edges
-
-    @property
-    def left_roots(self):
-        return [r for r in self.sigma2_roots if r[1] < self.m]
-
-    @property
-    def right_roots(self):
-        return [r for r in self.sigma2_roots if r[1] > self.M]
 
 
 def eigvals_hermitian(matrix) -> np.ndarray:
@@ -225,7 +225,7 @@ def _one_sided_roots(spec: ModelSpec, grid: Grid, inner: Grid, sign: int, probe:
     row stops once |f(t)| <= ROOT_TOL and returns t + f(t)/2, within
     ROOT_TOL/2 of the root.  Negation is exact in IEEE arithmetic, so both
     sides are bit-identical to a search written out directly in z.  Returns
-    the rows holding a root and the roots in z.
+    the rows holding a root and the roots in z, as a Sigma2Side.
     """
     def f(rows, t):
         delta, slope = delta_and_derivative_at_points(spec, inner, grid.nodes[rows], sign * t)
@@ -234,7 +234,7 @@ def _one_sided_roots(spec: ModelSpec, grid: Grid, inner: Grid, sign: int, probe:
     ft, slope = f(np.arange(grid.n), np.full(grid.n, probe))
     rows = np.flatnonzero(ft < 0.0)
     if rows.size == 0:
-        return rows, np.empty(0)
+        return Sigma2Side(rows, np.empty(0))
     ft, slope = ft[rows], slope[rows]
     t = np.full(rows.size, probe)
     active = np.arange(rows.size)
@@ -245,7 +245,7 @@ def _one_sided_roots(spec: ModelSpec, grid: Grid, inner: Grid, sign: int, probe:
         go = ~done
         active, t = active[go], t[go] - ft[go] / slope[go]
         if active.size == 0:
-            return rows, sign * roots
+            return Sigma2Side(rows, sign * roots)
         ft, slope = f(rows[active], t)
     side = "left" if sign == 1 else "right"
     raise RuntimeError(f"{side} Sigma_2 roots not within the tolerance after {_MAX_ROOT_STEPS} "
@@ -275,17 +275,12 @@ def essential_spectrum(spec: ModelSpec, grid: Grid) -> EssSpecReport:
     edge = max(1e-9, (M_guard - m_guard + 1.0) / n1**2)
     inner = make_grid(spec.d, grid.a, (4 if spec.d == 1 else 2) * n1, "midpoint")
 
-    roots = []
-    sides = []
-    for sign, e_guard in ((1, m_guard), (-1, -M_guard)):
-        rows, found = _one_sided_roots(spec, grid, inner, sign, e_guard - edge)
-        roots += [(grid.nodes[r].copy(), float(z)) for r, z in zip(rows, found)]
-        sides.append(found)
-    left, right = sides
-    hull = _merge_hull(left, ROOT_TOL) + _merge_hull(right, ROOT_TOL)
-    sess_min = float(left.min(initial=m_hat))
-    sess_max = float(right.max(initial=M_hat))
-    return EssSpecReport(m=m_hat, M=M_hat, sigma2_roots=roots, sigma2_hull=hull,
+    left, right = (_one_sided_roots(spec, grid, inner, sign, e_guard - edge)
+                   for sign, e_guard in ((1, m_guard), (-1, -M_guard)))
+    hull = _merge_hull(left.roots, ROOT_TOL) + _merge_hull(right.roots, ROOT_TOL)
+    sess_min = float(left.roots.min(initial=m_hat))
+    sess_max = float(right.roots.max(initial=M_hat))
+    return EssSpecReport(m=m_hat, M=M_hat, left=left, right=right, sigma2_hull=hull,
                          sess_min=sess_min, sess_max=sess_max, w2_minima=minima)
 
 

@@ -47,7 +47,7 @@ expected = np.sort(np.concatenate([[7.0], g.nodes[:, 0], np.full(pg.p, 5.0)]))
 assert np.max(np.abs(ev - expected)) <= 1e-10
 
 ess = fs.essential_spectrum(spec, g)
-roots = np.sort([z for _, z in ess.sigma2_roots])
+roots = np.sort(np.r_[ess.left.roots, ess.right.roots])
 sampled_ran_w1 = np.sort(g.nodes[:, 0])      # none of it inside Sigma_1
 assert roots.size == sampled_ran_w1.size
 assert np.max(np.abs(roots - sampled_ran_w1)) <= 1e-8
@@ -81,7 +81,7 @@ def test_acceptance_02_sigma2_empty_reproduction(s2e):
         eM = max(abs(fs.delta_at(s2e, g, x, M)) for x in g.nodes[:, 0])
         errs[n] = max(em, eM)
         ess = fs.essential_spectrum(s2e, g)
-        assert len(ess.sigma2_roots) == 0, f"spurious Sigma_2 roots at n={n}"
+        assert ess.left.rows.size == ess.right.rows.size == 0, f"spurious Sigma_2 roots at n={n}"
     assert errs[64] <= 1e-3
     assert errs[128] <= errs[64] / 4.0 + 1e-15, \
         f"error shrank only {errs[64] / errs[128]:.3f}x"
@@ -202,24 +202,24 @@ def test_acceptance_08_finiteness_criterion_ground_truth():
     spec = synthetic_power_model(beta=2.0, gamma=1.0)
     g = fs.make_grid(1, spec.a, 24)
     ess = fs.essential_spectrum(spec, g)
-    t0 = fs.locate_t0(spec, g, ess)
+    t0 = fs.locate_t0(spec, ess)
     est = fs.estimate_exponents(spec, g, ess, t0)
     assert abs(est.alpha_hat - 2.0) <= 0.1
     assert abs(est.beta_hat - 2.0) <= 0.1
     assert est.gamma_hat is not None and abs(est.gamma_hat - 1.0) <= 0.1
     assert min(est.fit_r2) >= 0.95
     grids = [fs.make_grid(1, spec.a, n) for n in (24, 48, 96)]
-    verdict = fs.finiteness_verdict(spec, grids, ess, est)
+    verdict = fs.finiteness_verdict(spec, grids, est)
     assert verdict.verdict == "finite-predicted", verdict
 
     # boundary case alpha=2, beta=1, gamma=1, d=1: 3 < 3 fails, inconclusive
     spec_b = synthetic_power_model(beta=1.0, gamma=1.0)
     g_b = fs.make_grid(1, spec_b.a, 24)
     ess_b = fs.essential_spectrum(spec_b, g_b)
-    t0_b = fs.locate_t0(spec_b, g_b, ess_b)
+    t0_b = fs.locate_t0(spec_b, ess_b)
     est_b = fs.estimate_exponents(spec_b, g_b, ess_b, t0_b)
     grids_b = [fs.make_grid(1, spec_b.a, n) for n in (24, 48, 96)]
-    verdict_b = fs.finiteness_verdict(spec_b, grids_b, ess_b, est_b)
+    verdict_b = fs.finiteness_verdict(spec_b, grids_b, est_b)
     assert verdict_b.verdict == "inconclusive", verdict_b
     _ok(8, "exponent criterion on engineered ground truth")
 

@@ -2,7 +2,10 @@
 import argparse
 import ast
 import gc
+import importlib.util
+import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -390,6 +393,7 @@ def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, mo
     ["check-model", "--model", 'config:epsilon = "x"'],
     ["check-model", "--model", "config:epsilon = 1, 2"],
     ["check-model", "--model", 'config:t0 = "a"'],
+    ["finiteness", "--model", "config:t0 = 1.5"],        # outside Omega = (-1, 1)
     ["check-model", "--model", "config:functions = 2"],
     ["check-model", "--model", "config:domain { d = 1.5  a = 1 }"],
     ["check-model", "--model", "config:domain { d = 1  a = nan }"],
@@ -493,3 +497,25 @@ def test_readme_cli_commands_and_library_sketch_run(tmp_path, monkeypatch, capsy
     for _, *argv in commands:
         assert cli.main(argv) == 0, argv
     exec(_readme_block("Library sketch", "python"), {})
+
+
+def test_compare_tool_runs_every_readme_and_bench_command():
+    root = README.parent
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  root / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    listed = tool.commands(root)
+    for line in _readme_block("CLI", "sh").splitlines():
+        if line.startswith("fockspectra "):
+            argv = shlex.split(line)[1:]
+            if "--out" in argv:
+                del argv[argv.index("--out"):argv.index("--out") + 2]
+            assert argv in listed, line
+    workloads = tool._bench_run(root).WORKLOADS
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(names) == sorted(workloads)
+    for name in names:
+        for seed in (0, 1):
+            for argv in workloads[name](random.Random(seed)):
+                assert argv in listed, (name, seed, argv)

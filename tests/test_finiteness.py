@@ -22,7 +22,7 @@ def _report_for(spec, n=24):
 
 def test_locate_t0_mnr(mnr):
     g, rep = _report_for(mnr, 32)
-    t0 = fs.locate_t0(mnr, g, rep)
+    t0 = fs.locate_t0(mnr, rep)
     assert t0 is not None
     assert abs(float(t0[0])) < 1e-6
 
@@ -32,7 +32,7 @@ def test_locate_t0_shifted_quadratic():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x,
                           lambda x, y: (x - c) ** 2 + (y - c) ** 2)
     g, rep = _report_for(spec)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     assert t0 is not None
     assert abs(float(t0[0]) - c) < 1e-6
 
@@ -46,7 +46,7 @@ def _d2_decoupled(w2_expr):
 def test_locate_t0_shifted_quadratic_d2():
     spec = _d2_decoupled("(x1 - 0.3)**2 + (x2 + 0.2)**2 + (y1 - 0.3)**2 + (y2 + 0.2)**2")
     g, rep = _report_for(spec, 8)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     assert t0 is not None
     assert np.max(np.abs(t0 - [0.3, -0.2])) < 1e-6
 
@@ -57,7 +57,7 @@ def test_locate_t0_mnr_stays_on_the_hint_inside_the_flat_band(mnr):
     band = np.linspace(-5e-9, 5e-9, 201)[:, None]
     assert np.all(fs.model.eval_xy(mnr, mnr.w2, band, band) == 0.0)
     g, rep = _report_for(mnr, 32)
-    t0 = fs.locate_t0(mnr, g, rep)
+    t0 = fs.locate_t0(mnr, rep)
     assert t0.tolist() == [0.0]
 
 
@@ -66,7 +66,7 @@ def test_locate_t0_double_well_d2_returns_none():
     spec = _d2_decoupled("(x1**2 - 0.25)**2 + (x2**2 - 0.25)**2"
                          " + (y1**2 - 0.25)**2 + (y2**2 - 0.25)**2")
     g, rep = _report_for(spec, 8)
-    assert fs.locate_t0(spec, g, rep) is None
+    assert fs.locate_t0(spec, rep) is None
 
 
 def _scipy_t0(f, best, lo, hi):
@@ -136,7 +136,7 @@ def test_d3_is_refused_before_w2_is_sampled(monkeypatch):
     g = fs.make_grid(3, spec.a, 2)
     monkeypatch.setattr(fs.finiteness, "eval_xy", lambda *args: pytest.fail("w2 sampled"))
     with pytest.raises(ValueError, match="d <= 2"):
-        fs.locate_t0(spec, g, None)
+        fs.locate_t0(spec, None)
     with pytest.raises(ValueError, match="d <= 2"):
         fs.estimate_exponents(spec, g, None, np.zeros(3))
 
@@ -145,14 +145,14 @@ def test_locate_t0_double_well_returns_none():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x,
                           lambda x, y: (x**2 - 0.25) ** 2 + (y**2 - 0.25) ** 2)
     g, rep = _report_for(spec)
-    assert fs.locate_t0(spec, g, rep) is None
+    assert fs.locate_t0(spec, rep) is None
 
 
 def test_locate_t0_offdiagonal_returns_none():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x,
                           lambda x, y: ((x - y) ** 2 - 0.25) ** 2)
     g, rep = _report_for(spec)
-    assert fs.locate_t0(spec, g, rep) is None
+    assert fs.locate_t0(spec, rep) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,7 +162,7 @@ def test_locate_t0_refuses_an_off_diagonal_minimizer(c, shift, n):
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x,
                           lambda x, y: ((x - y) ** 2 - c * c) ** 2 + (x + y - 2.0 * shift) ** 2)
     g, rep = _report_for(spec, n)
-    assert fs.locate_t0(spec, g, rep) is None
+    assert fs.locate_t0(spec, rep) is None
 
 
 def _wells(d, s, r):
@@ -186,7 +186,7 @@ def _wells(d, s, r):
 def test_locate_t0_off_lattice_wells(d, s, r):
     spec = _wells(d, s, r)
     g, rep = _report_for(spec, 16 if d == 1 else 8)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     if r > 0.0:
         assert t0 is None
     else:
@@ -197,7 +197,20 @@ def test_locate_t0_on_the_cube_face():
     # the minimizer (1, 1) lies on the closed cube; t0 stays 1e-9 inside it
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x, lambda x, y: (x - 1.0) ** 2 + (y - 1.0) ** 2)
     g, rep = _report_for(spec)
-    assert fs.locate_t0(spec, g, rep).tolist() == [1.0 - 1e-9]
+    assert fs.locate_t0(spec, rep).tolist() == [1.0 - 1e-9]
+
+
+def test_locate_t0_ignores_a_hint_outside_omega():
+    # w2(1.5, 1.5) = -3 lies below the cube's minimum -2, so the hint would
+    # win the comparison and estimate_exponents would fit shells of a
+    # negative ball radius a - |t0|
+    spec = fs.model_from_config(
+        'domain { d = 1  a = 1 }\nfunctions {\n  w0 = 0\n  v0 = 0\n  w1 { expr = "3 + x" }\n'
+        '  v1 { expr = "0.5 * y" }\n  w2 { expr = "0 - x - y" }\n}\n')
+    g, rep = _report_for(spec, 16)
+    t0 = fs.locate_t0(dataclasses.replace(spec, t0=np.array([1.5])), rep)
+    assert t0 is not None and np.all(np.abs(t0) < spec.a)
+    assert t0.tolist() == fs.locate_t0(spec, rep).tolist()
 
 
 @pytest.mark.parametrize("model", ["mnr-infinite", "sigma2-empty", D2_EMPTY, D2_BOTH])
@@ -213,15 +226,15 @@ def test_locate_t0_reads_the_edge_search_instead_of_sampling_w2(model):
         samples.append(np.broadcast_shapes(out.shape, np.shape(x)[:-1], np.shape(y)[:-1]))
         return out
 
-    t0 = fs.locate_t0(dataclasses.replace(spec, w2=w2), g, rep)
-    assert t0.tolist() == fs.locate_t0(spec, g, rep).tolist()
+    t0 = fs.locate_t0(dataclasses.replace(spec, w2=w2), rep)
+    assert t0.tolist() == fs.locate_t0(spec, rep).tolist()
     assert sum(math.prod(shape) for shape in samples) <= 10**4
 
 
 def test_estimate_exponents_synthetic_211():
     spec = synthetic_power_model(beta=1.0, gamma=1.0)
     g, rep = _report_for(spec, 32)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
     assert abs(est.alpha_hat - 2.0) < 0.1
     assert abs(est.beta_hat - 1.0) < 0.1
@@ -232,7 +245,7 @@ def test_estimate_exponents_synthetic_211():
 def test_estimate_beta_sentinel_for_vanishing_coupling():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x, lambda x, y: 1.0 + x**2 + y**2)
     g, rep = _report_for(spec)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
     assert est.beta_hat == math.inf
 
@@ -241,7 +254,7 @@ def test_beta_statistic_samples_v1_once_per_shell_when_v1_ignores_x():
     # v1 = 0.5 |y|^2: every x-row of the beta statistic is the same row
     spec = fs.load_model(D2_EMPTY)
     g, rep = _report_for(spec, 8)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     y_points = []
 
     def v1(x, y, _f=spec.v1):
@@ -259,7 +272,7 @@ def test_beta_statistic_samples_v1_once_per_shell_when_v1_ignores_x():
 
 def test_estimate_exponents_mnr(mnr):
     g, rep = _report_for(mnr, 32)
-    t0 = fs.locate_t0(mnr, g, rep)
+    t0 = fs.locate_t0(mnr, rep)
     est = fs.estimate_exponents(mnr, g, rep, t0)
     assert abs(est.alpha_hat - 2.0) < 0.1
     assert abs(est.beta_hat - 1.0) < 0.1
@@ -275,7 +288,7 @@ def test_alpha_scale_equivariance():
     ests = []
     for spec in (spec1, spec3):
         g, rep = _report_for(spec)
-        t0 = fs.locate_t0(spec, g, rep)
+        t0 = fs.locate_t0(spec, rep)
         ests.append(fs.estimate_exponents(spec, g, rep, t0))
     assert abs(ests[0].alpha_hat - ests[1].alpha_hat) < 1e-6
 
@@ -290,13 +303,13 @@ def _doctored(est, beta):
 def test_verdict_monotone_in_beta():
     spec = synthetic_power_model(beta=2.0, gamma=1.0)
     g, rep = _report_for(spec, 24)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
     grids = [fs.make_grid(1, spec.a, n) for n in (24, 48, 96)]
     rank = {"criterion-violated": 0, "inconclusive": 1, "finite-predicted": 2}
     last = -1
     for beta in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
-        rep_fin = fs.finiteness_verdict(spec, grids, rep, _doctored(est, beta))
+        rep_fin = fs.finiteness_verdict(spec, grids, _doctored(est, beta))
         assert rank[rep_fin.verdict] >= last
         last = rank[rep_fin.verdict]
 
@@ -304,35 +317,35 @@ def test_verdict_monotone_in_beta():
 def test_verdict_needs_three_levels():
     spec = synthetic_power_model(beta=2.0, gamma=1.0)
     g, rep = _report_for(spec, 24)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
     with pytest.raises(ValueError):
-        fs.finiteness_verdict(spec, [g, g], rep, est)
+        fs.finiteness_verdict(spec, [g, g], est)
 
 
 def test_integral_test_agreement_leg():
     spec = synthetic_power_model(beta=2.0, gamma=1.0)
     g, rep = _report_for(spec, 24)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     est = fs.estimate_exponents(spec, g, rep, t0)
     grids = [fs.make_grid(1, spec.a, n) for n in (24, 48, 96)]
     for beta in (0.0, 1.0, 2.0):
-        rep_fin = fs.finiteness_verdict(spec, grids, rep, _doctored(est, beta))
+        rep_fin = fs.finiteness_verdict(spec, grids, _doctored(est, beta))
         assert rep_fin.integral_test_agrees
 
 
 def test_verdict_mnr_not_finite_predicted(mnr):
     g, rep = _report_for(mnr, 32)
-    t0 = fs.locate_t0(mnr, g, rep)
+    t0 = fs.locate_t0(mnr, rep)
     est = fs.estimate_exponents(mnr, g, rep, t0)
     grids = [fs.make_grid(1, mnr.a, n) for n in (16, 32, 64)]
-    rep_fin = fs.finiteness_verdict(mnr, grids, rep, est)
+    rep_fin = fs.finiteness_verdict(mnr, grids, est)
     assert rep_fin.verdict != "finite-predicted"
 
 
 def test_verdict_streams_the_hs_trend_on_refined_grids(s2e, monkeypatch):
     g, rep = _report_for(s2e, 16)
-    est = fs.estimate_exponents(s2e, g, rep, fs.locate_t0(s2e, g, rep))
+    est = fs.estimate_exponents(s2e, g, rep, fs.locate_t0(s2e, rep))
     grids = [fs.make_grid(1, s2e.a, n) for n in (16, 32, 64)]
     dense = [np.linalg.norm(fs.bs_operator(s2e, gk, est.e_star)) for gk in grids]
     sampled, bs_calls = [], []
@@ -343,7 +356,7 @@ def test_verdict_streams_the_hs_trend_on_refined_grids(s2e, monkeypatch):
         monkeypatch.setattr(mod, "bs_operator",
                             lambda *args: bs_calls.append(args) or fs.bs_operator(*args),
                             raising=False)
-    report = fs.finiteness_verdict(s2e, grids, rep, est)
+    report = fs.finiteness_verdict(s2e, grids, est)
     assert not [gk for gk in sampled if any(gk is r for r in grids)]
     assert bs_calls == []
     assert [n for n, _ in report.hs_trend] == [16, 32, 64]
@@ -353,7 +366,7 @@ def test_verdict_streams_the_hs_trend_on_refined_grids(s2e, monkeypatch):
 def test_estimate_exponents_independent_of_block_size(monkeypatch):
     spec = synthetic_power_model(beta=1.0, gamma=1.0)
     g, rep = _report_for(spec, 24)
-    t0 = fs.locate_t0(spec, g, rep)
+    t0 = fs.locate_t0(spec, rep)
     whole = fs.estimate_exponents(spec, g, rep, t0)
     monkeypatch.setattr(fs.blocks, "BLOCK_ELEMENTS", 1)       # one row per block
     rowwise = fs.estimate_exponents(spec, g, rep, t0)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,15 @@ from oracles import negate_model, plain_expr, synthetic_power_model
 def test_builtin_registry_has_exactly_two():
     names = sorted(fs.builtin_models())
     assert names == ["mnr-infinite", "sigma2-empty"]
+
+
+def test_mesh_samples_are_cached_for_one_grid_only(mnr):
+    # every command solves on one grid, and one entry is 85 MB at the d = 2 cap
+    first = fs.make_grid(1, mnr.a, 8)
+    samples = weakref.ref(fs.model.mesh_samples(mnr, first))
+    assert fs.model.mesh_samples(mnr, first) is samples()
+    fs.model.mesh_samples(mnr, fs.make_grid(1, mnr.a, 8))
+    assert samples() is None
 
 
 def test_load_unknown_name_raises():

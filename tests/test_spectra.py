@@ -63,7 +63,7 @@ def test_essential_spectrum_decoupled():
     g = fs.make_grid(1, 1.0, 32)
     ess = fs.essential_spectrum(spec, g)
     assert ess.m == 5.0 and ess.M == 5.0
-    roots = np.sort([z for _, z in ess.sigma2_roots])
+    roots = np.sort(np.r_[ess.left.roots, ess.right.roots])
     assert roots.size == 32
     assert np.max(np.abs(roots - g.nodes[:, 0])) < 1e-9
     # uniform roots merge into a single interval approximating [-1, 1]
@@ -80,7 +80,7 @@ def test_essential_spectrum_sigma2_empty(s2e):
     for spec, n in ((s2e, 32), (s2e, 64), (decoupled, 6), (decoupled, 12)):
         g = fs.make_grid(spec.d, spec.a, n)
         ess = fs.essential_spectrum(spec, g)
-        assert ess.sigma2_roots == []
+        assert ess.left.rows.size == ess.right.rows.size == 0
         assert ess.sess_min == ess.m and ess.sess_max == ess.M
 
 
@@ -94,7 +94,7 @@ def test_essential_spectrum_mnr(mnr):
     assert abs(ess.M - W.max()) < 0.02
     assert abs(W.max() - 6.25) < 1e-4
     # a genuine Sigma_2 bulge sits above M; it is stable under refinement
-    assert len(ess.right_roots) > 0
+    assert ess.right.rows.size > 0
     assert ess.sess_max > ess.M
     g2 = fs.make_grid(1, mnr.a, 32)
     ess2 = fs.essential_spectrum(mnr, g2)
@@ -106,7 +106,7 @@ def test_essential_spectrum_gauss_legendre(s2e):
     # grid may be Gauss-Legendre
     g = fs.make_grid(1, s2e.a, 32, "gauss-legendre")
     ess = fs.essential_spectrum(s2e, g)
-    assert ess.sigma2_roots == []
+    assert ess.left.rows.size == ess.right.rows.size == 0
     assert 0.0 <= ess.m < 0.1 and 4.7 < ess.M <= 4.8
 
 
@@ -114,8 +114,8 @@ def test_monotone_root_structure(mnr):
     # at most one root per node and side
     g = fs.make_grid(1, mnr.a, 64)
     ess = fs.essential_spectrum(mnr, g)
-    for side_roots in (ess.left_roots, ess.right_roots):
-        nodes = [tuple(pt) for pt, _ in side_roots]
+    for side in (ess.left, ess.right):
+        nodes = [tuple(pt) for pt in g.nodes[side.rows]]
         assert len(nodes) == len(set(nodes))
 
 
@@ -209,8 +209,9 @@ def test_frobenius_schur_inertia_leg():
         assert neg_A == neg_S + neg_h22
 
 
-def _roots_by_value(ess, sign=1):
-    return sorted((sign * z, tuple(pt)) for pt, z in ess.sigma2_roots)
+def _roots_by_value(ess, nodes, sign=1):
+    return sorted((sign * z, tuple(nodes[r])) for side in (ess.left, ess.right)
+                  for r, z in zip(*side))
 
 
 @settings(max_examples=10, deadline=None)
@@ -224,9 +225,25 @@ def test_negation_mirrors_essential_spectrum_exactly(seed):
     neg = fs.essential_spectrum(negate_model(spec), g)
     assert neg.m == -ess.M and neg.M == -ess.m
     assert neg.sess_min == -ess.sess_max and neg.sess_max == -ess.sess_min
-    assert _roots_by_value(neg, -1) == _roots_by_value(ess)
-    assert len(neg.left_roots) == len(ess.right_roots)
-    assert len(neg.right_roots) == len(ess.left_roots)
+    assert _roots_by_value(neg, g.nodes, -1) == _roots_by_value(ess, g.nodes)
+    # each side of the negation is the other side of the model, mirrored
+    for a, b in ((neg.left, ess.right), (neg.right, ess.left)):
+        assert a.rows.tolist() == b.rows.tolist()
+        assert a.roots.tolist() == (-b.roots).tolist()
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), negate=st.booleans())
+def test_each_side_of_the_report_is_one_sided(seed, negate):
+    spec = random_trig_model(np.random.default_rng(seed))
+    spec = negate_model(spec) if negate else spec
+    ess = fs.essential_spectrum(spec, fs.make_grid(1, spec.a, 12))
+    for side in (ess.left, ess.right):
+        assert side.rows.size == side.roots.size
+        assert np.all(np.diff(side.rows) > 0)
+    assert np.all(ess.left.roots < ess.m) and np.all(ess.right.roots > ess.M)
+    assert ess.sess_min == min([ess.m, *ess.left.roots])
+    assert ess.sess_max == max([ess.M, *ess.right.roots])
 
 
 @settings(max_examples=10, deadline=None)
@@ -244,7 +261,7 @@ def test_sigma2_roots_sit_inside_their_certified_bracket(seed, negate, tol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "ROOT_TOL", tol)
         ess = fs.essential_spectrum(spec, g)
-    for pt, r in ess.sigma2_roots:
+    for pt, r in ((g.nodes[i], z) for side in (ess.left, ess.right) for i, z in zip(*side)):
         assert fs.delta_at(spec, inner, pt, r - 0.5 * tol) >= 0.0
         assert fs.delta_at(spec, inner, pt, r + 0.5 * tol) <= 0.0
 
@@ -270,7 +287,7 @@ def test_essential_spectrum_builds_no_compact_kernel(case, monkeypatch):
     monkeypatch.setattr(schur, "hs_norm_k", refuse)
     spec = fs.model_from_config(D2_CONFIG) if case == "d2" else fs.load_model(case)
     ess = fs.essential_spectrum(spec, fs.make_grid(spec.d, spec.a, 64 if spec.d == 1 else 8))
-    assert ess.sigma2_roots
+    assert ess.left.rows.size + ess.right.rows.size > 0
 
 
 def test_bs_check_evaluates_delta_and_k_once_per_z(mnr, monkeypatch):
@@ -541,7 +558,7 @@ def test_w2_edges_skip_nan_samples_on_the_cube_boundary():
         lo, hi, _ = spectra._w2_edges(spec, 1.0)
         ess = fs.essential_spectrum(spec, fs.make_grid(1, 1.0, 16))
     assert lo == 2.0 and 4.0 - 1e-9 < hi < 4.0
-    assert len(ess.left_roots) == 16
+    assert ess.left.rows.size == 16
 
 
 def _permuted(grid, perm):
@@ -567,6 +584,6 @@ def test_results_are_invariant_under_node_permutation(seed, negate, d2):
     assert chk_p.sup_norm_2pe == pytest.approx(chk.sup_norm_2pe, rel=1e-12, abs=0)
     assert chk_p.sup_norm_2p4e == pytest.approx(chk.sup_norm_2p4e, rel=1e-12, abs=0)
     ess, ess_p = fs.essential_spectrum(spec, g), fs.essential_spectrum(spec, p)
-    assert _roots_by_value(ess_p) == _roots_by_value(ess)
+    assert _roots_by_value(ess_p, p.nodes) == _roots_by_value(ess, g.nodes)
     assert ess_p.sigma2_hull == ess.sigma2_hull
     assert (ess_p.sess_min, ess_p.sess_max) == (ess.sess_min, ess.sess_max)

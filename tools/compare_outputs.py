@@ -1,0 +1,101 @@
+"""Compare the CLI outputs of two checkouts byte for byte.
+
+    python tools/compare_outputs.py PARENT CHANGE
+
+Runs every command of the README's CLI section and every benchmark workload
+command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) as
+``python -m fockspectra.cli`` in each checkout: from its root, with its own
+``src/`` on the path, BLAS threads pinned as the benchmark pins them, and a
+fresh output directory per command (``list-models`` takes no ``--out``).
+The exit code, stdout, stderr (with the checkout's path and the output
+directory masked) and every output file must be equal.  Prints each command
+that differs and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import random
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (0, 1)
+
+
+def _bench_run(tree: Path):
+    """bench/run.py of a checkout as a module, writing no bytecode under bench/."""
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", tree / "bench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def _without_out(argv: list) -> list:
+    i = argv.index("--out") if "--out" in argv else len(argv)
+    return argv[:i] + argv[i + 2:]
+
+
+def readme_commands(tree: Path) -> list:
+    """The argv of each ``fockspectra`` line of the README's CLI block, without --out."""
+    text = (tree / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    return [_without_out(shlex.split(line)[1:]) for line in block.splitlines()
+            if line.startswith("fockspectra ")]
+
+
+def commands(tree: Path) -> list:
+    """The README commands, then each workload's commands for SEEDS, each once."""
+    workloads = _bench_run(tree).WORKLOADS
+    cmds = readme_commands(tree) + [argv for make in workloads.values() for seed in SEEDS
+                                    for argv in make(random.Random(seed))]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, cmds))]
+
+
+def _run(tree: Path, env: dict, argv: list, out: Path) -> dict:
+    """One command in one checkout: exit code, stdout, masked stderr and output files."""
+    extra = [] if argv[0] == "list-models" else ["--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "fockspectra.cli", *argv, *extra], cwd=tree,
+                          env=env, capture_output=True, timeout=600)
+    files = {str(p.relative_to(out)): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()} if out.exists() else {}
+    stderr = proc.stderr.replace(str(out).encode(), b"<out>").replace(str(tree).encode(), b"<tree>")
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": stderr, "files": files}
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    trees = [Path(t).resolve() for t in args]
+    change = trees[1]
+    child_env = _bench_run(change).child_env()
+    envs = [dict(child_env, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+            for tree in trees]
+    cmds = commands(change)
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        for i, argv in enumerate(cmds):
+            parent, new = (_run(tree, env, argv, Path(tmp) / side / f"c{i}")
+                           for tree, env, side in zip(trees, envs, ("parent", "change")))
+            fields = [k for k in parent if k != "files" and parent[k] != new[k]]
+            names = sorted(parent["files"].keys() | new["files"].keys())
+            fields += [f"file {name}" for name in names
+                       if parent["files"].get(name) != new["files"].get(name)]
+            if fields:
+                differ += 1
+                print(f"DIFFERS: {shlex.join(argv)}: {', '.join(fields)}")
+    print(f"{len(cmds)} commands compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
