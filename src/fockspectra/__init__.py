@@ -25,7 +25,7 @@ _EXPORTS = {
     **dict.fromkeys(["model_from_config"], "config"),
     **dict.fromkeys(["operators", "DiscreteBlocks", "assemble_A", "assemble_blocks"],
                     "operators"),
-    **dict.fromkeys(["schur", "PoleProximityError", "SchurEval", "bs_operator", "delta_at",
+    **dict.fromkeys(["schur", "PoleProximityError", "bs_operator", "delta_at",
                      "delta_at_points", "delta_values", "hs_norm_k", "hs_norm_t", "k_matrix",
                      "s_and_derivative", "s_matrix", "schur_eval"], "schur"),
     **dict.fromkeys(["spectra", "BOUNDARY_BAND", "CountingResult", "EssSpecReport",

@@ -212,12 +212,11 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
     if not np.all(np.isfinite(zs)):
         raise UsageError("every z must be finite")
     spec, g = _load(args)
-    pg = grid_mod.make_pair_grid(g)
     report = _Report("bs-check", args)
     _require_assumption_a(spec, g, report)
     report.section("counting-checks")
     try:
-        results = spectra.birman_schwinger_sweep(spec, g, pg, [float(z) for z in zs])
+        results = spectra.birman_schwinger_sweep(spec, g, [float(z) for z in zs])
     except spectra.MatrixTooLargeError as exc:
         raise UsageError(str(exc)) from exc
     rows = []

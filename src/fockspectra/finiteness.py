@@ -179,6 +179,8 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0,
     if t0 is None:
         raise ValueError("t0 is required; locate_t0 returned None for this model")
     t0 = np.atleast_1d(np.asarray(t0, dtype=float))
+    if t0.shape != (spec.d,) or not np.all(np.abs(t0) < spec.a):
+        raise ValueError(f"t0 must have d = {spec.d} finite coordinates inside (-a, a)")
     if delta is None:
         delta = spec.a / 4.0
     if not 0.0 < delta < spec.a:

@@ -50,7 +50,6 @@ class PairGrid:
     weights)^2.
     """
 
-    base: Grid
     pairs: np.ndarray
     pair_weights: np.ndarray
 
@@ -140,4 +139,4 @@ def make_pair_grid(grid: Grid) -> PairGrid:
     pair_weights = np.where(i == j, 1.0, 2.0) * w[i] * w[j]
     pairs.setflags(write=False)
     pair_weights.setflags(write=False)
-    return PairGrid(base=grid, pairs=pairs, pair_weights=pair_weights)
+    return PairGrid(pairs=pairs, pair_weights=pair_weights)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, PairGrid
+from .grid import Grid, make_pair_grid
 from .model import MeshSamples, ModelSpec, mesh_samples
 
 
@@ -44,21 +44,14 @@ class DiscreteBlocks:
         return self.h12.dtype
 
 
-def _check_dims(grid: Grid, pair_grid: PairGrid) -> None:
-    if pair_grid.base is not grid and pair_grid.base.n != grid.n:
-        raise ValueError("grid and pair_grid dimensions do not match")
-    if pair_grid.p != grid.n * (grid.n + 1) // 2:
-        raise ValueError("pair grid is inconsistent with its base grid")
-
-
 def coupling_dtype(ms: MeshSamples) -> type:
     """The dtype of h01, h12 and A: complex128 when v1 or v0 is complex, else float64."""
     return np.complex128 if np.iscomplexobj(ms.V1) or np.iscomplexobj(ms.v0) else np.float64
 
 
-def assemble_blocks(spec: ModelSpec, grid: Grid, pair_grid: PairGrid) -> DiscreteBlocks:
-    """Sample the parameter functions and build all five blocks."""
-    _check_dims(grid, pair_grid)
+def assemble_blocks(spec: ModelSpec, grid: Grid) -> DiscreteBlocks:
+    """Sample the parameter functions and build all five blocks over the grid's node pairs."""
+    pair_grid = make_pair_grid(grid)
     ms = mesh_samples(spec, grid)
     w = grid.weights
     i = pair_grid.pairs[:, 0]

@@ -27,15 +27,15 @@ The symbol at the nodes, its point evaluations and the Hilbert-Schmidt norm
 of T are streamed over row blocks of blocks.BLOCK_ELEMENTS samples, so their
 memory does not grow with the square of the grid, and the blocks run on
 every CPU of the affinity mask (blocks.map_blocks).  Only the dense matrices
-(K, S, dS/dz and T, for discrete and bs-check) read the N x N mesh samples;
-s_and_derivative builds S(z) and dS/dz for discrete's branch search from one
-pole-checked W2 - z.
+(K, S, dS/dz and T, for discrete and bs-check) read the N x N mesh samples,
+and all of them come from one evaluation per z: schur_eval's Delta at the
+nodes and K, both from one pole-checked W2 - z.  S = diag(Delta) + K, T and,
+for discrete's branch search, dS/dz are built from that pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,36 +64,6 @@ def _require_positive(delta_vals: np.ndarray) -> None:
         raise ValueError(
             f"Delta(x; z) is nonpositive at a node (min {dmin:.3e}): "
             "z not strictly below essential spectrum (or Assumption failure)")
-
-
-@dataclass(frozen=True, eq=False)
-class SchurEval:
-    """Symbol values and compact-kernel matrix at one z.
-
-    The single source of the Schur complement S(z) and the Birman-Schwinger
-    operator T(z): both are built from these samples without re-evaluating
-    the parameter functions.
-    """
-
-    z: float
-    delta_vals: np.ndarray   # (N,) Delta(x_i; z)
-    k_matrix: np.ndarray     # (N, N) weight-normalized, Hermitian
-
-    def s_matrix(self) -> np.ndarray:
-        """Discrete Schur complement diag(Delta(z)) + K(z), as a new array."""
-        S = self.k_matrix.copy()
-        S[np.diag_indices_from(S)] += self.delta_vals
-        return S
-
-    def t_matrix(self) -> np.ndarray:
-        """Birman-Schwinger matrix -D^{-1/2} K D^{-1/2}, D = diag(Delta(z)).
-
-        Requires Delta(x_i; z) > 0 at every node, which holds for z strictly
-        below the essential spectrum.
-        """
-        _require_positive(self.delta_vals)
-        scale = self.delta_vals**-0.5
-        return -(scale[:, None] * self.k_matrix * scale[None, :])
 
 
 def _pole_check(W2: np.ndarray, z: float, out=None) -> np.ndarray:
@@ -210,9 +180,54 @@ def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     return float(delta_at_points(spec, grid, _as_point(x, spec.d)[None, :], z)[0])
 
 
+def _evaluate(ms, grid: Grid, z: float):
+    """Delta at the nodes, K, W2 - z and the z-free -1/2 v1(x_i, x_j) v1(x_j, x_i)*.
+
+    From the mesh samples and one pole-checked W2 - z; Delta is summed in the
+    row blocks of delta_values and equals it bit for bit.
+    """
+    shifted = _pole_check(ms.W2, z)
+    quad = np.empty(grid.n)
+
+    def block(b):
+        quad[b] = (np.abs(ms.V1[b]) ** 2 / shifted[b]) @ grid.weights
+
+    map_blocks(block, grid.n, grid.n)
+    product = -0.5 * ms.V1 * np.conj(ms.V1.T)
+    sw = np.sqrt(grid.weights)
+    K = sw[:, None] * (product / shifted) * sw[None, :]
+    return ms.w1 - z - 0.5 * quad, K, shifted, product
+
+
+def schur_eval(spec: ModelSpec, grid: Grid, z: float):
+    """(Delta(x_i; z), K(z)): the one evaluation at z that S, T and dS/dz are built from.
+
+    K is the weight-normalized kernel matrix sqrt(w_i) K(x_i, x_j; z) sqrt(w_j),
+    a new Hermitian array the caller owns.
+    """
+    return _evaluate(mesh_samples(spec, grid), grid, z)[:2]
+
+
+def _s_into(delta: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """S(z) = diag(Delta(z)) + K(z), formed in K's own memory."""
+    K[np.diag_indices_from(K)] += delta
+    return K
+
+
+def _t_from(delta: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """T(z) = -D^{-1/2} K D^{-1/2}, D = diag(Delta(z)), as a new array.
+
+    Requires Delta(x_i; z) > 0 at every node, which holds for z strictly
+    below the essential spectrum.
+    """
+    _require_positive(delta)
+    scale = delta**-0.5
+    return -(scale[:, None] * K * scale[None, :])
+
+
 def k_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     """Weight-normalized compact-kernel matrix sqrt(w_i) K(x_i, x_j; z) sqrt(w_j)."""
-    return schur_eval(spec, grid, z).k_matrix
+    return schur_eval(spec, grid, z)[1]
 
 
 def hs_norm_k(spec: ModelSpec, grid: Grid, z: float) -> float:
@@ -220,57 +235,34 @@ def hs_norm_k(spec: ModelSpec, grid: Grid, z: float) -> float:
     return float(np.linalg.norm(k_matrix(spec, grid, z)))
 
 
-def _delta_and_k(ms, grid: Grid, shifted: np.ndarray, z: float):
-    """Delta at the nodes and K, from the mesh samples and shifted = W2 - z.
-
-    Delta is summed in the row blocks of delta_values and equals it bit for bit.
-    """
-    quad = np.empty(grid.n)
-
-    def block(b):
-        quad[b] = (np.abs(ms.V1[b]) ** 2 / shifted[b]) @ grid.weights
-
-    map_blocks(block, grid.n, grid.n)
-    sw = np.sqrt(grid.weights)
-    K = sw[:, None] * (-0.5 * ms.V1 * np.conj(ms.V1.T) / shifted) * sw[None, :]
-    return ms.w1 - z - 0.5 * quad, K
-
-
-def schur_eval(spec: ModelSpec, grid: Grid, z: float) -> SchurEval:
-    """Delta and K at z from the mesh samples and one pole-checked W2 - z."""
-    ms = mesh_samples(spec, grid)
-    delta, K = _delta_and_k(ms, grid, _pole_check(ms.W2, z), z)
-    return SchurEval(z=float(z), delta_vals=delta, k_matrix=K)
-
-
 def s_and_derivative(spec: ModelSpec, grid: Grid, z: float):
-    """S(z) = diag(Delta(z)) + K(z) and dS/dz, from one pole-checked W2 - z.
+    """S(z) = diag(Delta(z)) + K(z) and dS/dz, from one evaluation at z.
 
     dS/dz is diag(d Delta/dz) plus K(z) / (w2 - z) entrywise.  On the grid
     this is -I - B (h22 - z)^{-2} B* for the coupling block B, so it is at
     most -I: every eigenvalue of S(z) falls at least as fast as z rises, on
-    either side of ran w2.  S equals schur_eval(...).s_matrix() bit for bit.
+    either side of ran w2.  S equals s_matrix bit for bit.
     """
     ms = mesh_samples(spec, grid)
-    shifted = _pole_check(ms.W2, z)
-    delta, S = _delta_and_k(ms, grid, shifted, z)
-    S[np.diag_indices_from(S)] += delta
+    delta, S, shifted, product = _evaluate(ms, grid, z)
+    _s_into(delta, S)
     inv2 = shifted ** -2.0
-    del shifted, delta              # the peak holds only S, inv2 and the dS products
+    del shifted, delta              # the peak holds only S, inv2, the product and the dS steps
     sw = np.sqrt(grid.weights)
-    dS = sw[:, None] * (-0.5 * ms.V1 * np.conj(ms.V1.T) * inv2) * sw[None, :]
+    dS = sw[:, None] * (product * inv2) * sw[None, :]
+    del product
     dS[np.diag_indices_from(dS)] -= 1.0 + 0.5 * ((np.abs(ms.V1) ** 2 * inv2) @ grid.weights)
     return S, dS
 
 
 def s_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     """Discrete Schur complement diag(Delta(z)) + K(z)."""
-    return schur_eval(spec, grid, z).s_matrix()
+    return _s_into(*schur_eval(spec, grid, z))
 
 
 def bs_operator(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
     """Birman-Schwinger matrix T(z); raises ValueError unless Delta(z) > 0."""
-    return schur_eval(spec, grid, z).t_matrix()
+    return _t_from(*schur_eval(spec, grid, z))
 
 
 def hs_norm_t(spec: ModelSpec, grid: Grid, z: float) -> float:

@@ -38,9 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ZOOM_TOL, Grid, PairGrid, _lattice_minima, _zoom_minimize, lattice, make_grid
+from .grid import ZOOM_TOL, Grid, _lattice_minima, _zoom_minimize, lattice, make_grid
 from .model import ModelSpec, check_assumption_a, eval_xy, mesh_samples
-from .schur import delta_and_derivative_at_points, s_and_derivative, schur_eval
+from .schur import _s_into, _t_from, delta_and_derivative_at_points, s_and_derivative, schur_eval
 
 BOUNDARY_BAND = 1e-10
 ROOT_TOL = 1e-10   # width of the certified bracket around a Sigma_2 root
@@ -362,7 +362,7 @@ def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float,
     identity needs sess_min <= m and sess_max >= M; ValueError otherwise.
     """
     chk = check_assumption_a(spec, grid)
-    if sess_min > chk.w2_min or sess_max < chk.w2_max:
+    if not (sess_min <= chk.w2_min and sess_max >= chk.w2_max):
         raise ValueError("discrete spectrum: sess_min must not exceed m and sess_max "
                          "must not fall below M, the sampled range of w2")
     sides = []
@@ -399,8 +399,7 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
-                           zs) -> list[CountingResult]:
+def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, zs) -> list[CountingResult]:
     """Three-way bound-state counts at each z: reduced matrix, Schur complement, BS operator.
 
     Computes N(z; A_h), N(0; S_h(z)) and n(1; T_h(z)) independently and
@@ -409,11 +408,14 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
     meaningful when that tally is zero.  A does not depend on z, so it is
     eigensolved once for all zs; MatrixTooLargeError is raised before it or
     the dense (N, P) coupling block is allocated if A and the eigensolver's
-    copy exceed physical memory.
+    copy exceed physical memory.  S and T at each z come from one schur_eval;
+    a z that is not finite is a ValueError before anything is sampled.
     """
     from . import operators      # the dense reduced matrix is this leg's alone
 
-    dim = grid.n + pair_grid.p
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("every z must be finite")
+    dim = grid.n + grid.n * (grid.n + 1) // 2
     itemsize = np.dtype(operators.coupling_dtype(mesh_samples(spec, grid))).itemsize
     need = 2 * dim * dim * itemsize
     have = _physical_memory_bytes()
@@ -423,13 +425,13 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
             f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
             "physical memory; use a smaller grid")
     # the blocks, the dense h12 among them, are a temporary freed before the eigensolve
-    ev_A = eigvals_hermitian(operators.assemble_A(operators.assemble_blocks(spec, grid, pair_grid)))
+    ev_A = eigvals_hermitian(operators.assemble_A(operators.assemble_blocks(spec, grid)))
     results = []
     for z in zs:
-        sz = schur_eval(spec, grid, z)
-        T = sz.t_matrix()                        # raises if Delta not positive
+        delta, K = schur_eval(spec, grid, z)
+        T = _t_from(delta, K)                    # raises if Delta not positive
         tc_A = _band_counts(ev_A, z)
-        tc_S = threshold_counts(sz.s_matrix(), 0.0)
+        tc_S = threshold_counts(_s_into(delta, K), 0.0)     # K becomes S
         tc_T = threshold_counts(T, 1.0)
         count_A, count_S, count_T = tc_A.below, tc_S.below, tc_T.above
         results.append(CountingResult(
@@ -440,7 +442,6 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
     return results
 
 
-def birman_schwinger_check(spec: ModelSpec, grid: Grid, pair_grid: PairGrid,
-                           z: float) -> CountingResult:
+def birman_schwinger_check(spec: ModelSpec, grid: Grid, z: float) -> CountingResult:
     """Three-way bound-state count at one z (see birman_schwinger_sweep)."""
-    return birman_schwinger_sweep(spec, grid, pair_grid, [z])[0]
+    return birman_schwinger_sweep(spec, grid, [z])[0]

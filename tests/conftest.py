@@ -68,14 +68,14 @@ def complex_coupling_model():
                         v1=lambda x, y: spec.v1(x, y) * np.exp(1j * (x - 2.0 * y)))
 
 
-def pick_z_below(spec, grid, pair_grid, rng, guard=1e-8):
+def pick_z_below(spec, grid, rng, guard=1e-8):
     """A z strictly below the essential spectrum with no eigenvalue of the
     three counting matrices within ``guard`` of its threshold."""
     ess = fs.essential_spectrum(spec, grid)
     spread = max(ess.M - ess.m, 1.0)
     z = ess.sess_min - float(rng.uniform(0.05, 0.8)) * spread
 
-    A = fs.assemble_A(fs.assemble_blocks(spec, grid, pair_grid))
+    A = fs.assemble_A(fs.assemble_blocks(spec, grid))
     evA = np.linalg.eigvalsh(A)
     for _ in range(60):
         try:

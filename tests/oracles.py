@@ -16,7 +16,6 @@ from fockspectra import config
 from fockspectra.blocks import map_blocks
 from fockspectra.grid import lattice
 from fockspectra.model import _as_point, eval_xy, mesh_samples
-from fockspectra.operators import _check_dims
 from fockspectra.schur import POLE_TOL
 from fockspectra.verify import _auto_rho, _level
 
@@ -53,7 +52,7 @@ def fine_range_guard(spec, a: float, samples_per_dim: int) -> tuple[float, float
     return lo, hi
 
 
-def consistency_check_adjoint(blocks, spec, grid, pair_grid, seed: int = 0) -> float:
+def consistency_check_adjoint(blocks, spec, grid, seed: int = 0) -> float:
     """Max deviation between the matrix adjoint and the discretized adjoint formula.
 
     The continuous adjoint sends f to the symmetric function
@@ -61,7 +60,7 @@ def consistency_check_adjoint(blocks, spec, grid, pair_grid, seed: int = 0) -> f
     coordinates this coincides with the conjugate transpose of the coupling
     block, and the returned deviation should vanish to rounding.
     """
-    _check_dims(grid, pair_grid)
+    pair_grid = fs.make_pair_grid(grid)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     lhs = blocks.h12.conj().T @ g
@@ -128,13 +127,13 @@ class FullVsReducedReport:
     within_rank_bound: bool
 
 
-def oracle_full_vs_reduced(spec, grid, pair_grid, z_probe: float) -> FullVsReducedReport:
+def oracle_full_vs_reduced(spec, grid, z_probe: float) -> FullVsReducedReport:
     """Eigenvalue counts below z for the full and reduced matrices.
 
     The discarded vacuum blocks have rank at most 3, so the counts differ by
     at most 3; essential spectrum and finiteness are untouched.
     """
-    blocks = fs.assemble_blocks(spec, grid, pair_grid)
+    blocks = fs.assemble_blocks(spec, grid)
     count_full = fs.threshold_counts(assemble_full(blocks), z_probe).below
     count_reduced = fs.threshold_counts(fs.assemble_A(blocks), z_probe).below
     diff = abs(count_full - count_reduced)

@@ -41,7 +41,7 @@ start = time.process_time()
 spec = make_decoupled(lambda x: x, lambda x, y: 5.0 + 0 * x * y, w0=7.0)
 g = fs.make_grid(1, 1.0, 32)
 pg = fs.make_pair_grid(g)
-blocks = fs.assemble_blocks(spec, g, pg)
+blocks = fs.assemble_blocks(spec, g)
 ev = np.linalg.eigvalsh(assemble_full(blocks))
 expected = np.sort(np.concatenate([[7.0], g.nodes[:, 0], np.full(pg.p, 5.0)]))
 assert np.max(np.abs(ev - expected)) <= 1e-10
@@ -95,9 +95,8 @@ def test_acceptance_03_birman_schwinger_three_way():
     for _ in range(20):
         spec = random_trig_model(rng)
         g = fs.make_grid(1, spec.a, 24)
-        pg = fs.make_pair_grid(g)
-        z, _ = pick_z_below(spec, g, pg, rng, guard=1e-8)
-        res = fs.birman_schwinger_check(spec, g, pg, z)
+        z, _ = pick_z_below(spec, g, rng, guard=1e-8)
+        res = fs.birman_schwinger_check(spec, g, z)
         assert res.boundary == 0
         assert res.count_A == res.count_S == res.count_T, (res, z)
         checked += 1
@@ -229,10 +228,9 @@ def test_acceptance_09_full_vs_reduced_rank_bound():
     for _ in range(20):
         spec = random_trig_model(rng, with_vacuum=True)
         g = fs.make_grid(1, spec.a, 12)
-        pg = fs.make_pair_grid(g)
         ess = fs.essential_spectrum(spec, g)
         z = ess.sess_min - float(rng.uniform(0.05, 1.5))
-        rep = oracle_full_vs_reduced(spec, g, pg, z)
+        rep = oracle_full_vs_reduced(spec, g, z)
         assert rep.within_rank_bound, rep
     _ok(9, "finite-rank invariance over 20 models")
 

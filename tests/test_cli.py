@@ -519,3 +519,10 @@ def test_compare_tool_runs_every_readme_and_bench_command():
         for seed in (0, 1):
             for argv in workloads[name](random.Random(seed)):
                 assert argv in listed, (name, seed, argv)
+    # and both dense legs at d = 2 and on Gauss-Legendre nodes, which neither set runs
+    for argv in tool.EXTRA:
+        assert argv in listed, argv
+    for leg in ("discrete", "bs-check"):
+        assert any(argv[0] == leg and "bench/models/d2-sigma2-both.cfg" in argv
+                   for argv in listed), leg
+        assert any(argv[0] == leg and "gauss-legendre" in argv for argv in listed), leg

@@ -25,23 +25,21 @@ def _spec_d2():
 def test_d2_assumption_and_blocks():
     spec = _spec_d2()
     g = fs.make_grid(2, 1.0, 4)
-    pg = fs.make_pair_grid(g)
     assert fs.check_assumption_a(spec, g).passed
-    blocks = fs.assemble_blocks(spec, g, pg)
+    blocks = fs.assemble_blocks(spec, g)
     A = fs.assemble_A(blocks)
     assert np.array_equal(A, A.conj().T)
-    assert consistency_check_adjoint(blocks, spec, g, pg) <= 1e-13
+    assert consistency_check_adjoint(blocks, spec, g) <= 1e-13
 
 
 def test_d2_essential_spectrum_and_counting():
     spec = _spec_d2()
     g = fs.make_grid(2, 1.0, 6)
-    pg = fs.make_pair_grid(g)
     ess = fs.essential_spectrum(spec, g)
     assert 0.0 <= ess.m < 0.2
     assert ess.M <= 4.0
     z = ess.sess_min - 0.5
-    res = fs.birman_schwinger_check(spec, g, pg, z)
+    res = fs.birman_schwinger_check(spec, g, z)
     assert res.agree
 
 

@@ -242,6 +242,31 @@ def test_estimate_exponents_synthetic_211():
     assert min(est.fit_r2) >= 0.9
 
 
+BAD_T0_CONFIG = """
+domain { d = 1  a = 1 }
+functions {
+  w0 = 0
+  v0 = 0
+  w1 { expr = "3 + x" }
+  v1 { expr = "0.5 * y" }
+  w2 { expr = "0 - x - y" }
+}
+"""
+
+
+@pytest.mark.parametrize("t0", [[1.5], [math.nan], [0.5, 0.5]])
+def test_estimate_exponents_refuses_a_t0_outside_the_open_cube(t0, capfd):
+    # outside (-a, a) the shells reach past the cube and the fit hands LAPACK
+    # NaNs; a NaN t0 fit NaN silently; two coordinates at d = 1 failed elsewhere
+    spec = fs.model_from_config(BAD_T0_CONFIG)
+    g = fs.make_grid(1, spec.a, 16)
+    ess = fs.essential_spectrum(spec, g)
+    with pytest.raises(ValueError, match="t0 must have d = 1 finite coordinates"):
+        fs.estimate_exponents(spec, g, ess, t0)
+    captured = capfd.readouterr()
+    assert "DLASCL" not in captured.out + captured.err
+
+
 def test_estimate_beta_sentinel_for_vanishing_coupling():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x, lambda x, y: 1.0 + x**2 + y**2)
     g, rep = _report_for(spec)

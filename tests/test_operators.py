@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 import fockspectra as fs
 from conftest import make_decoupled, random_trig_model
@@ -11,8 +10,7 @@ from oracles import assemble_full, consistency_check_adjoint
 def test_zero_coupling_gives_block_diagonal():
     spec = make_decoupled(lambda x: x, lambda x, y: 5.0 + 0 * x * y, w0=2.0)
     g = fs.make_grid(1, 1.0, 6)
-    pg = fs.make_pair_grid(g)
-    blocks = fs.assemble_blocks(spec, g, pg)
+    blocks = fs.assemble_blocks(spec, g)
     assert not np.any(blocks.h12)
     H = assemble_full(blocks)
     assert np.array_equal(H, np.diag(np.diag(H)))
@@ -29,7 +27,7 @@ def test_single_node_coupling_entry():
                         w1=lambda x: 0.0 * x,
                         v1=lambda x, y: 3.0 + 0 * x * y,
                         w2=lambda x, y: 0.0 * x * y)
-    blocks = fs.assemble_blocks(spec, g, pg)
+    blocks = fs.assemble_blocks(spec, g)
     entry = blocks.h12[0, 0]
     assert abs(entry - math.sqrt(2.0) * 3.0) < 1e-15
     # action identity: on u = sqrt(W) f the block reproduces w0 * v1 * f
@@ -41,7 +39,7 @@ def test_single_node_coupling_entry():
 def test_h12_action_matches_direct_quadrature(mnr):
     g = fs.make_grid(1, mnr.a, 8)
     pg = fs.make_pair_grid(g)
-    blocks = fs.assemble_blocks(mnr, g, pg)
+    blocks = fs.assemble_blocks(mnr, g)
 
     def f2(x, y):
         return np.cos(x) * np.cos(y) + 0.2 * np.sin(x + y)
@@ -58,8 +56,7 @@ def test_h12_action_matches_direct_quadrature(mnr):
 
 def test_hermiticity_exact(mnr):
     g = fs.make_grid(1, mnr.a, 10)
-    pg = fs.make_pair_grid(g)
-    blocks = fs.assemble_blocks(mnr, g, pg)
+    blocks = fs.assemble_blocks(mnr, g)
     A = fs.assemble_A(blocks)
     assert np.array_equal(A, A.conj().T)
     H = assemble_full(blocks)
@@ -70,8 +67,7 @@ def test_quadratic_form_real():
     rng = np.random.default_rng(5)
     spec = random_trig_model(rng, with_vacuum=True)
     g = fs.make_grid(1, spec.a, 8)
-    pg = fs.make_pair_grid(g)
-    A = fs.assemble_A(fs.assemble_blocks(spec, g, pg))
+    A = fs.assemble_A(fs.assemble_blocks(spec, g))
     for _ in range(10):
         u = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
         q = np.vdot(u, A @ u)
@@ -82,8 +78,7 @@ def test_full_minus_embedded_reduced_has_rank_le_3():
     rng = np.random.default_rng(6)
     spec = random_trig_model(rng, with_vacuum=True)
     g = fs.make_grid(1, spec.a, 8)
-    pg = fs.make_pair_grid(g)
-    blocks = fs.assemble_blocks(spec, g, pg)
+    blocks = fs.assemble_blocks(spec, g)
     H = assemble_full(blocks)
     E = H.copy()
     E[1:, 1:] -= fs.assemble_A(blocks)
@@ -95,14 +90,13 @@ def test_full_minus_embedded_reduced_has_rank_le_3():
 def test_adjoint_consistency_zero_and_constant():
     spec0 = make_decoupled(lambda x: x, lambda x, y: 1.0 + 0 * x * y)
     g = fs.make_grid(1, 1.0, 2)
-    pg = fs.make_pair_grid(g)
-    assert consistency_check_adjoint(fs.assemble_blocks(spec0, g, pg), spec0, g, pg) == 0.0
+    assert consistency_check_adjoint(fs.assemble_blocks(spec0, g), spec0, g) == 0.0
 
     spec1 = fs.ModelSpec(d=1, a=1.0, w0=0.0,
                          v0=lambda x: 0.0 * x, w1=lambda x: 0.0 * x,
                          v1=lambda x, y: 1.0 + 0 * x * y,
                          w2=lambda x, y: 1.0 + 0 * x * y)
-    dev = consistency_check_adjoint(fs.assemble_blocks(spec1, g, pg), spec1, g, pg)
+    dev = consistency_check_adjoint(fs.assemble_blocks(spec1, g), spec1, g)
     assert dev <= 1e-13
 
 
@@ -122,10 +116,9 @@ def test_adjoint_consistency_random_complex_table():
     spec = fs.ModelSpec(d=1, a=1.0, w0=0.0, v0=lambda x: 0.0 * x,
                         w1=lambda x: 0.0 * x, v1=v1,
                         w2=lambda x, y: 1.0 + 0 * x * y)
-    pg = fs.make_pair_grid(g)
     for seed in range(5):
-        dev = consistency_check_adjoint(fs.assemble_blocks(spec, g, pg),
-                                           spec, g, pg, seed=seed)
+        dev = consistency_check_adjoint(fs.assemble_blocks(spec, g),
+                                           spec, g, seed=seed)
         assert dev <= 1e-13
 
 
@@ -136,8 +129,7 @@ def test_vacuum_decoupled_spectrum_union():
     spec = fs.ModelSpec(d=1, a=spec.a, w0=-50.0, v0=spec.v0, w1=spec.w1,
                         v1=spec.v1, w2=spec.w2)
     g = fs.make_grid(1, spec.a, 6)
-    pg = fs.make_pair_grid(g)
-    blocks = fs.assemble_blocks(spec, g, pg)
+    blocks = fs.assemble_blocks(spec, g)
     evH = np.linalg.eigvalsh(assemble_full(blocks))
     evA = np.linalg.eigvalsh(fs.assemble_A(blocks))
     expected = np.sort(np.concatenate([[-50.0], evA]))
@@ -146,15 +138,7 @@ def test_vacuum_decoupled_spectrum_union():
 
 def test_mnr_reduced_matrix_has_negative_eigenvalue(mnr):
     g = fs.make_grid(1, mnr.a, 8)
-    pg = fs.make_pair_grid(g)
-    A = fs.assemble_A(fs.assemble_blocks(mnr, g, pg))
+    A = fs.assemble_A(fs.assemble_blocks(mnr, g))
     assert np.linalg.eigvalsh(A)[0] < 0.0
 
-
-def test_dimension_mismatch_raises(mnr):
-    g1 = fs.make_grid(1, mnr.a, 8)
-    g2 = fs.make_grid(1, mnr.a, 10)
-    pg2 = fs.make_pair_grid(g2)
-    with pytest.raises(ValueError):
-        fs.assemble_blocks(mnr, g1, pg2)
 

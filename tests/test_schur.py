@@ -159,8 +159,7 @@ def test_bs_operator_zero_coupling():
 def test_bs_counts_cross_check(mnr):
     # largest eigenvalue of T exceeds 1 exactly when A has an eigenvalue below z
     g = fs.make_grid(1, mnr.a, 32)
-    pg = fs.make_pair_grid(g)
-    A = fs.assemble_A(fs.assemble_blocks(mnr, g, pg))
+    A = fs.assemble_A(fs.assemble_blocks(mnr, g))
     evA = np.linalg.eigvalsh(A)
     for z in (-0.5, -0.01):
         top = np.linalg.eigvalsh(fs.bs_operator(mnr, g, z))[-1]
@@ -183,13 +182,12 @@ def test_bs_raises_inside_spectrum(mnr):
 
 def test_schur_eval_bundle(mnr):
     g = fs.make_grid(1, mnr.a, 16)
-    ev = fs.schur_eval(mnr, g, -0.8)
-    assert ev.z == -0.8
-    assert np.array_equal(ev.k_matrix, fs.k_matrix(mnr, g, -0.8))
-    assert np.array_equal(ev.delta_vals, fs.delta_values(mnr, g, -0.8))
-    assert fs.hs_norm_k(mnr, g, -0.8) == np.linalg.norm(ev.k_matrix)
+    delta, K = fs.schur_eval(mnr, g, -0.8)
+    assert np.array_equal(K, fs.k_matrix(mnr, g, -0.8))
+    assert np.array_equal(delta, fs.delta_values(mnr, g, -0.8))
+    assert fs.hs_norm_k(mnr, g, -0.8) == np.linalg.norm(K)
     S = fs.s_matrix(mnr, g, -0.8)
-    assert np.allclose(S, np.diag(ev.delta_vals) + ev.k_matrix, atol=0)
+    assert np.allclose(S, np.diag(delta) + K, atol=0)
 
 
 def test_pole_proximity_error(mnr):
@@ -241,7 +239,7 @@ def test_pole_check_equals_the_abs_min_reference():
 
 def test_s_derivative_finite_difference_and_bound(mnr):
     # dS/dz on both sides of ran w2: matches a central difference, and is <= -I;
-    # S is bit for bit the Schur complement of schur_eval
+    # S is bit for bit s_matrix's diag(Delta) + K from schur_eval
     g = fs.make_grid(1, mnr.a, 16)
     for z in (-0.5, 7.0):
         S, dS = fs.s_and_derivative(mnr, g, z)

@@ -52,8 +52,7 @@ def test_count_below_duality_random():
 
 def test_count_below_mnr_sort_oracle(mnr):
     g = fs.make_grid(1, mnr.a, 16)
-    pg = fs.make_pair_grid(g)
-    A = fs.assemble_A(fs.assemble_blocks(mnr, g, pg))
+    A = fs.assemble_A(fs.assemble_blocks(mnr, g))
     ev = np.linalg.eigvalsh(A)
     assert fs.threshold_counts(A, 0.0).below == int(np.sum(ev < -1e-10))
 
@@ -146,10 +145,9 @@ def test_discrete_mnr_counts_nondecreasing(mnr_below0_counts):
 
 def test_discrete_above_mirror(mnr):
     g = fs.make_grid(1, mnr.a, 12)
-    pg = fs.make_pair_grid(g)
     ess = fs.essential_spectrum(mnr, g)
     above = fs.discrete_spectrum_above(mnr, g, sess_max=ess.sess_max)
-    A = fs.assemble_A(fs.assemble_blocks(mnr, g, pg))
+    A = fs.assemble_A(fs.assemble_blocks(mnr, g))
     ev = np.linalg.eigvalsh(A)
     assert above.size == int(np.sum(ev > ess.sess_max + 1e-10))
 
@@ -160,23 +158,21 @@ def test_bs_check_decoupled():
     # count_A formula #{w1(x_i) < z} can only be exercised in that regime
     spec = make_decoupled(lambda x: x, lambda x, y: 5.0 + 0 * x * y)
     g = fs.make_grid(1, 1.0, 16)
-    pg = fs.make_pair_grid(g)
     z = -1.25
-    res = fs.birman_schwinger_check(spec, g, pg, z)
+    res = fs.birman_schwinger_check(spec, g, z)
     assert res.count_T == 0
     assert res.count_A == int(np.sum(g.nodes[:, 0] < z)) == 0
     assert res.count_S == res.count_A
     assert res.agree == (res.count_A == res.count_S == res.count_T)
     with pytest.raises(ValueError, match="not strictly below"):
-        fs.birman_schwinger_check(spec, g, pg, -0.5141)
+        fs.birman_schwinger_check(spec, g, -0.5141)
 
 
 def test_bs_check_mnr(mnr):
     g = fs.make_grid(1, mnr.a, 32)
-    pg = fs.make_pair_grid(g)
-    res = fs.birman_schwinger_check(mnr, g, pg, -0.25)
+    res = fs.birman_schwinger_check(mnr, g, -0.25)
     assert res.agree and res.boundary == 0
-    res2 = fs.birman_schwinger_check(mnr, g, pg, -0.01)
+    res2 = fs.birman_schwinger_check(mnr, g, -0.01)
     assert res2.agree
     assert res2.count_A == 1
 
@@ -186,9 +182,8 @@ def test_bs_check_random_models_smoke():
     for _ in range(5):
         spec = random_trig_model(rng)
         g = fs.make_grid(1, spec.a, 16)
-        pg = fs.make_pair_grid(g)
-        z, _ = pick_z_below(spec, g, pg, rng)
-        res = fs.birman_schwinger_check(spec, g, pg, z)
+        z, _ = pick_z_below(spec, g, rng)
+        res = fs.birman_schwinger_check(spec, g, z)
         assert res.agree, (res, z)
 
 
@@ -198,9 +193,8 @@ def test_frobenius_schur_inertia_leg():
     for _ in range(8):
         spec = random_trig_model(rng)
         g = fs.make_grid(1, spec.a, 10)
-        pg = fs.make_pair_grid(g)
-        z, _ = pick_z_below(spec, g, pg, rng)
-        blocks = fs.assemble_blocks(spec, g, pg)
+        z, _ = pick_z_below(spec, g, rng)
+        blocks = fs.assemble_blocks(spec, g)
         A = fs.assemble_A(blocks)
         neg_A = int(np.sum(np.linalg.eigvalsh(A - z * np.eye(A.shape[0])) < 0))
         S = fs.s_matrix(spec, g, z)
@@ -291,7 +285,7 @@ def test_essential_spectrum_builds_no_compact_kernel(case, monkeypatch):
 
 
 def test_bs_check_evaluates_delta_and_k_once_per_z(mnr, monkeypatch):
-    # one SchurEval per z, whose Delta and K share one pole-checked W2 - z
+    # one schur_eval per z, whose Delta and K share one pole-checked W2 - z
     calls = {"_pole_check": [], "schur_eval": []}
     for mod, name in ((schur, "_pole_check"), (spectra, "schur_eval")):
         original = getattr(mod, name)
@@ -302,10 +296,9 @@ def test_bs_check_evaluates_delta_and_k_once_per_z(mnr, monkeypatch):
 
         monkeypatch.setattr(mod, name, counted)
     g = fs.make_grid(1, mnr.a, 12)
-    pg = fs.make_pair_grid(g)
     zs = (-0.5, -0.25)
     for z in zs:
-        assert fs.birman_schwinger_check(mnr, g, pg, z).agree
+        assert fs.birman_schwinger_check(mnr, g, z).agree
     W2 = fs.model.mesh_samples(mnr, g).W2
     assert [z for _, z in calls["_pole_check"]] == list(zs)
     assert all(samples is W2 for samples, _ in calls["_pole_check"])
@@ -373,7 +366,7 @@ def test_bs_sweep_frees_the_coupling_block_before_the_eigensolve(mnr, monkeypatc
 
     monkeypatch.setattr(fs.operators, "assemble_blocks", tracked)
     monkeypatch.setattr(spectra, "eigvals_hermitian", solve)
-    assert fs.birman_schwinger_check(mnr, g, fs.make_pair_grid(g), -0.5).agree
+    assert fs.birman_schwinger_check(mnr, g, -0.5).agree
     assert len(dims) == 1
 
 
@@ -383,7 +376,7 @@ def test_haynsworth_counts_on_both_sides(seed, u):
     # #eig(A) < z = #neg S(z) below min h22, #eig(A) > z = #pos S(z) above max h22
     spec = random_trig_model(np.random.default_rng(seed))
     g = fs.make_grid(1, spec.a, 8)
-    blocks = fs.assemble_blocks(spec, g, fs.make_pair_grid(g))
+    blocks = fs.assemble_blocks(spec, g)
     evA = np.linalg.eigvalsh(fs.assemble_A(blocks))
     lo, hi = float(np.min(blocks.h22)), float(np.max(blocks.h22))
     for z in (lo - u * (hi - lo + 1.0), hi + u * (hi - lo + 1.0)):
@@ -414,7 +407,7 @@ def test_schur_inertia_matches_dense_eigenvalues(case):
     g = fs.make_grid(spec.d, spec.a, 24 if spec.d == 1 else 6)
     ess = fs.essential_spectrum(spec, g)
     below, above = fs.discrete_spectrum(spec, g, ess.sess_min, ess.sess_max)
-    ev = np.linalg.eigvalsh(fs.assemble_A(fs.assemble_blocks(spec, g, fs.make_pair_grid(g))))
+    ev = np.linalg.eigvalsh(fs.assemble_A(fs.assemble_blocks(spec, g)))
     dense_below = ev[ev < ess.sess_min - fs.BOUNDARY_BAND]
     dense_above = ev[ev > ess.sess_max + fs.BOUNDARY_BAND]
     assert below.size + above.size > 0
@@ -430,6 +423,46 @@ def test_discrete_spectrum_refuses_edges_inside_ran_w2(mnr):
         fs.discrete_spectrum(mnr, g, ess.m + 1e-6, ess.sess_max)
     with pytest.raises(ValueError, match="sess_max"):
         fs.discrete_spectrum(mnr, g, ess.sess_min, ess.M - 1e-6)
+
+
+def test_discrete_spectrum_refuses_a_nan_edge(mnr):
+    # a NaN edge compared False with m and M and left both sides empty
+    g = fs.make_grid(1, mnr.a, 16)
+    with pytest.raises(ValueError, match="sess_min must not exceed m"):
+        fs.discrete_spectrum(mnr, g, np.nan, np.nan)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+def test_bs_sweep_refuses_a_non_finite_z_before_sampling(mnr, monkeypatch, z):
+    g = fs.make_grid(1, mnr.a, 12)
+    monkeypatch.setattr(spectra, "mesh_samples", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="every z must be finite"):
+        fs.birman_schwinger_sweep(mnr, g, [-0.5, z])
+
+
+@pytest.mark.parametrize("case", ["mnr-infinite", "complex"])
+def test_bs_sweep_legs_read_one_schur_evaluation(case, monkeypatch):
+    # the S leg is s_matrix (and s_and_derivative's S), the T leg bs_operator,
+    # bit for bit at each z: T is formed from K before Delta is added into it
+    spec = complex_coupling_model() if case == "complex" else fs.load_model(case)
+    g = fs.make_grid(1, spec.a, 12)
+    ess = fs.essential_spectrum(spec, g)
+    zs = [ess.sess_min - 0.5, ess.sess_min - 1.5]
+    legs = []
+    counts = spectra.threshold_counts
+
+    def capture(matrix, threshold):
+        legs.append((threshold, matrix.copy()))
+        return counts(matrix, threshold)
+
+    monkeypatch.setattr(spectra, "threshold_counts", capture)
+    spectra.birman_schwinger_sweep(spec, g, zs)
+    assert [threshold for threshold, _ in legs] == [0.0, 1.0] * len(zs)
+    for z, (_, S), (_, T) in zip(zs, legs[::2], legs[1::2]):
+        for want in (fs.s_matrix(spec, g, z), fs.s_and_derivative(spec, g, z)[0]):
+            assert S.dtype == want.dtype and S.tobytes() == want.tobytes()
+        want = fs.bs_operator(spec, g, z)
+        assert T.dtype == want.dtype and T.tobytes() == want.tobytes()
 
 
 def _multiwell_trig_model(rng):

@@ -130,7 +130,7 @@ def test_schur_eval_symbol_equals_the_streamed_symbol(d, many_blocks):
     spec = _oracle_models()[4] if d == 2 else _oracle_models()[0]
     g = fs.make_grid(d, spec.a, 64 if d == 1 else 8)
     z = fs.check_assumption_a(spec, g).w2_min - 0.5
-    np.testing.assert_array_equal(fs.schur_eval(spec, g, z).delta_vals,
+    np.testing.assert_array_equal(fs.schur_eval(spec, g, z)[0],
                                   fs.delta_values(spec, g, z), strict=True)
     # one pass for several z gives each z's row bit for bit
     both = fs.delta_values(spec, g, [z, z - 1.0])
@@ -291,7 +291,7 @@ def _kernel_bits(spec, g, pts, z):
         "delta_and_derivative": lambda: schur.delta_and_derivative_at_points(
             spec, g, pts, np.linspace(z - 1.0, z, pts.shape[0])),
         "hs_norm_t": lambda: fs.hs_norm_t(spec, g, z),
-        "schur_eval": lambda: fs.schur_eval(spec, g, z).k_matrix,
+        "schur_eval": lambda: fs.schur_eval(spec, g, z)[1],
         "s_and_derivative": lambda: fs.s_and_derivative(spec, g, z),
         "mesh W2": lambda: model.mesh_samples(spec, g).W2,
         "assumption_a": lambda: dataclasses.astuple(fs.check_assumption_a(spec, g)),

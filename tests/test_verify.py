@@ -75,8 +75,7 @@ def test_full_vs_reduced_decoupled_vacuum():
     spec_hi = fs.ModelSpec(d=1, a=spec.a, w0=100.0, v0=spec.v0, w1=spec.w1,
                            v1=spec.v1, w2=spec.w2)
     g = fs.make_grid(1, spec.a, 10)
-    pg = fs.make_pair_grid(g)
-    rep = oracle_full_vs_reduced(spec_hi, g, pg, z_probe=0.0)
+    rep = oracle_full_vs_reduced(spec_hi, g, z_probe=0.0)
     assert rep.difference == 0 and rep.within_rank_bound
 
 
@@ -86,8 +85,7 @@ def test_full_vs_reduced_vacuum_below_probe():
     spec_lo = fs.ModelSpec(d=1, a=spec.a, w0=-100.0, v0=spec.v0, w1=spec.w1,
                            v1=spec.v1, w2=spec.w2)
     g = fs.make_grid(1, spec.a, 10)
-    pg = fs.make_pair_grid(g)
-    rep = oracle_full_vs_reduced(spec_lo, g, pg, z_probe=0.0)
+    rep = oracle_full_vs_reduced(spec_lo, g, z_probe=0.0)
     assert rep.count_full - rep.count_reduced == 1
 
 
@@ -96,10 +94,9 @@ def test_full_vs_reduced_random_smoke():
     for _ in range(5):
         spec = random_trig_model(rng, with_vacuum=True)
         g = fs.make_grid(1, spec.a, 10)
-        pg = fs.make_pair_grid(g)
         ess = fs.essential_spectrum(spec, g)
         z = ess.sess_min - float(rng.uniform(0.1, 1.0))
-        rep = oracle_full_vs_reduced(spec, g, pg, z)
+        rep = oracle_full_vs_reduced(spec, g, z)
         assert rep.within_rank_bound
 
 

@@ -2,8 +2,9 @@
 
     python tools/compare_outputs.py PARENT CHANGE
 
-Runs every command of the README's CLI section and every benchmark workload
-command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) as
+Runs every command of the README's CLI section, every benchmark workload
+command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) and the dense
+``discrete``/``bs-check`` legs at d = 2 and on Gauss-Legendre nodes (``EXTRA``) as
 ``python -m fockspectra.cli`` in each checkout: from its root, with its own
 ``src/`` on the path, BLAS threads pinned as the benchmark pins them, and a
 fresh output directory per command (``list-models`` takes no ``--out``).
@@ -24,6 +25,16 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (0, 1)
+
+# dense legs that neither the README nor the benchmark runs; 0.2-1.2 s each
+EXTRA = (
+    ["discrete", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "12", "--side", "both"],
+    ["discrete", "--model", "bench/models/d2-sigma2-empty.cfg", "--n", "10", "--side", "both"],
+    ["bs-check", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "6", "--z-sweep=-3:-1.4:4"],
+    ["discrete", "--model", "mnr-infinite", "--n", "40", "--rule", "gauss-legendre"],
+    ["bs-check", "--model", "sigma2-empty", "--n", "20", "--rule", "gauss-legendre",
+     "--z", "-0.5"],
+)
 
 
 def _bench_run(tree: Path):
@@ -52,10 +63,10 @@ def readme_commands(tree: Path) -> list:
 
 
 def commands(tree: Path) -> list:
-    """The README commands, then each workload's commands for SEEDS, each once."""
+    """The README commands, each workload's commands for SEEDS, then EXTRA, each once."""
     workloads = _bench_run(tree).WORKLOADS
     cmds = readme_commands(tree) + [argv for make in workloads.values() for seed in SEEDS
-                                    for argv in make(random.Random(seed))]
+                                    for argv in make(random.Random(seed))] + list(EXTRA)
     return [list(argv) for argv in dict.fromkeys(map(tuple, cmds))]
 
 
