@@ -163,13 +163,15 @@ class MeshSamples:
 
     W2 is symmetrized (check_assumption_a reports the raw asymmetry) so that the
     discrete Schur complement built from these samples is exactly the Schur
-    complement of the assembled block matrix.
+    complement of the assembled block matrix.  sw is the z-free weight factor
+    of every Schur evaluation on the grid.
     """
 
     w1: np.ndarray     # (N,)
     v0: np.ndarray     # (N,)
     V1: np.ndarray     # (N, N), V1[i, j] = v1(x_i, x_j)
     W2: np.ndarray     # (N, N), symmetrized
+    sw: np.ndarray     # (N,), square roots of the quadrature weights
 
 
 def _sym_w2(spec: ModelSpec, grid, b: slice, cols: slice = slice(None)) -> np.ndarray:
@@ -201,9 +203,10 @@ def _mesh_samples_cached(spec: ModelSpec, grid) -> MeshSamples:
     for b in blocks.row_blocks(n, n):
         W2[b, b.start:] = _sym_w2(spec, grid, b, slice(b.start, None))
         W2[b.stop:, b] = W2[b, b.stop:].T
-    for arr in (w1v, v0v, V1, W2):
+    sw = np.sqrt(grid.weights)
+    for arr in (w1v, v0v, V1, W2, sw):
         arr.setflags(write=False)
-    return MeshSamples(w1=w1v, v0=v0v, V1=V1, W2=W2)
+    return MeshSamples(w1=w1v, v0=v0v, V1=V1, W2=W2, sw=sw)
 
 
 def mesh_samples(spec: ModelSpec, grid) -> MeshSamples:

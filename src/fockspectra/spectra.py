@@ -373,7 +373,7 @@ def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float,
 
         def matrices(t, sign=sign):
             S, dS = s_and_derivative(spec, grid, sign * t)
-            return sign * S, dS
+            return (S if sign == 1 else np.negative(S, out=S)), dS
 
         pole = chk.w2_min if sign == 1 else -chk.w2_max
         sides.append(sign * _branch_roots(matrices, sign * edge - BOUNDARY_BAND, pole))

@@ -526,3 +526,7 @@ def test_compare_tool_runs_every_readme_and_bench_command():
         assert any(argv[0] == leg and "bench/models/d2-sigma2-both.cfg" in argv
                    for argv in listed), leg
         assert any(argv[0] == leg and "gauss-legendre" in argv for argv in listed), leg
+    # and a two-sided discrete run at n >= 128, twice the dense-discrete workload's n
+    assert any(argv[0] == "discrete" and argv[argv.index("--side") + 1] == "both"
+               and int(argv[argv.index("--n") + 1]) >= 128
+               for argv in tool.EXTRA if "--side" in argv), "no --side both at n >= 128"

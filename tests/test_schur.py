@@ -250,6 +250,21 @@ def test_s_derivative_finite_difference_and_bound(mnr):
         assert np.max(np.linalg.eigvalsh(dS)) <= -1.0 + 1e-12
 
 
+@pytest.mark.parametrize("case", ["mnr-infinite", "complex", "d2-sigma2-both"])
+def test_s_derivative_is_the_block_formula(case):
+    # dS/dz = -I - B (h22 - z)^{-2} B*, with B = h12 and h22 from assemble_blocks,
+    # below m and above M (where every w2 - z is negative)
+    spec = _hs_case(case)
+    g = fs.make_grid(spec.d, spec.a, 16 if spec.d == 1 else 6)
+    blk = fs.assemble_blocks(spec, g)
+    for z in (blk.h22.min() - 0.5, blk.h22.max() + 0.7):
+        B = blk.h12
+        want = -np.eye(g.n) - (B / (blk.h22 - z) ** 2) @ B.conj().T
+        dS = fs.s_and_derivative(spec, g, z)[1]
+        assert dS.dtype == B.dtype
+        assert np.max(np.abs(dS - want)) <= 1e-13 * np.max(np.abs(want)), z
+
+
 BENCH_MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
 HS_CASES = ["mnr-infinite", "sigma2-empty", "complex", "asymmetric", "d2-sigma2-empty",
             "d2-sigma2-both"]

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -321,6 +322,63 @@ def test_discrete_spectrum_forms_w2_minus_z_once_per_z(mnr, monkeypatch):
     assert fs.discrete_spectrum_below(mnr, g, ess.sess_min).size > 0
     assert len(zs) > 1
     assert len(zs) == len(set(zs))
+
+
+def test_discrete_spectrum_builds_the_z_free_factors_once_per_grid(mnr, monkeypatch):
+    # sqrt(w) is taken with the mesh samples, once for a whole two-sided run,
+    # every branch evaluation reads those samples, and none builds an index
+    # array for a diagonal
+    g = fs.make_grid(1, mnr.a, 32)
+    ess = fs.essential_spectrum(mnr, g)
+    fs.model._mesh_samples_cached.cache_clear()
+    built, read = [], []
+
+    def counted(name, for_this_grid):
+        fn = getattr(np, name)
+
+        def wrapper(arg, *args, **kwargs):
+            if for_this_grid(arg):
+                built.append(name)
+            return fn(arg, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, wrapper)
+
+    counted("sqrt", lambda x: x is g.weights)
+    counted("diag_indices", lambda n: n == g.n)
+    counted("diag_indices_from", lambda a: a.shape == (g.n, g.n))
+    evaluate = schur._evaluate
+    monkeypatch.setattr(schur, "_evaluate", lambda ms, *args: (read.append(ms), evaluate(ms, *args))[1])
+    below, above = fs.discrete_spectrum(mnr, g, ess.sess_min, ess.sess_max)
+    monkeypatch.undo()
+    assert below.size > 0 and above.size > 0 and len(read) > below.size + above.size
+    assert built == ["sqrt"]
+    samples = fs.model.mesh_samples(mnr, g)
+    assert all(ms is samples for ms in read)
+    # sqrt(w) goes with the samples once another grid is sampled
+    factor = weakref.ref(samples.sw)
+    del samples, read
+    fs.model.mesh_samples(mnr, fs.make_grid(1, mnr.a, 8))
+    assert factor() is None
+
+
+@pytest.mark.parametrize("case", ["mnr-infinite", "complex"])
+def test_s_and_derivative_peak_holds_four_n_by_n_arrays(case):
+    # S, dS, W2 - z (which becomes (W2 - z)^-2) and |V1|^2 at most, with the
+    # mesh samples built: a second (W2 - z)^-2 array, a coupling product kept
+    # next to dS or a temporary of the weight scaling would each exceed it
+    spec = complex_coupling_model() if case == "complex" else fs.load_model(case)
+    g = fs.make_grid(1, spec.a, 256)
+    W2 = fs.model.mesh_samples(spec, g).W2
+    real = g.n * g.n * 8
+    for z in (W2.min() - 0.5, W2.max() + 0.5):
+        tracemalloc.start()
+        try:
+            S, dS = fs.s_and_derivative(spec, g, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= S.nbytes + dS.nbytes + 2 * real + real // 4, (z, peak / real)
+        del S, dS
 
 
 def test_branch_roots_releases_each_evaluation_before_the_next():

@@ -3,11 +3,13 @@
     python tools/compare_outputs.py PARENT CHANGE
 
 Runs every command of the README's CLI section, every benchmark workload
-command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) and the dense
-``discrete``/``bs-check`` legs at d = 2 and on Gauss-Legendre nodes (``EXTRA``) as
-``python -m fockspectra.cli`` in each checkout: from its root, with its own
-``src/`` on the path, BLAS threads pinned as the benchmark pins them, and a
-fresh output directory per command (``list-models`` takes no ``--out``).
+command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) and the commands of
+``EXTRA`` (the dense ``discrete``/``bs-check`` legs at d = 2 and on
+Gauss-Legendre nodes, and a two-sided ``discrete`` with over a hundred roots
+above M) as ``python -m fockspectra.cli`` in each checkout: from its root,
+with its own ``src/`` on the path, BLAS threads pinned as the benchmark pins
+them, and a fresh output directory per command (``list-models`` takes no
+``--out``).
 The exit code, stdout, stderr (with the checkout's path and the output
 directory masked) and every output file must be equal.  Prints each command
 that differs and exits 1 if any does.
@@ -34,6 +36,8 @@ EXTRA = (
     ["discrete", "--model", "mnr-infinite", "--n", "40", "--rule", "gauss-legendre"],
     ["bs-check", "--model", "sigma2-empty", "--n", "20", "--rule", "gauss-legendre",
      "--z", "-0.5"],
+    # 127 roots above M at twice the dense-discrete workload's N
+    ["discrete", "--model", "sigma2-empty", "--n", "128", "--side", "both"],
 )
 
 
