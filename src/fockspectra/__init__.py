@@ -35,8 +35,8 @@ _EXPORTS = {
                     "spectra"),
     **dict.fromkeys(["finiteness", "ExponentEstimate", "FinitenessReport", "estimate_exponents",
                      "finiteness_verdict", "locate_t0"], "finiteness"),
-    **dict.fromkeys(["verify", "SingularSeqConfig", "h12_decay_bound", "holder_conjugate",
-                     "singular_sequence_norms"], "verify"),
+    **dict.fromkeys(["verify", "h12_decay_bound", "holder_conjugate", "singular_sequence_norms"],
+                    "verify"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -245,8 +245,6 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
     if args.levels < 3:
         raise UsageError(f"--levels must be at least 3 (got {args.levels})")
     spec, g = _load(args)
-    if args.delta is not None and not 0.0 < args.delta < spec.a:
-        raise UsageError(f"--delta must lie in (0, a) = (0, {spec.a!r}) (got {args.delta!r})")
     report = _Report("finiteness", args)
     _require_assumption_a(spec, g, report)
     ess = spectra.essential_spectrum(spec, g)
@@ -257,7 +255,7 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
         report.write(out_dir)
         sys.stderr.write("finiteness: no unique diagonal minimizer located\n")
         return EXIT_ANALYSIS
-    est = finiteness.estimate_exponents(spec, g, ess, t0, delta=args.delta)
+    est = finiteness.estimate_exponents(spec, g, ess, t0)
     grids = [grid_mod.make_grid(spec.d, spec.a, args.n * 2**k, args.rule)
              for k in range(args.levels)]
     fin = finiteness.finiteness_verdict(spec, grids, est)
@@ -292,22 +290,15 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
 def _cmd_singular_seq(args, out_dir: Path) -> int:
     from . import verify
 
-    for flag, value in (("--n-max", args.n_max), ("--quad-depth", args.quad_depth)):
-        if value < 1:
-            raise UsageError(f"{flag} must be at least 1 (got {value})")
     spec, g = _load(args)
     try:
         x0, y0 = (np.array([float(t) for t in s.split(",")]) for s in (args.x0, args.y0 or args.x0))
+        verify.check_inputs(spec, x0, y0, args.n_max)
     except ValueError as exc:
-        raise UsageError(f"bad --x0/--y0: {exc}") from exc
-    if x0.size != spec.d or y0.size != spec.d or not np.all(np.abs(np.r_[x0, y0]) < spec.a):
-        raise UsageError(f"--x0 and --y0 must each be {spec.d} coordinate(s) inside "
-                         f"(-a, a) = ({-spec.a!r}, {spec.a!r})")
+        raise UsageError(f"bad --x0/--y0/--n-max: {exc}") from exc
     report = _Report("singular-seq", args)
     chk = _require_assumption_a(spec, g, report)
-    cfg = verify.SingularSeqConfig(x0=x0, y0=y0, n_max=args.n_max,
-                                   quad_depth=args.quad_depth)
-    rows = verify.singular_sequence_norms(spec, cfg)
+    rows = verify.singular_sequence_norms(spec, x0, y0, args.n_max)
     report.section("singular-seq")
     out_rows = []
     for n, h12, h22 in rows:
@@ -350,14 +341,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("finiteness", help="finiteness criterion for the discrete spectrum")
     common(p)
     p.add_argument("--levels", type=int, default=3, help="refinement levels (>= 3)")
-    p.add_argument("--delta", type=float, default=None, help="shell radius bound in (0, a)")
 
     p = sub.add_parser("singular-seq", help="singular sequence decay table")
     common(p)
     p.add_argument("--x0", required=True, help="center x0 (comma-separated coordinates)")
     p.add_argument("--y0", default=None, help="center y0, defaults to x0")
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--quad-depth", type=int, default=128)
 
     p = sub.add_parser("check-model", help="validate a model's coupling norms")
     common(p)

@@ -45,6 +45,7 @@ MARGIN = 0.1        # safety margin on alpha + gamma < 2 beta + d
 HS_TOL = 0.05       # finest relative step of a Cauchy HS trend
 N_SHELLS = 12
 SHELL_SPAN = 64.0
+SHELL_RADIUS = 0.25     # delta = SHELL_RADIUS * a, clipped to 0.999 of the ball around t0
 BETA_SENTINEL_FLOOR = 1e-300
 DIAG_STARTS = 8     # least diagonal lattice minima zoomed by locate_t0
 
@@ -108,13 +109,15 @@ def locate_t0(spec: ModelSpec, report):
     vals = w2_diag(pts)
     near = np.flatnonzero(_lattice_minima(vals.reshape((33,) * d)).ravel())
     hint = [] if spec.t0 is None else [np.atleast_1d(np.asarray(spec.t0, dtype=float))]
-    starts = np.array([p for p in hint if p.size == d and np.all(np.abs(p) < spec.a)] + [
+    starts = [(p, w2_diag(p[None, :])[0]) for p in hint
+              if p.size == d and np.all(np.abs(p) < spec.a)] + [
         _zoom_minimize(w2_diag, pts[i], np.maximum(pts[i] - h, lo), np.minimum(pts[i] + h, hi))
-        for i in near[np.argsort(vals[near], kind="stable")][:DIAG_STARTS]])
-    t0 = starts[np.argmin(w2_diag(starts))]       # a tie keeps the hint
-    if float(w2_diag(t0[None, :])[0]) - min(float(minima.values[0]), float(report.m)) > tol:
+        for i in near[np.argsort(vals[near], kind="stable")][:DIAG_STARTS]]
+    t0, value = min(starts, key=lambda start: start[1])      # a tie keeps the hint
+    if float(value) - min(float(minima.values[0]), float(report.m)) > tol:
         return None
-    return None if w2_second_minimizer(spec, minima, tol, np.tile(starts, 2)) is not None else t0
+    points = [(np.tile(p, 2), v) for p, v in starts]
+    return None if w2_second_minimizer(spec, minima, tol, points) is not None else t0
 
 
 def _loglog_fit(radii: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
@@ -133,13 +136,13 @@ def _loglog_fit(radii: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     return float(sol[0]), 1.0 - ss_res / ss_tot
 
 
-def _directions(d: int, count: int) -> np.ndarray:
+def _directions(d: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d > 2:
         raise ValueError(f"shell directions are defined for d <= 2; the model has d = {d}")
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    theta = golden * np.arange(count)
+    theta = golden * np.arange(256)
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
@@ -158,11 +161,11 @@ def _abs_max_v1(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray) -> float:
     return max(map_blocks(block_max, xs.shape[0], ys.shape[0]))
 
 
-def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0,
-                       delta: float | None = None) -> ExponentEstimate:
+def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0) -> ExponentEstimate:
     """Estimate alpha, beta, gamma by shell statistics around t0.
 
-    Statistics per shell radius r (12 geometric radii in [delta/64, delta]):
+    Statistics per shell radius r (12 geometric radii in [delta/64, delta],
+    delta = a/4, or 0.999 of the distance from t0 to the boundary if less):
 
         alpha : min over direction pairs of  w2(t0 + r u, t0 + r v) - E*
         beta  : max over directions of  sup_x |v1(x, t0 + r v)|
@@ -181,16 +184,13 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0,
     t0 = np.atleast_1d(np.asarray(t0, dtype=float))
     if t0.shape != (spec.d,) or not np.all(np.abs(t0) < spec.a):
         raise ValueError(f"t0 must have d = {spec.d} finite coordinates inside (-a, a)")
-    if delta is None:
-        delta = spec.a / 4.0
-    if not 0.0 < delta < spec.a:
-        raise ValueError("delta must lie in (0, a)")
     fine_n = 8192 if spec.d == 1 else 192
     ball = spec.a - float(np.max(np.abs(t0)))
-    delta_eff = min(delta, 0.999 * ball) if ball < delta else delta
+    delta = SHELL_RADIUS * spec.a
+    delta_eff = 0.999 * ball if ball < delta else delta
 
     radii = np.geomspace(delta_eff / SHELL_SPAN, delta_eff, N_SHELLS)
-    dirs = _directions(spec.d, 256)
+    dirs = _directions(spec.d)
     w2_t0 = float(eval_xy(spec, spec.w2, t0[None, :], t0[None, :])[0])
     e_star = min(float(report.sess_min), w2_t0)
 

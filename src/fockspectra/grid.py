@@ -31,7 +31,6 @@ class Grid:
 
     d: int
     a: float
-    rule: str
     n_per_dim: int
     nodes: np.ndarray
     weights: np.ndarray
@@ -78,7 +77,7 @@ def lattice(axis: np.ndarray, d: int) -> np.ndarray:
 
 
 def _zoom_minimize(f, best: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   k: int = ZOOM_K, tol: float = ZOOM_TOL) -> np.ndarray:
+                   k: int = ZOOM_K, tol: float = ZOOM_TOL) -> tuple[np.ndarray, float]:
     """Minimize f near best inside the box [lo, hi]; f maps (m, dim) points to m values.
 
     Each pass evaluates a lattice of (2 k + 1)^dim points of spacing h,
@@ -86,6 +85,7 @@ def _zoom_minimize(f, best: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     spans the box; each next one spans one spacing of the last on either
     side of the incumbent, at spacing h / k, until h is at most tol.
     The incumbent moves only to a strictly smaller value, so a tie keeps it.
+    Returns the incumbent and its value.
     """
     offsets = lattice(np.arange(-k, k + 1, dtype=float), best.size)
     f_best = f(best[None, :])[0]
@@ -98,7 +98,7 @@ def _zoom_minimize(f, best: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         if vals[i] < f_best:
             best, f_best = cand[i].copy(), vals[i]
         span = step
-    return best
+    return best, f_best
 
 
 def _lattice_minima(values: np.ndarray) -> np.ndarray:
@@ -127,7 +127,7 @@ def make_grid(d: int, a: float, n_per_dim: int, rule: str = "midpoint") -> Grid:
         weights = np.multiply.outer(weights, w1).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return Grid(d=d, a=float(a), rule=rule, n_per_dim=n_per_dim, nodes=nodes, weights=weights)
+    return Grid(d=d, a=float(a), n_per_dim=n_per_dim, nodes=nodes, weights=weights)
 
 
 def make_pair_grid(grid: Grid) -> PairGrid:

@@ -120,7 +120,7 @@ def _w2_pairs(spec: ModelSpec, z: np.ndarray, sign: float = 1.0) -> np.ndarray:
 
 
 def _zoom_w2(spec: ModelSpec, a: float, z: np.ndarray, r: float, tol: float,
-             sign: float = 1.0) -> np.ndarray:
+             sign: float = 1.0) -> tuple[np.ndarray, float]:
     """Minimize sign * w2 over [-a, a]^(2d) from z inside the box of half-width r, down to tol."""
     return _zoom_minimize(lambda p: _w2_pairs(spec, p, sign), z, np.maximum(z - r, -a),
                           np.minimum(z + r, a), EDGE_ZOOM_K, tol)
@@ -162,11 +162,11 @@ def _w2_edges(spec: ModelSpec, a: float) -> tuple[float, float, W2Minima]:
             if len(near) >= EDGE_STARTS and (len(near) == EDGE_STARTS_MAX
                                              or W[p, q] - band >= min(vals)):
                 break
-            near.append(_zoom_w2(spec, a, np.r_[pts[p], pts[q]], reach, reach / 16, sign))
-            vals.append(_w2_pairs(spec, near[-1][None, :], sign)[0])
+            z, value = _zoom_w2(spec, a, np.r_[pts[p], pts[q]], reach, reach / 16, sign)
+            near.append(z)
+            vals.append(value)
         b = int(np.argmin(vals))
-        near[b] = _zoom_w2(spec, a, near[b], reach / 16, ZOOM_TOL, sign)
-        vals[b] = _w2_pairs(spec, near[b][None, :], sign)[0]
+        near[b], vals[b] = _zoom_w2(spec, a, near[b], reach / 16, ZOOM_TOL, sign)
         edges.append(min(float(np.min(W)), float(vals[b])))
         if sign == 1.0:
             rank = np.argsort(vals, kind="stable")
@@ -179,16 +179,16 @@ def w2_second_minimizer(spec: ModelSpec, minima: W2Minima, tol: float, points=()
     """A minimizer of w2 within tol of the best of minima that a barrier parts from it, or None.
 
     The barrier is a value above the best plus tol at one of 31 inner points
-    of the segment between the two.  The given points (rows (x, y)) are
-    tried first, then the further minima within the band plus tol of the
-    best, each zoomed on to ZOOM_TOL.
+    of the segment between the two.  The given points, pairs of a row (x, y)
+    and w2 there, are tried first, then the further minima within the band
+    plus tol of the best, each zoomed on to ZOOM_TOL.
     """
     best, level = minima.points[0], minima.values[0] + tol
     further = (_zoom_w2(spec, spec.a, z, minima.spacing / 16, ZOOM_TOL)
                for z, value in zip(minima.points[1:], minima.values[1:])
                if value <= level + minima.band)
-    for z in itertools.chain(points, further):
-        if _w2_pairs(spec, z[None, :])[0] <= level:
+    for z, value in itertools.chain(points, further):
+        if value <= level:
             segment = best + np.linspace(0.0, 1.0, 33)[1:-1, None] * (z - best)
             if np.max(_w2_pairs(spec, segment)) > level:
                 return z

@@ -20,27 +20,13 @@ Both norms are streamed in row blocks on the block pool (blocks.map_blocks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import map_blocks
-from .model import ModelSpec, _as_point, _owned, eval_xy
+from .model import ModelSpec, _owned, eval_xy
 
-
-@dataclass(frozen=True, eq=False)
-class SingularSeqConfig:
-    """Centers, dyadic depth and quadrature resolution for the bump sequence."""
-
-    x0: np.ndarray
-    y0: np.ndarray
-    n_max: int = 6
-    quad_depth: int = 128     # quadrature cells per annulus segment
-
-    def __post_init__(self):
-        for name in ("n_max", "quad_depth"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1 (got {getattr(self, name)})")
+ANNULUS_CELLS = 128     # quadrature cells per annulus segment
 
 
 def _auto_rho(spec: ModelSpec, x0: np.ndarray, y0: np.ndarray) -> float:
@@ -52,28 +38,56 @@ def _auto_rho(spec: ModelSpec, x0: np.ndarray, y0: np.ndarray) -> float:
     return rho
 
 
-def _annulus_quadrature(d: int, center: np.ndarray, r_in: float, r_out: float,
-                        cells: int):
-    """Midpoint nodes/weights on the annulus r_in <= ||x - center|| <= r_out."""
+def _cells(d: int) -> tuple[int, int]:
+    """Radial and angular cell counts of an annulus quadrature; at d = 1 the two sides."""
     if d == 1:
-        h = (r_out - r_in) / cells
-        r = r_in + (np.arange(cells) + 0.5) * h
-        nodes = np.concatenate([center[0] + r, center[0] - r])[:, None]
-        weights = np.full(2 * cells, h)
-        return nodes, weights
+        return ANNULUS_CELLS, 2
     if d == 2:
-        n_r = max(8, cells // 8)
-        n_t = 8 * n_r
-        hr = (r_out - r_in) / n_r
-        ht = 2.0 * math.pi / n_t
-        r = r_in + (np.arange(n_r) + 0.5) * hr
-        t = (np.arange(n_t) + 0.5) * ht
-        R, T = np.meshgrid(r, t, indexing="ij")
-        nodes = np.stack([center[0] + (R * np.cos(T)).ravel(),
-                          center[1] + (R * np.sin(T)).ravel()], axis=-1)
-        weights = (R * hr * ht).ravel()
-        return nodes, weights
+        n_r = max(8, ANNULUS_CELLS // 8)
+        return n_r, 8 * n_r
     raise NotImplementedError("annulus quadrature implemented for d <= 2")
+
+
+def check_inputs(spec: ModelSpec, x0, y0, n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The centres x0, y0 as points of shape (d,) and the bump scale rho, once checked.
+
+    ValueError unless x0 and y0 each have d coordinates inside Omega, n_max is
+    at least 1, the level-1 supports lie inside Omega, and each cell side at
+    level n_max (radial, or the arc at r_in) is at least the float spacing at
+    max |c| + r_out, c the centres: finer cells round their nodes onto c.
+    """
+    x0, y0 = (np.atleast_1d(np.asarray(p, dtype=float)).reshape(-1) for p in (x0, y0))
+    if x0.size != spec.d or y0.size != spec.d or not np.all(np.abs(np.r_[x0, y0]) < spec.a):
+        raise ValueError(f"x0 and y0 must each be {spec.d} coordinate(s) inside "
+                         f"(-a, a) = ({-spec.a!r}, {spec.a!r})")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1 (got {n_max})")
+    rho = _auto_rho(spec, x0, y0)
+    reach = float(np.max(np.abs(np.r_[x0, y0])))
+    if reach + rho / 2.0 >= spec.a:
+        raise ValueError("bump support at level 1 escapes Omega")
+    n_r, n_t = _cells(spec.d)
+    r_in, r_out = rho * 2.0 ** (-n_max - 1), rho * 2.0 ** (-n_max)
+    if min((r_out - r_in) / n_r, 2.0 * math.pi * r_in / n_t) < np.spacing(reach + r_out):
+        raise ValueError(f"n_max = {n_max} is finer than float resolution: its annulus cells "
+                         "are narrower than the spacing of floats at their centre")
+    return x0, y0, rho
+
+
+def _annulus_quadrature(d: int, center: np.ndarray, r_in: float, r_out: float):
+    """Midpoint nodes/weights on the annulus r_in <= ||x - center|| <= r_out."""
+    n_r, n_t = _cells(d)
+    hr = (r_out - r_in) / n_r
+    r = r_in + (np.arange(n_r) + 0.5) * hr
+    if d == 1:
+        nodes = np.concatenate([center[0] + r, center[0] - r])[:, None]
+        return nodes, np.full(2 * n_r, hr)
+    ht = 2.0 * math.pi / n_t
+    t = (np.arange(n_t) + 0.5) * ht
+    R, T = np.meshgrid(r, t, indexing="ij")
+    nodes = np.stack([center[0] + (R * np.cos(T)).ravel(),
+                      center[1] + (R * np.sin(T)).ravel()], axis=-1)
+    return nodes, (R * hr * ht).ravel()
 
 
 def _annulus_volume(d: int, r_in: float, r_out: float) -> float:
@@ -82,13 +96,10 @@ def _annulus_volume(d: int, r_in: float, r_out: float) -> float:
     return math.pi * (r_out**2 - r_in**2)
 
 
-def _level(spec: ModelSpec, cfg: SingularSeqConfig, center: np.ndarray, n: int,
-           rho: float):
+def _level(spec: ModelSpec, center: np.ndarray, n: int, rho: float):
     r_in = rho * 2.0 ** (-n - 1)
     r_out = rho * 2.0 ** (-n)
-    if float(np.max(np.abs(center))) + r_out >= spec.a:
-        raise ValueError(f"bump support at level {n} escapes Omega")
-    nodes, weights = _annulus_quadrature(spec.d, center, r_in, r_out, cfg.quad_depth)
+    nodes, weights = _annulus_quadrature(spec.d, center, r_in, r_out)
     amp = 2.0 ** (n * spec.d / 2.0) / math.sqrt(_annulus_volume(spec.d, rho / 2.0, rho))
     return nodes, weights, amp
 
@@ -115,24 +126,20 @@ def _h22_term(spec: ModelSpec, z0: float, xn, xw, xamp, yn, yw, yamp) -> float:
     return sum(map_blocks(block, xn.shape[0], yn.shape[0]))      # in block order
 
 
-def singular_sequence_norms(spec: ModelSpec, cfg: SingularSeqConfig):
-    """Rows (n, ||H12 psi_n||, ||(H22 - z0) psi_n||) for n = 1 .. n_max."""
-    x0 = _as_point(cfg.x0, spec.d)
-    y0 = _as_point(cfg.y0, spec.d)
-    rho = _auto_rho(spec, x0, y0)
-    if rho <= 0:
-        raise ValueError("bump scale rho must be positive (center too close to the boundary?)")
+def singular_sequence_norms(spec: ModelSpec, x0, y0, n_max: int):
+    """Rows (n, ||H12 psi_n||, ||(H22 - z0) psi_n||) for n = 1 .. n_max (see check_inputs)."""
+    x0, y0, rho = check_inputs(spec, x0, y0, n_max)
     z0 = float(eval_xy(spec, spec.w2, x0[None, :], y0[None, :])[0])
     same = np.array_equal(x0, y0)
 
     rows = []
-    for n in range(1, cfg.n_max + 1):
-        xn, xw, xa = _level(spec, cfg, x0, n, rho)
+    for n in range(1, n_max + 1):
+        xn, xw, xa = _level(spec, x0, n, rho)
         if same:
             h12_sq = _h12_term(spec, xn, xw, xa, xn, xw, xa)
             h22_sq = _h22_term(spec, z0, xn, xw, xa, xn, xw, xa)
         else:
-            yn, yw, ya = _level(spec, cfg, y0, n, rho)
+            yn, yw, ya = _level(spec, y0, n, rho)
             h12_sq = 0.5 * (_h12_term(spec, xn, xw, xa, yn, yw, ya)
                             + _h12_term(spec, yn, yw, ya, xn, xw, xa))
             h22_sq = _h22_term(spec, z0, xn, xw, xa, yn, yw, ya)

@@ -15,9 +15,9 @@ import fockspectra as fs
 from fockspectra import config
 from fockspectra.blocks import map_blocks
 from fockspectra.grid import lattice
-from fockspectra.model import _as_point, eval_xy, mesh_samples
+from fockspectra.model import eval_xy, mesh_samples
 from fockspectra.schur import POLE_TOL
-from fockspectra.verify import _auto_rho, _level
+from fockspectra.verify import _level, check_inputs
 
 RANK_BOUND = 3   # discarded vacuum row/column plus the vacuum eigenvalue
 
@@ -143,24 +143,22 @@ def oracle_full_vs_reduced(spec, grid, z_probe: float) -> FullVsReducedReport:
     )
 
 
-def singular_sequence_gram(spec, cfg) -> np.ndarray:
+def singular_sequence_gram(spec, x0, y0, n_max: int) -> np.ndarray:
     """Gram matrix of the psi_n on the union of the aligned grids.
 
     The supports at distinct levels are disjoint, so this is the identity up
     to quadrature roundoff.
     """
-    x0 = _as_point(cfg.x0, spec.d)
-    y0 = _as_point(cfg.y0, spec.d)
-    rho = _auto_rho(spec, x0, y0)
+    x0, y0, rho = check_inputs(spec, x0, y0, n_max)
     same = np.array_equal(x0, y0)
 
     levels = []
-    for n in range(1, cfg.n_max + 1):
-        xn, xw, xa = _level(spec, cfg, x0, n, rho)
+    for n in range(1, n_max + 1):
+        xn, xw, xa = _level(spec, x0, n, rho)
         if same:
             levels.append(((xn, xw, xa), (xn, xw, xa)))
         else:
-            levels.append(((xn, xw, xa), _level(spec, cfg, y0, n, rho)))
+            levels.append(((xn, xw, xa), _level(spec, y0, n, rho)))
 
     def overlap(la, lb):
         (xa_n, xa_w, xa_a), (ya_n, ya_w, ya_a) = la

@@ -158,8 +158,7 @@ def test_acceptance_06_singular_sequence_decay(mnr):
     start = time.perf_counter()
     g = fs.make_grid(1, mnr.a, 64)
     c_a = fs.check_assumption_a(mnr, g).sup_norm_2pe
-    cfg = fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([1.0]), n_max=6)
-    rows = fs.singular_sequence_norms(mnr, cfg)
+    rows = fs.singular_sequence_norms(mnr, np.array([1.0]), np.array([1.0]), 6)
 
     # epsilon = 2 gives q = 4/3 and the bound C 2^{n d (1/2 - 3/4) + 1}
     assert fs.holder_conjugate(mnr.epsilon) == 4.0 / 3.0

@@ -381,11 +381,9 @@ def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, mo
     ["singular-seq", "--x0", "1.0", "--y0", "1.0,2.0"],
     ["singular-seq", "--x0", "1.0", "--y0", "abc"],
     ["singular-seq", "--x0", "4.0"],                    # outside Omega = (-pi, pi)
-    ["singular-seq", "--x0", "1.0", "--quad-depth", "0"],
-    ["singular-seq", "--x0", "1.0", "--quad-depth", "-2"],
     ["singular-seq", "--x0", "1.0", "--n-max", "0"],
-    ["finiteness", "--delta", "0"],
-    ["finiteness", "--delta", "5"],
+    # level 45 on has annulus cells narrower than the float spacing at x0 = 1
+    ["singular-seq", "--x0", "1.0", "--n-max", "70"],
     ["bs-check", "--z-sweep=-1:-0.5:0"],
     ["bs-check", "--z", "nan"],
     # a config: VALID_CONFIG with one line appended; a later key replaces an earlier one
@@ -444,6 +442,13 @@ def test_usage_error_exit_1(capsys):
         assert cli.main(["essspec", "--model", "mnr-infinite", flag, "1e-6"]) == 1
 
 
+def test_shell_radius_and_annulus_cells_are_not_options(capsys):
+    for argv in (["finiteness", "--model", "mnr-infinite", "--delta", "0.5"],
+                 ["singular-seq", "--model", "mnr-infinite", "--x0", "1.0", "--quad-depth", "64"]):
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     for d in (d1, d2):
@@ -461,13 +466,23 @@ def _readme_block(heading, lang):
     return match.group(1)
 
 
-def test_readme_names_only_flags_the_parser_accepts():
+def _parser_and_readme_flags():
     parser = cli._build_parser()
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction)).choices.values()
     accepted = {opt for p in (parser, *subparsers) for a in p._actions for opt in a.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
+    return accepted, named
+
+
+def test_readme_names_only_flags_the_parser_accepts():
+    accepted, named = _parser_and_readme_flags()
     assert named - accepted == set()
+
+
+def test_readme_names_every_flag_the_parser_accepts():
+    accepted, named = _parser_and_readme_flags()
+    assert accepted - named - {"-h", "--help"} == set()
 
 
 def test_every_export_is_used_outside_the_tests():
@@ -526,6 +541,10 @@ def test_compare_tool_runs_every_readme_and_bench_command():
         assert any(argv[0] == leg and "bench/models/d2-sigma2-both.cfg" in argv
                    for argv in listed), leg
         assert any(argv[0] == leg and "gauss-legendre" in argv for argv in listed), leg
+    # and the two-centre singular sequence at d = 1 and d = 2
+    for d, model in ((1, "mnr-infinite"), (2, "bench/models/d2-sigma2-both.cfg")):
+        assert any(argv[0] == "singular-seq" and model in argv
+                   and any(a.startswith("--y0") for a in argv) for argv in tool.EXTRA), d
     # and a two-sided discrete run at n >= 128, twice the dense-discrete workload's n
     assert any(argv[0] == "discrete" and argv[argv.index("--side") + 1] == "both"
                and int(argv[argv.index("--n") + 1]) >= 128

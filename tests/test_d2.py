@@ -3,6 +3,7 @@
 import numpy as np
 
 import fockspectra as fs
+from fockspectra import verify
 from oracles import consistency_check_adjoint, singular_sequence_gram
 
 
@@ -54,13 +55,13 @@ def test_d2_exponents():
     assert abs(est.beta_hat - 2.0) < 0.15
 
 
-def test_d2_singular_sequence():
+def test_d2_singular_sequence(monkeypatch):
+    monkeypatch.setattr(verify, "ANNULUS_CELLS", 64)
     spec = _spec_d2()
-    cfg = fs.SingularSeqConfig(x0=np.array([0.2, 0.1]), y0=np.array([0.2, 0.1]),
-                               n_max=4, quad_depth=64)
-    rows = fs.singular_sequence_norms(spec, cfg)
+    x0 = np.array([0.2, 0.1])
+    rows = fs.singular_sequence_norms(spec, x0, x0, 4)
     h22 = [r[2] for r in rows]
     assert h22[-1] < h22[0]
-    gram = singular_sequence_gram(spec, cfg)
+    gram = singular_sequence_gram(spec, x0, x0, 4)
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
 

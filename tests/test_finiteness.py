@@ -111,9 +111,10 @@ def test_zoom_minimize_against_the_scipy_reference(d, smooth, floor, c, curv, qu
     lo = np.maximum(best - spacing, -1.0 + 1e-9)
     hi = np.minimum(best + spacing, 1.0 - 1e-9)
 
-    t_new = _zoom_minimize(f, best, lo, hi)
+    t_new, f_new = _zoom_minimize(f, best, lo, hi)
     t_ref = _scipy_t0(f, best, lo, hi)
-    f_new, f_ref = f(t_new[None, :])[0], f(t_ref[None, :])[0]
+    assert f_new == f(t_new[None, :])[0]
+    f_ref = f(t_ref[None, :])[0]
     if floor == 0.0:
         # w2 resolves t below the final spacing only with a zero floor, where
         # bounded Brent's parabolic steps can land closer than ZOOM_TOL; the

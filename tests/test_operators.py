@@ -20,7 +20,7 @@ def test_single_node_coupling_entry():
     # one-node grid: the diagonal pair entry is sqrt(w0) * v1(x0, x0)
     nodes = np.array([[0.0]])
     weights = np.array([2.0])
-    g = fs.Grid(d=1, a=1.0, rule="midpoint", n_per_dim=1, nodes=nodes, weights=weights)
+    g = fs.Grid(d=1, a=1.0, n_per_dim=1, nodes=nodes, weights=weights)
     pg = fs.make_pair_grid(g)
     spec = fs.ModelSpec(d=1, a=1.0, w0=0.0,
                         v0=lambda x: 0.0 * x,

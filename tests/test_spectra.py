@@ -653,7 +653,7 @@ def test_w2_edges_skip_nan_samples_on_the_cube_boundary():
 
 
 def _permuted(grid, perm):
-    return fs.Grid(d=grid.d, a=grid.a, rule=grid.rule, n_per_dim=grid.n_per_dim,
+    return fs.Grid(d=grid.d, a=grid.a, n_per_dim=grid.n_per_dim,
                    nodes=grid.nodes[perm], weights=grid.weights[perm])
 
 

@@ -142,8 +142,9 @@ def test_schur_eval_symbol_equals_the_streamed_symbol(d, many_blocks):
 def test_singular_sequence_norms_match_the_dense_formulas(centres, many_blocks, monkeypatch):
     spec = fs.load_model(D2_EMPTY)
     x0, y0 = (np.array(c) if c is not None else None for c in centres)
-    cfg = verify.SingularSeqConfig(x0=x0, y0=x0 if y0 is None else y0, n_max=3, quad_depth=64)
-    streamed = verify.singular_sequence_norms(spec, cfg)
+    y0 = x0 if y0 is None else y0
+    monkeypatch.setattr(verify, "ANNULUS_CELLS", 64)
+    streamed = verify.singular_sequence_norms(spec, x0, y0, 3)
 
     def dense_h12_term(spec, xn, xw, xamp, sn, sw, samp):
         V = np.ascontiguousarray(fs.model.eval_xy(spec, spec.v1, xn[:, None, :], sn[None, :, :]))
@@ -151,7 +152,7 @@ def test_singular_sequence_norms_match_the_dense_formulas(centres, many_blocks, 
 
     monkeypatch.setattr(verify, "_h12_term", dense_h12_term)
     monkeypatch.setattr(verify, "_h22_term", dense_h22_term)
-    dense = verify.singular_sequence_norms(spec, cfg)
+    dense = verify.singular_sequence_norms(spec, x0, y0, 3)
     assert [n for n, _, _ in streamed] == [n for n, _, _ in dense] == [1, 2, 3]
     for (_, h12, h22), (_, h12_d, h22_d) in zip(streamed, dense):
         assert h12 == pytest.approx(h12_d, rel=1e-12, abs=0)
@@ -357,7 +358,7 @@ def test_streamed_kernels_hold_one_or_two_row_blocks(monkeypatch):
     monkeypatch.setattr(blocks, "_pool", None)
     spec = fs.load_model(D2_EMPTY)
     fine = fs.make_grid(2, spec.a, 192)       # the fine quadrature of the gamma statistic
-    pts = 0.05 * finiteness._directions(2, 256)
+    pts = 0.05 * finiteness._directions(2)
     g48 = fs.make_grid(2, spec.a, 48)
 
     def bound(g, blocks_held):

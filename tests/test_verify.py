@@ -10,27 +10,23 @@ from oracles import oracle_full_vs_reduced, singular_sequence_gram
 
 def test_singular_sequence_zero_coupling():
     spec = make_decoupled(lambda x: 0.0 * x, lambda x, y: 2.0 + np.cos(x) * np.cos(y))
-    cfg = fs.SingularSeqConfig(x0=np.array([0.2]), y0=np.array([0.2]), n_max=4)
-    rows = fs.singular_sequence_norms(spec, cfg)
+    rows = fs.singular_sequence_norms(spec, np.array([0.2]), np.array([0.2]), 4)
     assert all(h12 == 0.0 for _, h12, _ in rows)
     assert all(rows[k + 1][2] < rows[k][2] for k in range(len(rows) - 1))
 
 
 def test_gram_identity_same_center(mnr):
-    cfg = fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([1.0]), n_max=6)
-    gram = singular_sequence_gram(mnr, cfg)
+    gram = singular_sequence_gram(mnr, np.array([1.0]), np.array([1.0]), 6)
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
 
 
 def test_gram_identity_distinct_centers(mnr):
-    cfg = fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([-1.2]), n_max=5)
-    gram = singular_sequence_gram(mnr, cfg)
+    gram = singular_sequence_gram(mnr, np.array([1.0]), np.array([-1.2]), 5)
     assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
 
 
 def test_h22_shift_decays_toward_zero(mnr):
-    cfg = fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([1.0]), n_max=7)
-    rows = fs.singular_sequence_norms(mnr, cfg)
+    rows = fs.singular_sequence_norms(mnr, np.array([1.0]), np.array([1.0]), 7)
     h22 = [r[2] for r in rows]
     assert all(h22[k + 1] < h22[k] for k in range(2, len(h22) - 1))
     assert h22[-1] < 0.1 * h22[0]
@@ -39,8 +35,7 @@ def test_h22_shift_decays_toward_zero(mnr):
 def test_h12_decay_slope_and_bound(mnr):
     g = fs.make_grid(1, mnr.a, 64)
     chk = fs.check_assumption_a(mnr, g)
-    cfg = fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([1.0]), n_max=6)
-    rows = fs.singular_sequence_norms(mnr, cfg)
+    rows = fs.singular_sequence_norms(mnr, np.array([1.0]), np.array([1.0]), 6)
     for n, h12, _ in rows:
         assert h12 <= fs.h12_decay_bound(chk.sup_norm_2pe, n, mnr.d, mnr.epsilon)
     ns = np.array([r[0] for r in rows if 2 <= r[0] <= 6], dtype=float)
@@ -50,8 +45,7 @@ def test_h12_decay_slope_and_bound(mnr):
 
 
 def test_distinct_centers_decay(mnr):
-    cfg = fs.SingularSeqConfig(x0=np.array([0.8]), y0=np.array([-1.5]), n_max=5)
-    rows = fs.singular_sequence_norms(mnr, cfg)
+    rows = fs.singular_sequence_norms(mnr, np.array([0.8]), np.array([-1.5]), 5)
     assert rows[-1][1] < rows[0][1]
     assert rows[-1][2] < rows[0][2]
 
@@ -59,9 +53,8 @@ def test_distinct_centers_decay(mnr):
 def test_support_escape_raises(mnr, monkeypatch):
     # the automatic scale keeps every level inside Omega; a larger one escapes
     monkeypatch.setattr(verify, "_auto_rho", lambda spec, x0, y0: 2.0)
-    cfg = fs.SingularSeqConfig(x0=np.array([3.0]), y0=np.array([3.0]), n_max=3)
     with pytest.raises(ValueError, match="escapes"):
-        fs.singular_sequence_norms(mnr, cfg)
+        fs.singular_sequence_norms(mnr, np.array([3.0]), np.array([3.0]), 3)
 
 
 def test_holder_conjugate():
@@ -110,15 +103,26 @@ def test_singular_sequence_identical_when_v1_ignores_x():
     y_only = model(lambda x, y: np.sin(3.0 * y))
     full = model(lambda x, y: np.sin(3.0 * y) + 0.0 * x)
     for x0, y0 in ((0.3, 0.3), (0.3, -0.4)):
-        cfg = fs.SingularSeqConfig(x0=np.array([x0]), y0=np.array([y0]), n_max=5)
-        assert fs.singular_sequence_norms(y_only, cfg) == fs.singular_sequence_norms(full, cfg)
+        x0, y0 = np.array([x0]), np.array([y0])
+        assert fs.singular_sequence_norms(y_only, x0, y0, 5) \
+            == fs.singular_sequence_norms(full, x0, y0, 5)
 
 
-@pytest.mark.parametrize("field", ["n_max", "quad_depth"])
-def test_singular_seq_config_refuses_fields_below_one(field):
-    # n_max = 0 used to return [] and quad_depth = 0 to divide by zero at d = 1
+def test_singular_sequence_norms_refuse_n_max_below_one(mnr):
+    # n_max = 0 used to return []
+    x0 = np.array([1.0])
     for value in (0, -3):
-        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
-            fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([1.0]), **{field: value})
-    cfg = fs.SingularSeqConfig(x0=np.array([1.0]), y0=np.array([1.0]), **{field: 1})
-    assert getattr(cfg, field) == 1
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            fs.singular_sequence_norms(mnr, x0, x0, value)
+    assert [n for n, _, _ in fs.singular_sequence_norms(mnr, x0, x0, 1)] == [1]
+
+
+def test_singular_sequence_norms_refuse_levels_finer_than_float_resolution(mnr):
+    # at x0 = 1, rho = 1 the cells of level n are 2^-(n + 8) wide and the
+    # spacing of floats there is 2^-52; levels past 44 used to round their
+    # nodes onto x0 and report h22_shift = 0.0 from level 54
+    x0 = np.array([1.0])
+    assert all(h22 > 0.0 for _, _, h22 in fs.singular_sequence_norms(mnr, x0, x0, 44))
+    for n_max in (45, 70):
+        with pytest.raises(ValueError, match=f"n_max = {n_max} is finer than float resolution"):
+            fs.singular_sequence_norms(mnr, x0, x0, n_max)

@@ -5,11 +5,11 @@
 Runs every command of the README's CLI section, every benchmark workload
 command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) and the commands of
 ``EXTRA`` (the dense ``discrete``/``bs-check`` legs at d = 2 and on
-Gauss-Legendre nodes, and a two-sided ``discrete`` with over a hundred roots
-above M) as ``python -m fockspectra.cli`` in each checkout: from its root,
-with its own ``src/`` on the path, BLAS threads pinned as the benchmark pins
-them, and a fresh output directory per command (``list-models`` takes no
-``--out``).
+Gauss-Legendre nodes, a two-sided ``discrete`` with over a hundred roots
+above M, and ``singular-seq`` with two centres at d = 1 and d = 2) as
+``python -m fockspectra.cli`` in each checkout: from its root, with its own
+``src/`` on the path, BLAS threads pinned as the benchmark pins them, and a
+fresh output directory per command (``list-models`` takes no ``--out``).
 The exit code, stdout, stderr (with the checkout's path and the output
 directory masked) and every output file must be equal.  Prints each command
 that differs and exits 1 if any does.
@@ -28,7 +28,7 @@ from pathlib import Path
 
 SEEDS = (0, 1)
 
-# dense legs that neither the README nor the benchmark runs; 0.2-1.2 s each
+# paths that neither the README nor the benchmark runs; 0.2-1.2 s each
 EXTRA = (
     ["discrete", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "12", "--side", "both"],
     ["discrete", "--model", "bench/models/d2-sigma2-empty.cfg", "--n", "10", "--side", "both"],
@@ -38,6 +38,11 @@ EXTRA = (
      "--z", "-0.5"],
     # 127 roots above M at twice the dense-discrete workload's N
     ["discrete", "--model", "sigma2-empty", "--n", "128", "--side", "both"],
+    # the two-centre singular sequence (x0 != y0), at d = 1 and d = 2
+    ["singular-seq", "--model", "mnr-infinite", "--n", "24", "--x0", "1.0", "--y0=-1.2",
+     "--n-max", "5"],
+    ["singular-seq", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "8", "--x0=0.1,-0.2",
+     "--y0=0.3,0.2", "--n-max", "4"],
 )
 
 
