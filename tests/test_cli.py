@@ -381,7 +381,9 @@ def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, mo
     ["singular-seq", "--x0", "1.0", "--y0", "1.0,2.0"],
     ["singular-seq", "--x0", "1.0", "--y0", "abc"],
     ["singular-seq", "--x0", "4.0"],                    # outside Omega = (-pi, pi)
+    ["singular-seq", "--x0", "1.0", "--y0=-3.5"],
     ["singular-seq", "--x0", "1.0", "--n-max", "0"],
+    ["singular-seq", "--x0", "1.0", "--n-max", "-2"],
     # level 45 on has annulus cells narrower than the float spacing at x0 = 1
     ["singular-seq", "--x0", "1.0", "--n-max", "70"],
     ["bs-check", "--z-sweep=-1:-0.5:0"],
