@@ -7,12 +7,12 @@ sampled range [m, M] of w2 over node pairs and Sigma_2 by per-node roots of
 z -> Delta(x_i; z), which is strictly decreasing, diverges to +inf as
 z -> -inf, and tends to -inf as z -> +inf; each node therefore contributes
 at most one root per side.  The symbol falls with slope at most -1 and is
-concave on the search side, so Newton steps from the edge probe approach
-the root monotonically inside a bracket the slope bound certifies, and a
-root is returned once that bracket is narrower than ROOT_TOL.  The
-discrete spectrum outside [sess_min, sess_max] comes from the N x N Schur
-complement S(z) by inertia (discrete_spectrum); the dense reduced matrix is
-assembled only as the independent leg of the Birman-Schwinger check.
+concave below ran w2 and convex above it, so Newton steps in z from each
+edge probe approach the root monotonically inside a bracket the slope bound
+certifies, to within ROOT_TOL.  The discrete spectrum outside
+[sess_min, sess_max] comes from the N x N Schur complement S(z) by inertia
+(discrete_spectrum); the dense reduced matrix is assembled only as the
+independent leg of the Birman-Schwinger check.
 
 Numerical guard rails (all O(h^2)-scaled so they refine with the grid):
 
@@ -79,7 +79,7 @@ class W2Minima(NamedTuple):
 
 
 class Sigma2Side(NamedTuple):
-    """The Sigma_2 roots on one side of ran w2, as _one_sided_roots found them."""
+    """The Sigma_2 roots on one side of ran w2, as _sigma2_roots found them."""
 
     rows: np.ndarray            # strictly increasing indices of the grid nodes holding a root
     roots: np.ndarray           # the root z of each
@@ -211,44 +211,40 @@ def _merge_hull(roots: np.ndarray, tol: float) -> list:
             for lo, hi in zip(np.r_[0, breaks + 1], np.r_[breaks, rs.size - 1])]
 
 
-def _one_sided_roots(spec: ModelSpec, grid: Grid, inner: Grid, sign: int, probe: float):
-    """Sigma_2 roots on one side of ran w2, in the mirrored coordinate t = sign * z.
+def _sigma2_roots(spec: ModelSpec, grid: Grid, inner: Grid, lo: float, hi: float):
+    """The Sigma_2 roots below the probe lo and above the probe hi, as two Sigma2Sides.
 
-    f(t) = sign * Delta(sign * t), at the nodes of grid with the y-quadrature
-    of inner, falls with slope f' <= -1 and is positive at -inf for either
-    sign, so the roots above M are the roots of f below -M for sign = -1.
-    Left of ran w2 each term -c / (w2 - z) of Delta is concave, and the
-    mirror turns the right side into the same case, so f is concave on the
-    search side.  A node holds a root iff f(probe) < 0.  Newton steps from
-    the probe then move monotonically toward the root without passing it,
-    and the slope bound puts the root in [t + f(t), t] at every iterate: a
-    row stops once |f(t)| <= ROOT_TOL and returns t + f(t)/2, within
-    ROOT_TOL/2 of the root.  Negation is exact in IEEE arithmetic, so both
-    sides are bit-identical to a search written out directly in z.  Returns
-    the rows holding a root and the roots in z, as a Sigma2Side.
+    Delta(x; .), at the nodes of grid with the y-quadrature of inner, falls
+    with slope <= -1, so a node holds a root below lo iff Delta(x; lo) < 0
+    and one above hi iff Delta(x; hi) > 0; each probe is one pass over the
+    nodes, freed before the next.  Delta is concave below ran w2 and convex
+    above it, so Newton steps from either probe approach the root without
+    passing it, and the slope bound puts the root between z and z + Delta:
+    a row stops once |Delta| <= ROOT_TOL and returns z + Delta/2, within
+    ROOT_TOL/2 of the root.  The unfinished rows of both sides advance in
+    one symbol evaluation per step, which may span more row blocks (and so
+    run on the block pool) than either side alone.
     """
-    def f(rows, t):
-        delta, slope = delta_and_derivative_at_points(spec, inner, grid.nodes[rows], sign * t)
-        return sign * delta, slope
-
-    ft, slope = f(np.arange(grid.n), np.full(grid.n, probe))
-    rows = np.flatnonzero(ft < 0.0)
-    if rows.size == 0:
-        return Sigma2Side(rows, np.empty(0))
-    ft, slope = ft[rows], slope[rows]
-    t = np.full(rows.size, probe)
+    sides = []
+    for z, holds_root in ((lo, np.less), (hi, np.greater)):
+        delta, slope = delta_and_derivative_at_points(spec, inner, grid.nodes, z)
+        rows = np.flatnonzero(holds_root(delta, 0.0))
+        sides.append((rows, delta[rows], slope[rows]))
+        del delta, slope                # before the next probe's pass
+    k = sides[0][0].size            # rows[:k] hold the roots below lo, rows[k:] those above hi
+    rows, delta, slope = (np.r_[a, b] for a, b in zip(*sides))
+    z = np.where(np.arange(rows.size) < k, lo, hi)
     active = np.arange(rows.size)
     roots = np.empty(rows.size)
     for _ in range(_MAX_ROOT_STEPS):
-        done = np.abs(ft) <= ROOT_TOL
-        roots[active[done]] = t[done] + 0.5 * ft[done]
+        done = np.abs(delta) <= ROOT_TOL
+        roots[active[done]] = z[done] + 0.5 * delta[done]
         go = ~done
-        active, t = active[go], t[go] - ft[go] / slope[go]
+        active, z = active[go], z[go] - delta[go] / slope[go]
         if active.size == 0:
-            return Sigma2Side(rows, sign * roots)
-        ft, slope = f(rows[active], t)
-    side = "left" if sign == 1 else "right"
-    raise RuntimeError(f"{side} Sigma_2 roots not within the tolerance after {_MAX_ROOT_STEPS} "
+            return Sigma2Side(rows[:k], roots[:k]), Sigma2Side(rows[k:], roots[k:])
+        delta, slope = delta_and_derivative_at_points(spec, inner, grid.nodes[rows[active]], z)
+    raise RuntimeError(f"Sigma_2 roots not within the tolerance after {_MAX_ROOT_STEPS} "
                        "Newton steps: is it below the rounding error of the symbol?")
 
 
@@ -257,12 +253,9 @@ def essential_spectrum(spec: ModelSpec, grid: Grid) -> EssSpecReport:
 
     m and M are the extremes of w2 over the pair grid, from the streamed
     check_assumption_a pass.  The edge probes sit outside the refined
-    edges of ran w2 (_w2_edges).  A node x_i contributes a root below m iff
-    Delta(x_i; .) is negative at the left edge probe, and a root above M iff
-    it is positive at the right edge probe.  Each root is found by Newton
-    steps from its probe inside a bracket that the slope bound
-    Delta' <= -1 certifies, to within ROOT_TOL (see _one_sided_roots), so
-    no search window is needed.
+    edges of ran w2 (_w2_edges), and the Sigma_2 roots are found by Newton
+    steps from them to within ROOT_TOL (_sigma2_roots), so no search window
+    is needed.
     """
     chk = check_assumption_a(spec, grid)
     m_hat, M_hat = chk.w2_min, chk.w2_max
@@ -275,8 +268,7 @@ def essential_spectrum(spec: ModelSpec, grid: Grid) -> EssSpecReport:
     edge = max(1e-9, (M_guard - m_guard + 1.0) / n1**2)
     inner = make_grid(spec.d, grid.a, (4 if spec.d == 1 else 2) * n1, "midpoint")
 
-    left, right = (_one_sided_roots(spec, grid, inner, sign, e_guard - edge)
-                   for sign, e_guard in ((1, m_guard), (-1, -M_guard)))
+    left, right = _sigma2_roots(spec, grid, inner, m_guard - edge, M_guard + edge)
     hull = _merge_hull(left.roots, ROOT_TOL) + _merge_hull(right.roots, ROOT_TOL)
     sess_min = float(left.roots.min(initial=m_hat))
     sess_max = float(right.roots.max(initial=M_hat))

@@ -52,9 +52,10 @@ def check_inputs(spec: ModelSpec, x0, y0, n_max: int) -> tuple[np.ndarray, np.nd
     """The centres x0, y0 as points of shape (d,) and the bump scale rho, once checked.
 
     ValueError unless x0 and y0 each have d coordinates inside Omega, n_max is
-    at least 1, the level-1 supports lie inside Omega, and each cell side at
+    at least 1, the level-1 supports lie inside Omega, each cell side at
     level n_max (radial, or the arc at r_in) is at least the float spacing at
-    max |c| + r_out, c the centres: finer cells round their nodes onto c.
+    max |c| + r_out, c the centres (finer cells round their nodes onto c), and
+    the squared amplitude 2^(n_max d) / |annulus(rho/2, rho)| is finite.
     """
     x0, y0 = (np.atleast_1d(np.asarray(p, dtype=float)).reshape(-1) for p in (x0, y0))
     if x0.size != spec.d or y0.size != spec.d or not np.all(np.abs(np.r_[x0, y0]) < spec.a):
@@ -71,6 +72,8 @@ def check_inputs(spec: ModelSpec, x0, y0, n_max: int) -> tuple[np.ndarray, np.nd
     if min((r_out - r_in) / n_r, 2.0 * math.pi * r_in / n_t) < np.spacing(reach + r_out):
         raise ValueError(f"n_max = {n_max} is finer than float resolution: its annulus cells "
                          "are narrower than the spacing of floats at their centre")
+    if n_max * spec.d - math.log2(_annulus_volume(spec.d, rho / 2.0, rho)) >= 1024:
+        raise ValueError(f"n_max = {n_max} overflows the squared bump amplitude")
     return x0, y0, rho
 
 

@@ -386,6 +386,8 @@ def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, mo
     ["singular-seq", "--x0", "1.0", "--n-max", "-2"],
     # level 45 on has annulus cells narrower than the float spacing at x0 = 1
     ["singular-seq", "--x0", "1.0", "--n-max", "70"],
+    # the squared bump amplitude 2^n passes the float range from level 1024 at x0 = 0
+    ["singular-seq", "--x0", "0.0", "--n-max", "1060"],
     ["bs-check", "--z-sweep=-1:-0.5:0"],
     ["bs-check", "--z", "nan"],
     # a config: VALID_CONFIG with one line appended; a later key replaces an earlier one
@@ -551,3 +553,8 @@ def test_compare_tool_runs_every_readme_and_bench_command():
     assert any(argv[0] == "discrete" and argv[argv.index("--side") + 1] == "both"
                and int(argv[argv.index("--n") + 1]) >= 128
                for argv in tool.EXTRA if "--side" in argv), "no --side both at n >= 128"
+    # and essspec and discrete on a d = 1 model with Sigma_2 roots on both sides
+    assert {argv[0] for argv in tool.EXTRA if tool.D1_BOTH in argv} >= {"essspec", "discrete"}
+    spec = fockspectra.load_model(tool.D1_BOTH)
+    ess = fockspectra.essential_spectrum(spec, fockspectra.make_grid(spec.d, spec.a, 32))
+    assert spec.d == 1 and ess.left.rows.size > 0 and ess.right.rows.size > 0

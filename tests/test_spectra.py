@@ -285,6 +285,39 @@ def test_essential_spectrum_builds_no_compact_kernel(case, monkeypatch):
     assert ess.left.rows.size + ess.right.rows.size > 0
 
 
+def test_sigma2_search_probes_each_side_once_then_steps_both_together(monkeypatch):
+    # each probe is one pass over the grid's nodes at one z, and the first
+    # probe's full-node arrays are freed before the second pass starts; the
+    # Newton steps then advance the rows of both sides in one evaluation
+    calls, probed = [], []
+    evaluate = spectra.delta_and_derivative_at_points
+
+    def recorded(spec, inner, pts, z):
+        assert all(ref() is None for ref in probed), "a probe's full-node arrays are still held"
+        calls.append((np.shape(pts)[0], np.array(z, copy=True)))
+        out = evaluate(spec, inner, pts, z)
+        if len(calls) <= 2:
+            probed.extend(weakref.ref(a) for a in out)
+        return out
+
+    monkeypatch.setattr(spectra, "delta_and_derivative_at_points", recorded)
+    spec = _shipped_model("d2-sigma2-both")
+    g = fs.make_grid(spec.d, spec.a, 8)
+    ess = fs.essential_spectrum(spec, g)
+    assert ess.left.rows.size > 0 and ess.right.rows.size > 0
+    (n_lo, lo), (n_hi, hi), (n_step, z) = calls[:3]
+    assert n_lo == n_hi == g.n and lo.ndim == hi.ndim == 0
+    assert lo < ess.m and hi > ess.M
+    assert z.shape == (n_step,) and np.min(z) < ess.m and np.max(z) > ess.M
+
+
+def test_sigma2_search_fails_past_its_step_limit(monkeypatch):
+    monkeypatch.setattr(spectra, "_MAX_ROOT_STEPS", 1)
+    spec = _shipped_model("d2-sigma2-both")
+    with pytest.raises(RuntimeError, match="after 1 Newton steps"):
+        fs.essential_spectrum(spec, fs.make_grid(spec.d, spec.a, 8))
+
+
 def test_bs_check_evaluates_delta_and_k_once_per_z(mnr, monkeypatch):
     # one schur_eval per z, whose Delta and K share one pole-checked W2 - z
     calls = {"_pole_check": [], "schur_eval": []}

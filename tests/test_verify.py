@@ -1,4 +1,6 @@
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ import fockspectra as fs
 from fockspectra import verify
 from conftest import make_decoupled, random_trig_model
 from oracles import oracle_full_vs_reduced, singular_sequence_gram
+
+BENCH_MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
 
 
 def test_singular_sequence_zero_coupling():
@@ -126,3 +130,16 @@ def test_singular_sequence_norms_refuse_levels_finer_than_float_resolution(mnr):
     for n_max in (45, 70):
         with pytest.raises(ValueError, match=f"n_max = {n_max} is finer than float resolution"):
             fs.singular_sequence_norms(mnr, x0, x0, n_max)
+
+
+@pytest.mark.parametrize("case, x0, largest", [("mnr-infinite", [0.0], 1023),
+                                              ("d2-sigma2-both", [0.0, 0.0], 512)])
+def test_singular_sequence_norms_refuse_an_overflowing_amplitude(case, x0, largest, monkeypatch):
+    # the squared amplitude 2^(n d) / |annulus(rho/2, rho)| used to raise
+    # OverflowError once every level below it had run
+    spec = fs.load_model(case if case in fs.builtin_models() else BENCH_MODELS / f"{case}.cfg")
+    _, _, rho = verify.check_inputs(spec, x0, x0, largest)
+    assert np.isfinite(verify._level(spec, np.array(x0), largest, rho)[2] ** 2)
+    monkeypatch.setattr(verify, "_level", lambda *args: pytest.fail("a level ran"))
+    with pytest.raises(ValueError, match=f"n_max = {largest + 1} overflows"):
+        fs.singular_sequence_norms(spec, x0, x0, largest + 1)

@@ -6,7 +6,8 @@ Runs every command of the README's CLI section, every benchmark workload
 command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) and the commands of
 ``EXTRA`` (the dense ``discrete``/``bs-check`` legs at d = 2 and on
 Gauss-Legendre nodes, a two-sided ``discrete`` with over a hundred roots
-above M, and ``singular-seq`` with two centres at d = 1 and d = 2) as
+above M, ``singular-seq`` with two centres at d = 1 and d = 2, and a d = 1
+model with Sigma_2 roots on both sides, ``D1_BOTH``) as
 ``python -m fockspectra.cli`` in each checkout: from its root, with its own
 ``src/`` on the path, BLAS threads pinned as the benchmark pins them, and a
 fresh output directory per command (``list-models`` takes no ``--out``).
@@ -27,6 +28,9 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (0, 1)
+# kept next to this tool, not in bench/models, and given by an absolute path so that
+# every compared checkout reads the same file whether or not it has one of its own
+D1_BOTH = str(Path(__file__).resolve().parent / "d1-sigma2-both.cfg")
 
 # paths that neither the README nor the benchmark runs; 0.2-1.2 s each
 EXTRA = (
@@ -43,6 +47,9 @@ EXTRA = (
      "--n-max", "5"],
     ["singular-seq", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "8", "--x0=0.1,-0.2",
      "--y0=0.3,0.2", "--n-max", "4"],
+    # 98 roots below m and 92 above M at n = 256, advanced by the same Newton steps
+    ["essspec", "--model", D1_BOTH, "--n", "256"],
+    ["discrete", "--model", D1_BOTH, "--n", "64", "--side", "both"],
 )
 
 
