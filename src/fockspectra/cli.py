@@ -133,14 +133,6 @@ def _cmd_check_model(args, out_dir: Path) -> int:
 def _cmd_essspec(args, out_dir: Path) -> int:
     from . import schur, spectra
 
-    zs = None
-    if args.delta_z:
-        try:
-            zs = [float(t) for t in args.delta_z.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad --delta-z {args.delta_z!r}: expected numbers") from exc
-        if not np.all(np.isfinite(zs)):
-            raise UsageError(f"bad --delta-z {args.delta_z!r}: every z must be finite")
     spec, g = _load(args)
     report = _Report("essspec", args)
     _require_assumption_a(spec, g, report)
@@ -161,8 +153,7 @@ def _cmd_essspec(args, out_dir: Path) -> int:
     _write_csv(out_dir / "sigma2.csv", ["side"] + cols + ["root"],
                [(name, *g.nodes[r], z) for name, side in (("left", ess.left), ("right", ess.right))
                 for r, z in zip(*side)])
-    if zs is None:
-        zs = [ess.sess_min - 1.0, ess.sess_max + 1.0]
+    zs = [ess.sess_min - 1.0, ess.sess_max + 1.0]
     vals = schur.delta_values(spec, g, zs)
     rows = [(*g.nodes[i], z, row[i]) for z, row in zip(zs, vals) for i in range(g.n)]
     _write_csv(out_dir / "delta_profile.csv", cols + ["z", "delta"], rows)
@@ -245,6 +236,10 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
     if args.levels < 3:
         raise UsageError(f"--levels must be at least 3 (got {args.levels})")
     spec, g = _load(args)
+    finest = 4 * CLI_N_CAP[spec.d]      # nodes per axis of --levels 3 at the --n cap
+    if args.levels > (finest // args.n).bit_length():       # n 2^(levels - 1) > finest
+        raise UsageError(f"--levels {args.levels} refines --n {args.n} past {finest} nodes "
+                         f"per axis, the finest grid allowed for d = {spec.d}")
     report = _Report("finiteness", args)
     _require_assumption_a(spec, g, report)
     ess = spectra.essential_spectrum(spec, g)
@@ -325,8 +320,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("essspec", help="essential spectrum")
     common(p)
-    p.add_argument("--delta-z", default=None,
-                   help="comma-separated z values for the symbol profile CSV")
 
     p = sub.add_parser("discrete", help="discrete spectrum outside the essential spectrum")
     common(p)

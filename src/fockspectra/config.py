@@ -454,15 +454,6 @@ def model_from_config(text: str, base_dir: Path | str = ".") -> ModelSpec:
     epsilon = doc.get("epsilon", 2.0)
     if not (isinstance(epsilon, float) and epsilon > 0):
         raise ModelError("epsilon must be one positive number")
-    t0 = doc.get("t0")
-    if t0 is not None:
-        if not isinstance(t0, (float, list)):
-            raise ModelError(f"t0 must be {d} numbers")
-        t0 = np.atleast_1d(np.asarray(t0, dtype=float))
-        if t0.size != d:
-            raise ModelError(f"t0 must have {d} coordinates")
-        if not np.all(np.abs(t0) < a):
-            raise ModelError(f"t0 must lie inside Omega = (-a, a)^{d}, a = {a!r}")
     return ModelSpec(
         d=d,
         a=a,
@@ -472,5 +463,4 @@ def model_from_config(text: str, base_dir: Path | str = ".") -> ModelSpec:
         v1=_function_entry(fns["v1"], a, d, base_dir, "v1", two_point=True),
         w2=_function_entry(fns["w2"], a, d, base_dir, "w2", two_point=True, symmetric=True),
         epsilon=epsilon,
-        t0=t0,
     )

@@ -36,7 +36,7 @@ import numpy as np
 
 from .blocks import map_blocks
 from .grid import Grid, _lattice_minima, _zoom_minimize, lattice, make_grid
-from .model import ModelSpec, _owned, eval_xy, shared_v1_row
+from .model import ModelSpec, _check_grid, _owned, eval_xy, shared_v1_row
 from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t
 from .spectra import w2_second_minimizer
 
@@ -83,9 +83,8 @@ def locate_t0(spec: ModelSpec, report):
     midpoint of its best minimizer (x*, y*) (report.w2_minima), inside the
     cube shrunk by 1e-9, is sampled at an eighth of a spacing, since
     minimizers this close may share one start of that search.  Its
-    DIAG_STARTS least local minima are zoomed on; t0 is the best of them, or
-    the model's hint when no worse (a hint outside the open cube, or of the
-    wrong size, is ignored).  With tol = 1e-6 max(1, M - m), None
+    DIAG_STARTS least local minima are zoomed on; t0 is the best of them,
+    on a tie the one of least lattice value.  With tol = 1e-6 max(1, M - m), None
     when w2(t0, t0) exceeds min(w2(x*, y*), m) by more than tol (the
     minimizer is off the diagonal), or when w2_second_minimizer finds
     several minimizers among these points and the edge search's (the
@@ -108,12 +107,10 @@ def locate_t0(spec: ModelSpec, report):
     pts = np.clip(t + h * lattice(np.arange(-16.0, 17.0), d), lo, hi)
     vals = w2_diag(pts)
     near = np.flatnonzero(_lattice_minima(vals.reshape((33,) * d)).ravel())
-    hint = [] if spec.t0 is None else [np.atleast_1d(np.asarray(spec.t0, dtype=float))]
-    starts = [(p, w2_diag(p[None, :])[0]) for p in hint
-              if p.size == d and np.all(np.abs(p) < spec.a)] + [
+    starts = [
         _zoom_minimize(w2_diag, pts[i], np.maximum(pts[i] - h, lo), np.minimum(pts[i] + h, hi))
         for i in near[np.argsort(vals[near], kind="stable")][:DIAG_STARTS]]
-    t0, value = min(starts, key=lambda start: start[1])      # a tie keeps the hint
+    t0, value = min(starts, key=lambda start: start[1])      # a tie keeps the first start
     if float(value) - min(float(minima.values[0]), float(report.m)) > tol:
         return None
     points = [(np.tile(p, 2), v) for p, v in starts]
@@ -184,6 +181,7 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0) -> ExponentEstim
     t0 = np.atleast_1d(np.asarray(t0, dtype=float))
     if t0.shape != (spec.d,) or not np.all(np.abs(t0) < spec.a):
         raise ValueError(f"t0 must have d = {spec.d} finite coordinates inside (-a, a)")
+    _check_grid(spec, grid)
     fine_n = 8192 if spec.d == 1 else 192
     ball = spec.a - float(np.max(np.abs(t0)))
     delta = SHELL_RADIUS * spec.a
@@ -213,16 +211,18 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0) -> ExponentEstim
         beta_stats[k] = _abs_max_v1(spec, xs, pts)
         if gamma_ok:
             try:
-                gamma_stats[k] = float(np.min(delta_at_points(spec, fine, pts, e_star)))
+                symbol = delta_at_points(spec, fine, pts, e_star)
             except PoleProximityError:
                 gamma_ok = False
+                continue
+            gamma_stats[k] = float(np.min(symbol))
+            if k == 0:
+                v_f = float(symbol[0])        # Delta(t0 + radii[0] dirs[0]) on the fine grid
 
     if gamma_ok:
         # refinement sanity at the smallest shell: the critical symbol must settle
-        p0 = t0 + radii[0] * dirs[0]
         try:
-            v_f = delta_at(spec, fine, p0, e_star)
-            v_h = delta_at(spec, half, p0, e_star)
+            v_h = delta_at(spec, half, t0 + radii[0] * dirs[0], e_star)
             if abs(v_f - v_h) > 0.2 * max(abs(v_f), 1e-300):
                 gamma_ok = False
         except PoleProximityError:
@@ -266,6 +266,8 @@ def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid],
     """
     if len(grids) < 3:
         raise ValueError("the refinement sequence needs at least 3 grids")
+    for g in grids:         # before any norm: hs_norm_t's ValueError reads as a NaN trend
+        _check_grid(spec, g)
 
     hs_trend = []
     for g in grids:

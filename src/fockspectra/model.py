@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class ModelEvaluationError(ModelError):
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Immutable bundle of the five parameter functions on (-a, a)^d.
+    """The eight values that define a model: d, a, w0, v0, w1, v1, w2 and epsilon.
 
     All fields are read-only after construction; instances are safe to share
     across workers.
@@ -66,7 +66,6 @@ class ModelSpec:
     v1: Callable
     w2: Callable
     epsilon: float = 2.0
-    t0: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +108,13 @@ def _as_point(x, d: int) -> np.ndarray:
     if pt.size != d:
         raise ValueError(f"point must have {d} coordinates")
     return pt
+
+
+def _check_grid(spec: ModelSpec, grid) -> None:
+    """ValueError unless grid lies on the model's cube: the same d and a."""
+    if grid.d != spec.d or grid.a != spec.a:
+        raise ValueError(f"grid on (-{grid.a!r}, {grid.a!r})^{grid.d} does not match the "
+                         f"model's cube (-{spec.a!r}, {spec.a!r})^{spec.d}")
 
 
 def _strip(x: np.ndarray, d: int):
@@ -211,6 +217,7 @@ def _mesh_samples_cached(spec: ModelSpec, grid) -> MeshSamples:
 
 def mesh_samples(spec: ModelSpec, grid) -> MeshSamples:
     """Samples of w1, v0, v1, w2 on a grid, cached for the last grid (by object identity)."""
+    _check_grid(spec, grid)
     return _mesh_samples_cached(spec, grid)
 
 
@@ -227,10 +234,11 @@ def check_assumption_a(spec: ModelSpec, grid) -> AssumptionAReport:
     blocks of B rows, not 2 N^2.  It runs apart from the v1 pass: v1's full
     rows among the shorter w2 rows of one pass fragment the heap, and
     essspec at d = 2 then peaked up to 2.9 MB higher in some runs.  Raises
-    ModelEvaluationError if any sample is NaN or infinite; returns
-    passed=False if a norm overflows or the symmetry defect exceeds
-    W2_SYMMETRY_TOL.
+    ModelEvaluationError if any sample is NaN or infinite, and ValueError
+    unless the grid lies on the model's cube; returns passed=False if a
+    norm overflows or the symmetry defect exceeds W2_SYMMETRY_TOL.
     """
+    _check_grid(spec, grid)
     p1, p2 = 2.0 + spec.epsilon, 2.0 + 4.0 / spec.epsilon
 
     def w2_block(b):
@@ -300,7 +308,6 @@ def mnr_infinite_model() -> ModelSpec:
         v1=lambda x, y: c * np.sin(y) + 0.0 * x,
         w2=lambda x, y: eps(x) + 2.0 * eps(x + y) + eps(y),
         epsilon=2.0,
-        t0=np.zeros(1),
     )
 
 
@@ -345,8 +352,7 @@ def sigma2_empty_model() -> ModelSpec:
     def w1(x):
         return m + (M - (_sextic_bump(x) + _SEXTIC_INTEGRAL / (2.0 * a)))
 
-    return ModelSpec(d=1, a=a, w0=0.0, v0=_zero, w1=w1, v1=v1, w2=w2,
-                     epsilon=2.0, t0=np.zeros(1))
+    return ModelSpec(d=1, a=a, w0=0.0, v0=_zero, w1=w1, v1=v1, w2=w2, epsilon=2.0)
 
 
 _BUILTIN_CACHE: dict[str, BuiltinModel] = {}
@@ -369,13 +375,17 @@ def builtin_models() -> dict[str, BuiltinModel]:
 
 
 def load_model(source: str | Path) -> ModelSpec:
-    """Load a built-in model by name, or a user model from a config file."""
+    """A built-in model by name, or a user model from a config file; else ModelError."""
     if isinstance(source, str) and source in builtin_models():
         return builtin_models()[source].spec
     path = Path(source)
     if not path.exists():
         known = ", ".join(sorted(builtin_models()))
         raise ModelError(f"unknown model {source!r}: not a builtin ({known}) and no such file")
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:        # a directory, no permission, not UTF-8
+        raise ModelError(f"cannot read config {source!r}: {exc}") from exc
     from .config import model_from_config      # the config language, for a config path only
 
-    return model_from_config(path.read_text(), base_dir=path.parent)
+    return model_from_config(text, base_dir=path.parent)

@@ -47,8 +47,8 @@ import numpy as np
 
 from .blocks import map_blocks
 from .grid import Grid
-from .model import (ModelSpec, _as_point, _as_points, _owned, _sym_w2, eval_x, eval_xy,
-                    mesh_samples, shared_v1_row)
+from .model import (ModelSpec, _as_point, _as_points, _check_grid, _owned, _sym_w2, eval_x,
+                    eval_xy, mesh_samples, shared_v1_row)
 
 POLE_TOL = 1e-12
 
@@ -99,6 +99,7 @@ def _v1_sq(spec: ModelSpec, grid: Grid, pts: np.ndarray, b: slice) -> np.ndarray
 
 def delta_values(spec: ModelSpec, grid: Grid, z) -> np.ndarray:
     """Delta(x_i; z) at every grid node, streamed; a sequence of z gives one row per z."""
+    _check_grid(spec, grid)
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     quad = np.empty((zs.size, grid.n))
     shared = shared_v1_row(spec, grid.nodes, grid.nodes)      # None unless v1 ignores x
@@ -125,6 +126,7 @@ def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z):
     Both are new arrays, z subtracted in the w2 block just sampled, except
     when v1 ignores p: then the first is one row computed here, once per call.
     """
+    _check_grid(spec, grid)
     row = shared_v1_row(spec, pts, grid.nodes)
     wrow = None if row is None else grid.weights * np.abs(row) ** 2
 

@@ -218,7 +218,6 @@ def synthetic_power_model(beta: float, gamma: float = 1.0, a: float = 1.0,
         v1=lambda x, y: np.abs(y) ** beta + 0.0 * x,
         w2=lambda x, y: floor + x**2 + y**2,
         epsilon=2.0,
-        t0=np.zeros(1),
     )
 
 

@@ -75,14 +75,17 @@ def test_essspec_mnr(tmp_path, capsys):
     assert (tmp_path / "delta_profile.csv").read_text().splitlines()[0] == "x,z,delta"
 
 
-def test_essspec_delta_z_profile(tmp_path):
-    rc = cli.main(["essspec", "--model", "sigma2-empty", "--n", "16",
-                   "--delta-z=-1.0,6.0", "--out", str(tmp_path)])
+def test_essspec_profile_is_one_below_and_one_above_the_essential_spectrum(tmp_path, capsys):
+    rc = cli.main(["essspec", "--model", "sigma2-empty", "--n", "16", "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "delta_profile.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * 16
-    zs = {line.split(",")[1] for line in lines[1:]}
-    assert zs == {"-1.0", "6.0"}
+    report = dict(line.split(": ") for line in (tmp_path / "report.txt").read_text().splitlines()
+                  if ": " in line)
+    zs = [float(report["sess_min"]) - 1.0, float(report["sess_max"]) + 1.0]
+    assert [line.split(",")[1] for line in lines[1::16]] == [repr(z) for z in zs]
+    assert cli.main(["essspec", "--model", "sigma2-empty", "--delta-z=-1.0,6.0"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_essspec_nan_model_exit_2(tmp_path, capsys):
@@ -366,15 +369,47 @@ def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, mo
         assert "--levels must be at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, n, levels, rc", [
+    # the finest grid, n 2^(levels - 1) nodes per axis, may reach 1024 at d = 1
+    # and 192 at d = 2: the finest grid of --levels 3 at the --n cap
+    ("mnr-infinite", "16", "8", 1),
+    ("mnr-infinite", "16", "1000000000", 1),
+    ("mnr-infinite", "256", "4", 1),
+    ("bench/models/d2-sigma2-both.cfg", "48", "4", 1),
+    ("bench/models/d2-sigma2-both.cfg", "8", "6", 1),
+    ("mnr-infinite", "16", "7", 2),                     # allowed: the analysis is reached
+    ("bench/models/d2-sigma2-both.cfg", "48", "3", 2),
+    ("bench/models/d2-sigma2-both.cfg", "8", "5", 2),
+])
+def test_finiteness_refuses_a_finest_grid_past_the_cap_run_before_any_analysis(
+        model, n, levels, rc, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("analysis reached")
+
+    for mod, name in ((cli.model_mod, "check_assumption_a"), (spectra, "essential_spectrum")):
+        monkeypatch.setattr(mod, name, refuse)
+    if model.endswith(".cfg"):
+        model = str(README.parent / model)
+    argv = ["finiteness", "--model", model, "--n", n, "--levels", levels, "--out", str(tmp_path)]
+    assert cli.main(argv) == rc
+    err = capsys.readouterr().err
+    assert ("past" in err and "nodes per axis" in err) if rc == 1 else "analysis reached" in err
+
+
+def test_a_config_that_cannot_be_read_exits_1(tmp_path, capsys):
+    binary = tmp_path / "latin1.cfg"
+    binary.write_bytes(VALID_CONFIG.encode() + b"# \xb5 in Latin-1, not UTF-8\n")
+    for source in (tmp_path, binary):
+        with pytest.raises(fockspectra.ModelError, match="cannot read config"):
+            fockspectra.load_model(source)
+        rc = cli.main(["check-model", "--model", str(source), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "usage error: cannot read config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["essspec", "--n", "1"],
     ["essspec", "--n", "0"],
-    # --delta-z values are parsed and checked before the Assumption A pass
-    ["essspec", "--delta-z=abc"],
-    ["essspec", "--delta-z=0.5,abc"],
-    ["essspec", "--delta-z=nan"],
-    ["essspec", "--delta-z=-1,inf"],
-    ["essspec", "--delta-z=1e400"],
     ["discrete", "--n", "-4"],
     ["singular-seq", "--x0", "1.0,2.0"],
     ["singular-seq", "--x0", "abc"],
@@ -394,8 +429,6 @@ def test_finiteness_refuses_fewer_than_three_levels_before_any_work(tmp_path, mo
     ["check-model", "--model", "config:epsilon = 2,"],
     ["check-model", "--model", 'config:epsilon = "x"'],
     ["check-model", "--model", "config:epsilon = 1, 2"],
-    ["check-model", "--model", 'config:t0 = "a"'],
-    ["finiteness", "--model", "config:t0 = 1.5"],        # outside Omega = (-1, 1)
     ["check-model", "--model", "config:functions = 2"],
     ["check-model", "--model", "config:domain { d = 1.5  a = 1 }"],
     ["check-model", "--model", "config:domain { d = 1  a = nan }"],
@@ -553,6 +586,10 @@ def test_compare_tool_runs_every_readme_and_bench_command():
     assert any(argv[0] == "discrete" and argv[argv.index("--side") + 1] == "both"
                and int(argv[argv.index("--n") + 1]) >= 128
                for argv in tool.EXTRA if "--side" in argv), "no --side both at n >= 128"
+    # and finiteness past three levels and on Gauss-Legendre nodes
+    runs = [argv for argv in listed if argv[0] == "finiteness"]
+    assert any(int(argv[argv.index("--levels") + 1]) > 3 for argv in runs)
+    assert any("gauss-legendre" in argv for argv in runs)
     # and essspec and discrete on a d = 1 model with Sigma_2 roots on both sides
     assert {argv[0] for argv in tool.EXTRA if tool.D1_BOTH in argv} >= {"essspec", "discrete"}
     spec = fockspectra.load_model(tool.D1_BOTH)

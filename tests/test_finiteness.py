@@ -51,9 +51,10 @@ def test_locate_t0_shifted_quadratic_d2():
     assert np.max(np.abs(t0 - [0.3, -0.2])) < 1e-6
 
 
-def test_locate_t0_mnr_stays_on_the_hint_inside_the_flat_band(mnr):
+def test_locate_t0_mnr_stays_on_the_centre_node_inside_the_flat_band(mnr):
     # w2(t, t) = 2(1 - cos t) + 2(1 - cos 2t) rounds to exactly 0, its minimum,
-    # for |t| below about 5.3e-9; a tie keeps the hint t0 = 0
+    # for |t| below about 5.3e-9; the diagonal lattice's centre node is exactly
+    # 0.0, and the zoom's tie keeps it
     band = np.linspace(-5e-9, 5e-9, 201)[:, None]
     assert np.all(fs.model.eval_xy(mnr, mnr.w2, band, band) == 0.0)
     g, rep = _report_for(mnr, 32)
@@ -133,7 +134,7 @@ def test_zoom_minimize_against_the_scipy_reference(d, smooth, floor, c, curv, qu
 def test_d3_is_refused_before_w2_is_sampled(monkeypatch):
     # the shell statistics of estimate_exponents are defined for d <= 2, so
     # locate_t0 refuses d = 3 before it reads the report or samples w2
-    spec = dataclasses.replace(fs.load_model("sigma2-empty"), d=3, t0=np.zeros(3))
+    spec = dataclasses.replace(fs.load_model("sigma2-empty"), d=3)
     g = fs.make_grid(3, spec.a, 2)
     monkeypatch.setattr(fs.finiteness, "eval_xy", lambda *args: pytest.fail("w2 sampled"))
     with pytest.raises(ValueError, match="d <= 2"):
@@ -199,19 +200,6 @@ def test_locate_t0_on_the_cube_face():
     spec = make_decoupled(lambda x: 1.0 + 0.0 * x, lambda x, y: (x - 1.0) ** 2 + (y - 1.0) ** 2)
     g, rep = _report_for(spec)
     assert fs.locate_t0(spec, rep).tolist() == [1.0 - 1e-9]
-
-
-def test_locate_t0_ignores_a_hint_outside_omega():
-    # w2(1.5, 1.5) = -3 lies below the cube's minimum -2, so the hint would
-    # win the comparison and estimate_exponents would fit shells of a
-    # negative ball radius a - |t0|
-    spec = fs.model_from_config(
-        'domain { d = 1  a = 1 }\nfunctions {\n  w0 = 0\n  v0 = 0\n  w1 { expr = "3 + x" }\n'
-        '  v1 { expr = "0.5 * y" }\n  w2 { expr = "0 - x - y" }\n}\n')
-    g, rep = _report_for(spec, 16)
-    t0 = fs.locate_t0(dataclasses.replace(spec, t0=np.array([1.5])), rep)
-    assert t0 is not None and np.all(np.abs(t0) < spec.a)
-    assert t0.tolist() == fs.locate_t0(spec, rep).tolist()
 
 
 @pytest.mark.parametrize("model", ["mnr-infinite", "sigma2-empty", D2_EMPTY, D2_BOTH])
@@ -306,6 +294,24 @@ def test_estimate_exponents_mnr(mnr):
     # tail over the shell range), so the measured slope sits in (1, 2)
     assert est.gamma_hat is not None and 1.0 < est.gamma_hat < 2.0
     assert est.fit_r2[2] >= 0.9
+
+
+def test_refinement_check_takes_the_fine_symbol_from_the_first_shell(mnr, monkeypatch):
+    # Delta at the first point of the smallest shell on the fine grid is the
+    # first shell's value; only the half grid evaluates it again
+    g, rep = _report_for(mnr, 32)
+    t0 = fs.locate_t0(mnr, rep)
+    calls = []
+    original = fs.finiteness.delta_at
+
+    def delta_at(spec, grid, x, z):
+        calls.append(grid.n_per_dim)
+        return original(spec, grid, x, z)
+
+    monkeypatch.setattr(fs.finiteness, "delta_at", delta_at)
+    est = fs.estimate_exponents(mnr, g, rep, t0)
+    assert calls == [4096]
+    assert est.gamma_hat is not None            # the check passed
 
 
 def test_alpha_scale_equivariance():

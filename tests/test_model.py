@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -141,6 +142,15 @@ def test_config_expression_model(tmp_path):
                - math.sin(0.3) * math.cos(0.4)) < 1e-15
     rep = fs.check_assumption_a(spec, fs.make_grid(1, 1.5, 16))
     assert rep.passed
+
+
+@pytest.mark.parametrize("line", ["t0 = 0.0", "t0 = 7.5", 't0 = "a"', "t0 = 1, 2", 'name = "m"'])
+def test_config_loads_and_ignores_a_t0_or_name_line(line):
+    # locate_t0 finds t0 from w2 alone; a t0 line of an older config reads as name does
+    spec = fs.model_from_config(CONFIG_EXPR.replace("t0 = 0.0", line))
+    fields = [f.name for f in dataclasses.fields(spec)]
+    assert fields == ["d", "a", "w0", "v0", "w1", "v1", "w2", "epsilon"]
+    assert (spec.d, spec.a, spec.w0, spec.epsilon) == (1, 1.5, 0.25, 2.0)
 
 
 CONFIG_D2_Y_ONLY = """
@@ -466,3 +476,29 @@ def test_synthetic_power_model_symbol():
         assert abs(val - x) < 1e-5
     with pytest.raises(fs.ModelError):
         synthetic_power_model(beta=1.5)
+
+
+_GRID_ENTRY_POINTS = {
+    "check_assumption_a": lambda spec, g: fs.check_assumption_a(spec, g),
+    "mesh_samples": lambda spec, g: fs.model.mesh_samples(spec, g),
+    "delta_values": lambda spec, g: fs.delta_values(spec, g, -1.0),
+    "delta_at_points": lambda spec, g: fs.delta_at_points(spec, g, np.zeros((1, 1)), -1.0),
+    "delta_and_derivative_at_points": lambda spec, g: fs.schur.delta_and_derivative_at_points(
+        spec, g, np.zeros((1, 1)), -1.0),
+    "estimate_exponents": lambda spec, g: fs.estimate_exponents(spec, g, None, np.zeros(1)),
+    "essential_spectrum": lambda spec, g: fs.essential_spectrum(spec, g),
+    "hs_norm_t": lambda spec, g: fs.hs_norm_t(spec, g, -1.0),
+    "finiteness_verdict": lambda spec, g: fs.finiteness_verdict(
+        spec, [fs.make_grid(1, spec.a, 4), fs.make_grid(1, spec.a, 8), g], None),
+    "discrete_spectrum_below": lambda spec, g: fs.discrete_spectrum_below(spec, g, 0.0),
+    "birman_schwinger_check": lambda spec, g: fs.birman_schwinger_check(spec, g, -1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_GRID_ENTRY_POINTS))
+@pytest.mark.parametrize("d, a", [(1, 1.0), (1, 2.0 * math.pi), (2, math.pi)])
+def test_a_grid_of_another_cube_is_refused(mnr, entry, d, a):
+    # on mnr-infinite (a = pi) a grid on (-1, 1) read m = 0.0039 and M = 3.415,
+    # and a d = 2 grid failed in an unrelated matmul
+    with pytest.raises(ValueError, match="does not match the model's cube"):
+        _GRID_ENTRY_POINTS[entry](mnr, fs.make_grid(d, a, 8))

@@ -7,7 +7,8 @@ command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) and the commands of
 ``EXTRA`` (the dense ``discrete``/``bs-check`` legs at d = 2 and on
 Gauss-Legendre nodes, a two-sided ``discrete`` with over a hundred roots
 above M, ``singular-seq`` with two centres at d = 1 and d = 2, and a d = 1
-model with Sigma_2 roots on both sides, ``D1_BOTH``) as
+model with Sigma_2 roots on both sides, ``D1_BOTH``, and ``finiteness`` on
+that model, on Gauss-Legendre nodes and with more than three levels) as
 ``python -m fockspectra.cli`` in each checkout: from its root, with its own
 ``src/`` on the path, BLAS threads pinned as the benchmark pins them, and a
 fresh output directory per command (``list-models`` takes no ``--out``).
@@ -32,7 +33,7 @@ SEEDS = (0, 1)
 # every compared checkout reads the same file whether or not it has one of its own
 D1_BOTH = str(Path(__file__).resolve().parent / "d1-sigma2-both.cfg")
 
-# paths that neither the README nor the benchmark runs; 0.2-1.2 s each
+# paths that neither the README nor the benchmark runs; 0.2-2 s each
 EXTRA = (
     ["discrete", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "12", "--side", "both"],
     ["discrete", "--model", "bench/models/d2-sigma2-empty.cfg", "--n", "10", "--side", "both"],
@@ -50,6 +51,13 @@ EXTRA = (
     # 98 roots below m and 92 above M at n = 256, advanced by the same Newton steps
     ["essspec", "--model", D1_BOTH, "--n", "256"],
     ["discrete", "--model", D1_BOTH, "--n", "64", "--side", "both"],
+    # finiteness on a d = 1 config model, on Gauss-Legendre nodes, and past --levels 3
+    # at d = 1 and d = 2, inside the bound on the finest grid
+    ["finiteness", "--model", D1_BOTH, "--n", "32", "--levels", "3"],
+    ["finiteness", "--model", "mnr-infinite", "--n", "24", "--rule", "gauss-legendre",
+     "--levels", "3"],
+    ["finiteness", "--model", "mnr-infinite", "--n", "16", "--levels", "5"],
+    ["finiteness", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "8", "--levels", "4"],
 )
 
 
