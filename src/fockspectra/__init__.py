@@ -27,7 +27,7 @@ _EXPORTS = {
                     "operators"),
     **dict.fromkeys(["schur", "PoleProximityError", "bs_operator", "delta_at",
                      "delta_at_points", "delta_values", "hs_norm_k", "hs_norm_t", "k_matrix",
-                     "s_and_derivative", "s_matrix", "schur_eval"], "schur"),
+                     "s_matrix", "schur_eval"], "schur"),
     **dict.fromkeys(["spectra", "BOUNDARY_BAND", "CountingResult", "EssSpecReport",
                      "MatrixTooLargeError", "ThresholdCounts", "birman_schwinger_check",
                      "birman_schwinger_sweep", "discrete_spectrum", "discrete_spectrum_above",

@@ -27,16 +27,16 @@ The symbol at the nodes, its point evaluations and the Hilbert-Schmidt norm
 of T are streamed over row blocks of blocks.BLOCK_ELEMENTS samples, so their
 memory does not grow with the square of the grid, and the blocks run on
 every CPU of the affinity mask (blocks.map_blocks).  Only the dense matrices
-(K, S, dS/dz and T, for discrete and bs-check) read the N x N mesh samples,
-and all of them come from one evaluation per z: schur_eval's Delta at the
-nodes and K, both from one pole-checked W2 - z.  S = diag(Delta) + K, T and,
-for discrete's branch search, dS/dz are built from that pair.  Of the
-factors that do not depend on z, sqrt(w) is built once per grid with the
-mesh samples (model.MeshSamples.sw), and the diagonals of S and dS/dz are
-written through a strided view, with no index arrays.  The coupling product
-and |V1|^2 do not depend on z either, but they are N x N: kept per grid they
-would hold two more such arrays through discrete's eigensolves, its peak, so
-each evaluation forms them, and dS/dz is formed in the product's memory.
+(K, S and T, for discrete and bs-check) read the N x N mesh samples, and all
+of them come from one evaluation per z: schur_eval's Delta at the nodes and
+K, both from one pole-checked W2 - z.  S = diag(Delta) + K and T are built
+from that pair; discrete's branch search needs only the eigenvalues of S.
+Of the factors that do not depend on z, sqrt(w) is built once per grid with
+the mesh samples (model.MeshSamples.sw), and the diagonal of S is written
+through a strided view, with no index array.  The coupling product does not
+depend on z either, but it is N x N: kept per grid it would hold one more
+such array through discrete's eigensolves, its peak, so each evaluation
+forms it and then K in its memory.
 """
 
 from __future__ import annotations
@@ -188,24 +188,17 @@ def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
     return float(delta_at_points(spec, grid, _as_point(x, spec.d)[None, :], z)[0])
 
 
-def _weighted(M: np.ndarray, sw: np.ndarray) -> np.ndarray:
-    """sqrt(w_i) M_ij sqrt(w_j), formed in M's own memory."""
-    M *= sw[:, None]
-    M *= sw[None, :]
-    return M
+def schur_eval(spec: ModelSpec, grid: Grid, z: float):
+    """(Delta(x_i; z), K(z)): the one evaluation at z that S and T are built from.
 
-
-def _diagonal(M: np.ndarray) -> np.ndarray:
-    """The diagonal of a square array, as a writeable view."""
-    return np.einsum("ii->i", M)
-
-
-def _evaluate(ms, grid: Grid, z: float):
-    """Delta at the nodes, K, W2 - z and the z-free -1/2 v1(x_i, x_j) v1(x_j, x_i)*.
-
-    From the mesh samples and one pole-checked W2 - z; Delta is summed in the
-    row blocks of delta_values and equals it bit for bit.
+    Both come from the mesh samples and one pole-checked W2 - z; Delta is
+    summed in the row blocks of delta_values and equals it bit for bit.  K is
+    the weight-normalized kernel matrix sqrt(w_i) K(x_i, x_j; z) sqrt(w_j), a
+    new Hermitian array the caller owns, formed in the memory of the z-free
+    coupling product -1/2 v1(x_i, x_j) v1(x_j, x_i)*: W2 - z and that product
+    are the only N x N arrays an evaluation allocates.
     """
+    ms = mesh_samples(spec, grid)
     shifted = _pole_check(ms.W2, z)
     quad = np.empty(grid.n)
 
@@ -213,24 +206,17 @@ def _evaluate(ms, grid: Grid, z: float):
         quad[b] = (np.abs(ms.V1[b]) ** 2 / shifted[b]) @ grid.weights
 
     map_blocks(block, grid.n, grid.n)
-    product = -0.5 * ms.V1
-    product *= ms.V1.T.conj()           # V1.T itself when v1 is real
-    K = _weighted(np.divide(product, shifted), ms.sw)
-    return ms.w1 - z - 0.5 * quad, K, shifted, product
-
-
-def schur_eval(spec: ModelSpec, grid: Grid, z: float):
-    """(Delta(x_i; z), K(z)): the one evaluation at z that S, T and dS/dz are built from.
-
-    K is the weight-normalized kernel matrix sqrt(w_i) K(x_i, x_j; z) sqrt(w_j),
-    a new Hermitian array the caller owns.
-    """
-    return _evaluate(mesh_samples(spec, grid), grid, z)[:2]
+    K = -0.5 * ms.V1
+    K *= ms.V1.T.conj()         # V1.T itself when v1 is real
+    K /= shifted
+    K *= ms.sw[:, None]
+    K *= ms.sw[None, :]
+    return ms.w1 - z - 0.5 * quad, K
 
 
 def _s_into(delta: np.ndarray, K: np.ndarray) -> np.ndarray:
     """S(z) = diag(Delta(z)) + K(z), formed in K's own memory."""
-    _diagonal(K)[:] += delta
+    np.einsum("ii->i", K)[:] += delta      # the diagonal, as a writeable view
     return K
 
 
@@ -253,30 +239,6 @@ def k_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
 def hs_norm_k(spec: ModelSpec, grid: Grid, z: float) -> float:
     """Discrete Hilbert-Schmidt norm of K(z) (the Frobenius norm of k_matrix)."""
     return float(np.linalg.norm(k_matrix(spec, grid, z)))
-
-
-def s_and_derivative(spec: ModelSpec, grid: Grid, z: float):
-    """S(z) = diag(Delta(z)) + K(z) and dS/dz, from one evaluation at z.
-
-    dS/dz is diag(d Delta/dz) plus K(z) / (w2 - z) entrywise.  On the grid
-    this is -I - B (h22 - z)^{-2} B* for the coupling block B, so it is at
-    most -I: every eigenvalue of S(z) falls at least as fast as z rises, on
-    either side of ran w2.  S equals s_matrix bit for bit.  Besides the mesh
-    samples, at most four N x N arrays are alive at once: S, dS (formed in
-    the coupling product's memory), W2 - z (which becomes (W2 - z)^-2 in
-    place) and |V1|^2.
-    """
-    ms = mesh_samples(spec, grid)
-    delta, S, shifted, product = _evaluate(ms, grid, z)
-    _s_into(delta, S)
-    # the power is even, and numpy raises a negative base (every W2 - z above
-    # M) element by element, about 30x slower than a positive one
-    inv2 = np.power(np.abs(shifted, out=shifted), -2.0, out=shifted)
-    dS = _weighted(np.multiply(product, inv2, out=product), ms.sw)
-    v2 = np.abs(ms.V1)
-    terms = np.multiply(np.square(v2, out=v2), inv2, out=inv2)      # |V1|^2 (W2 - z)^-2
-    _diagonal(dS)[:] -= 1.0 + 0.5 * (terms @ grid.weights)
-    return S, dS
 
 
 def s_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:

@@ -11,8 +11,9 @@ concave below ran w2 and convex above it, so Newton steps in z from each
 edge probe approach the root monotonically inside a bracket the slope bound
 certifies, to within ROOT_TOL.  The discrete spectrum outside
 [sess_min, sess_max] comes from the N x N Schur complement S(z) by inertia
-(discrete_spectrum); the dense reduced matrix is assembled only as the
-independent leg of the Birman-Schwinger check.
+(discrete_spectrum), from the eigenvalues of S alone (_branch_roots); the
+dense reduced matrix is assembled only as the independent leg of the
+Birman-Schwinger check.
 
 Numerical guard rails (all O(h^2)-scaled so they refine with the grid):
 
@@ -40,11 +41,12 @@ import numpy as np
 
 from .grid import ZOOM_TOL, Grid, _lattice_minima, _zoom_minimize, lattice, make_grid
 from .model import ModelSpec, check_assumption_a, eval_xy, mesh_samples
-from .schur import _s_into, _t_from, delta_and_derivative_at_points, s_and_derivative, schur_eval
+from .schur import _s_into, _t_from, delta_and_derivative_at_points, s_matrix, schur_eval
 
 BOUNDARY_BAND = 1e-10
 ROOT_TOL = 1e-10   # width of the certified bracket around a Sigma_2 root
 _MAX_ROOT_STEPS = 200
+_BRANCH_HISTORY = 12   # evaluations kept for the interpolated branch steps
 EDGE_ZOOM_K = 2    # the edge zoom's lattice has 5 points per axis and halves its span
 EDGE_STARTS = 8    # lattice extremes zoomed per edge of ran w2, at least
 EDGE_STARTS_MAX = 48   # and at most: a w2 faster than the lattice puts all in the band
@@ -205,7 +207,8 @@ def _merge_hull(roots: np.ndarray, tol: float) -> list:
     rs = np.sort(roots)
     gaps = np.diff(rs)
     gaps[gaps <= tol] = 0.0
-    threshold = 4.0 * float(np.median(gaps)) if gaps.size else 0.0
+    g = np.sort(gaps)       # 4x np.median(gaps), without the numpy.ma import np.median costs
+    threshold = 2.0 * float(g[(g.size - 1) // 2] + g[g.size // 2]) if g.size else 0.0
     breaks = np.flatnonzero(gaps > threshold)
     return [(float(rs[lo]), float(rs[hi]))
             for lo, hi in zip(np.r_[0, breaks + 1], np.r_[breaks, rs.size - 1])]
@@ -276,64 +279,91 @@ def essential_spectrum(spec: ModelSpec, grid: Grid) -> EssSpecReport:
                          sess_min=sess_min, sess_max=sess_max, w2_minima=minima)
 
 
-def _branch_roots(matrices, t_edge: float, pole: float) -> np.ndarray:
+def _interpolated_step(history: list, j: int, pole: float) -> tuple[float, float]:
+    """(slope, t): the next point of branch j's search, from history's (t, mu), newest first.
+
+    The chord runs from the newest evaluation to the most recent one at least
+    a step away, else the farthest: closer quotients are the eigenvalues'
+    rounding.  Its slope is capped at the bound -1, which alone serves while
+    history holds one evaluation.  A third evaluation a step from both makes
+    the step inverse quadratic interpolation, and the slope its slope there.
+    Next to the pole, mu_j ~ -c / (pole - t) and those steps only creep on;
+    the chord's secant on g = mu_j (pole - t) cancels the pole and is taken
+    when it moves more than twice as far, unless it found the zero g has at
+    the pole when mu_j stays finite there: a root within 4 times the distance
+    of a chord end 4 times nearer the pole than the other.
+    """
+    t0, m0 = history[0][0], float(history[0][1][j])
+    chords = [(min((m0 - mu[j]) / (t0 - t), -1.0), t, float(mu[j]))
+              for t, mu in history[1:] if mu[j] != m0]
+    if not chords:
+        return -1.0, t0 + m0
+    far = [c for c in chords if abs(c[1] - t0) * -c[0] >= abs(m0)]
+    slope, t1, m1 = far[0] if far else max(chords, key=lambda c: abs(c[1] - t0))
+    step = t0 - m0 / slope
+    for t, mu in history[1:]:
+        m2 = mu[j]
+        if t != t1 and m2 not in (m0, m1) and min(abs(t - t0), abs(t - t1)) * -slope >= abs(m0):
+            curve = (1.0 / slope - (t1 - t) / (m1 - m2)) / (m0 - m2)
+            dt_dmu = 1.0 / slope + curve * (m0 - m1)
+            slope = min(1.0 / dt_dmu, -1.0) if dt_dmu < 0.0 else slope
+            step += curve * m0 * m1
+            break
+    d0, d1 = pole - t0, pole - t1
+    g0, g1 = m0 * d0, m1 * d1
+    if g0 != g1:
+        d = d0 + (d1 - d0) * g0 / (g0 - g1)       # the root of the secant on g, as pole - t
+        spurious = d < 4.0 * min(d0, d1) < max(d0, d1)
+        if 0.0 < d and not spurious and abs(pole - d - t0) > 2.0 * abs(step - t0):
+            step = pole - d
+    return slope, step
+
+
+def _branch_roots(matrix, t_edge: float, pole: float) -> np.ndarray:
     """Sorted roots below t_edge of the eigenvalue branches of a Hermitian F(t).
 
-    ``matrices(t)`` returns F(t) and F'(t) with F' <= -I.  The j-th smallest
-    eigenvalue mu_j(t) of F(t) is then continuous and strictly decreasing with
-    slope <= -1, so it has exactly one root t_j and is negative exactly for
-    t > t_j: there are as many roots below t_edge as negative eigenvalues of
-    F(t_edge).  Each root comes from Newton steps on mu_j, with
-    mu_j' = v_j^H F' v_j, inside a bracket that every evaluation narrows by
-    the slope bound (mu_j(t) > 0 puts t_j in [t, t + mu_j(t)], mu_j(t) < 0 in
-    [t + mu_j(t), t]); a step leaving the bracket is replaced by bisection.
-    Roots are taken from the edge inward, t_j <= t_{j+1}, each search starting
-    at the last evaluation of the previous one.  ``pole`` is the singularity
-    of F nearest above t_edge.
+    ``matrix(t)`` returns F(t), whose derivative is at most -I.  The j-th
+    smallest eigenvalue mu_j(t) of F(t) is then continuous and strictly
+    decreasing with slope <= -1, so it has exactly one root t_j and is
+    negative exactly for t > t_j: there are as many roots below t_edge as
+    negative eigenvalues of F(t_edge).  An evaluation is one eigvalsh, whose
+    values narrow every branch's bracket by the slope bound (mu_j(t) > 0 puts
+    t_j in [t, t + mu_j(t)], mu_j(t) < 0 in [t + mu_j(t), t]); the last
+    _BRANCH_HISTORY are kept for the steps (_interpolated_step).  A step
+    leaving the bracket is replaced by bisection of log(pole - t), which
+    nears a root next to the pole from a far bracket end in few steps.
+    Roots are taken from the edge inward, t_j <= t_{j+1}, each search
+    starting at the last evaluation of the previous one.  ``pole`` is the
+    singularity of F nearest above t_edge.
     """
-    def evaluate(t):
-        F, dF = matrices(t)
-        mu, vecs = np.linalg.eigh(F)
-        return mu, vecs, dF
-
-    t = t_edge
-    mu, vecs, dF = evaluate(t)
-    k = int(np.count_nonzero(mu < 0.0))
+    mu = eigvals_hermitian(matrix(t_edge))
+    scale, k = float(np.max(np.abs(mu))), int(np.count_nonzero(mu < 0.0))
+    history = [(t_edge, mu[:k])]
+    lo, hi = t_edge + mu[:k], np.full(k, t_edge)
     roots = np.empty(k)
-    hi = t_edge
     for j in range(k - 1, -1, -1):
-        lo = -np.inf
         for _ in range(_MAX_ROOT_STEPS):
-            if mu[j] >= 0.0:
-                lo, hi = max(lo, t), min(hi, t + mu[j])
-            else:
-                lo, hi = max(lo, t + mu[j]), min(hi, t)
-            v = vecs[:, j]
-            slope = float(np.real(np.vdot(v, dF @ v)))
-            # eigh resolves mu to about eps * ||F||, i.e. t_j to that over |slope|
-            tol = 8.0 * np.finfo(float).eps * (abs(t) + np.max(np.abs(mu)) / -slope)
-            if hi - lo <= tol:
-                root = min(hi, 0.5 * (lo + hi))
+            t, m = history[0][0], float(history[0][1][j])
+            slope, step = _interpolated_step(history, j, pole)
+            # eigvalsh resolves mu to about eps * ||F||, i.e. t_j to that over |slope|
+            tol = 8.0 * np.finfo(float).eps * (abs(t) + scale / -slope)
+            if hi[j] - lo[j] <= tol:
+                root = min(hi[j], 0.5 * (lo[j] + hi[j]))
                 break
-            newton = mu[j] / slope
-            # Next to the pole, mu_j ~ -c / (pole - t) and Newton steps only
-            # double the distance to it; Newton on mu_j(t) (pole - t) cancels
-            # the pole and is taken when it moves more than twice as far.
-            d = pole - t
-            denom = slope * d - mu[j]
-            cancelled = mu[j] * d / denom if denom < 0.0 else 0.0
-            step = t - (cancelled if abs(cancelled) > 2.0 * abs(newton) else newton)
-            if abs(step - t) <= tol:
-                root = min(max(step, lo), hi)
+            if abs(m / slope) <= tol:
+                root = min(max(step, lo[j]), hi[j])
                 break
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi)
-            t = step
-            vecs = dF = None            # release the last evaluation before building the next
-            mu, vecs, dF = evaluate(t)
+            if not lo[j] < step < hi[j]:
+                step = pole - ((pole - lo[j]) * (pole - hi[j])) ** 0.5
+            mu = eigvals_hermitian(matrix(step))
+            scale, mu = float(np.max(np.abs(mu))), mu[:j + 1]
+            np.maximum(lo[:j + 1], np.where(mu >= 0.0, step, step + mu), out=lo[:j + 1])
+            np.minimum(hi[:j + 1], np.where(mu >= 0.0, step + mu, step), out=hi[:j + 1])
+            history = [(step, mu), *history[:_BRANCH_HISTORY - 1]]
         else:
             raise RuntimeError(f"eigenvalue branch {j} did not converge in {_MAX_ROOT_STEPS} steps")
-        roots[j] = hi = root
+        roots[j] = root
+        hi[:j] = np.minimum(hi[:j], root)
     return roots
 
 
@@ -363,12 +393,12 @@ def discrete_spectrum(spec: ModelSpec, grid: Grid, sess_min: float,
             sides.append(np.empty(0))
             continue
 
-        def matrices(t, sign=sign):
-            S, dS = s_and_derivative(spec, grid, sign * t)
-            return (S if sign == 1 else np.negative(S, out=S)), dS
+        def matrix(t, sign=sign):
+            S = s_matrix(spec, grid, sign * t)
+            return S if sign == 1 else np.negative(S, out=S)
 
         pole = chk.w2_min if sign == 1 else -chk.w2_max
-        sides.append(sign * _branch_roots(matrices, sign * edge - BOUNDARY_BAND, pole))
+        sides.append(sign * _branch_roots(matrix, sign * edge - BOUNDARY_BAND, pole))
     below, above = sides
     return below, above[::-1]
 

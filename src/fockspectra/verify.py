@@ -130,7 +130,11 @@ def _h22_term(spec: ModelSpec, z0: float, xn, xw, xamp, yn, yw, yamp) -> float:
 
 
 def singular_sequence_norms(spec: ModelSpec, x0, y0, n_max: int):
-    """Rows (n, ||H12 psi_n||, ||(H22 - z0) psi_n||) for n = 1 .. n_max (see check_inputs)."""
+    """Rows (n, ||H12 psi_n||, ||(H22 - z0) psi_n||) for n = 1 .. n_max (see check_inputs).
+
+    ValueError at a level whose ||(H22 - z0) psi_n|| is exactly 0 after a
+    nonzero one: w2 - z0 has cancelled in floating point, not decayed.
+    """
     x0, y0, rho = check_inputs(spec, x0, y0, n_max)
     z0 = float(eval_xy(spec, spec.w2, x0[None, :], y0[None, :])[0])
     same = np.array_equal(x0, y0)
@@ -146,6 +150,9 @@ def singular_sequence_norms(spec: ModelSpec, x0, y0, n_max: int):
             h12_sq = 0.5 * (_h12_term(spec, xn, xw, xa, yn, yw, ya)
                             + _h12_term(spec, yn, yw, ya, xn, xw, xa))
             h22_sq = _h22_term(spec, z0, xn, xw, xa, yn, yw, ya)
+        if h22_sq == 0.0 and any(row[2] for row in rows):
+            raise ValueError(f"||(H22 - z0) psi_n|| is exactly 0 at level n = {n} after nonzero "
+                             f"levels: w2 - z0 cancels in floating point; use n_max < {n}")
         rows.append((n, math.sqrt(h12_sq), math.sqrt(h22_sq)))
     return rows
 

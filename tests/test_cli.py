@@ -174,12 +174,14 @@ import sys
 from fockspectra import cli
 for argv in {argvs!r}:
     assert cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(sorted(m for m in sys.modules if m.startswith("scipy") or (m + ".").startswith("numpy.ma.")))
 """
 
 
 def test_analysis_commands_load_no_scipy(tmp_path):
-    # every command runs without importing scipy: essspec, discrete,
+    # every command runs without importing scipy or numpy.ma (10-15 ms a
+    # process, which np.median pays): essspec and discrete (whose four
+    # Sigma_2 roots above M on mnr-infinite take the hull's median gap),
     # bs-check (one z and a sweep), finiteness (d = 1 and the d = 2 cluster
     # check), singular-seq, check-model and list-models
     cfg = tmp_path / "d2.cfg"
@@ -405,6 +407,17 @@ def test_a_config_that_cannot_be_read_exits_1(tmp_path, capsys):
         rc = cli.main(["check-model", "--model", str(source), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "usage error: cannot read config" in capsys.readouterr().err
+
+
+def test_singular_seq_refuses_a_level_whose_h22_shift_cancels_to_zero(tmp_path, capsys):
+    # mnr-infinite's w2 - z0 at x0 = 0 is a sum of 1 - cos t terms, which
+    # cancel to 0.0 below t ~ 1e-8: from level 28 on the rows used to read
+    # h22_shift=0.0, rounding presented as decay
+    argv = ["singular-seq", "--model", "mnr-infinite", "--n", "16", "--x0", "0.0"]
+    assert cli.main([*argv, "--n-max", "40", "--out", str(tmp_path / "a")]) == 2
+    assert "exactly 0 at level n = 28 after nonzero levels" in capsys.readouterr().err
+    assert cli.main([*argv, "--n-max", "27", "--out", str(tmp_path / "b")]) == 0
+    assert "h22_shift=0.0 " not in (tmp_path / "b" / "report.txt").read_text()
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fockspectra as fs
 from fockspectra import blocks, schur
@@ -237,32 +238,38 @@ def test_pole_check_equals_the_abs_min_reference():
     assert not raised & {"below", "above", "inside", "rows", "nan below", "nan inside", "nan near"}
 
 
-def test_s_derivative_finite_difference_and_bound(mnr):
-    # dS/dz on both sides of ran w2: matches a central difference, and is <= -I;
-    # S is bit for bit s_matrix's diag(Delta) + K from schur_eval
-    g = fs.make_grid(1, mnr.a, 16)
-    for z in (-0.5, 7.0):
-        S, dS = fs.s_and_derivative(mnr, g, z)
-        assert np.array_equal(S, fs.s_matrix(mnr, g, z))
-        h = 1e-6
-        fd = (fs.s_matrix(mnr, g, z + h) - fs.s_matrix(mnr, g, z - h)) / (2 * h)
-        assert np.max(np.abs(dS - fd)) < 1e-6 * np.max(np.abs(dS))
-        assert np.max(np.linalg.eigvalsh(dS)) <= -1.0 + 1e-12
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), above=st.booleans(), gap=st.floats(0.05, 2.0))
+def test_s_eigenvalues_fall_at_least_as_fast_as_z(seed, above, gap):
+    # the slope bound that certifies discrete's branch brackets: every sorted
+    # eigenvalue of S(z) falls with slope <= -1 on either side of ran w2, so
+    # a central difference of eigvalsh(s_matrix) is <= -1 up to the rounding
+    # of the eigenvalues
+    spec = random_trig_model(np.random.default_rng(seed))
+    g = fs.make_grid(1, spec.a, 12)
+    W2 = fs.model.mesh_samples(spec, g).W2
+    z = W2.max() + gap if above else W2.min() - gap
+    h = 1e-3
+    lo, hi = (np.linalg.eigvalsh(fs.s_matrix(spec, g, z + dz)) for dz in (-h, h))
+    rounding = 64 * np.finfo(float).eps * max(np.max(np.abs(lo)), np.max(np.abs(hi))) / h
+    assert np.max((hi - lo) / (2 * h)) <= -1.0 + rounding
 
 
 @pytest.mark.parametrize("case", ["mnr-infinite", "complex", "d2-sigma2-both"])
-def test_s_derivative_is_the_block_formula(case):
-    # dS/dz = -I - B (h22 - z)^{-2} B*, with B = h12 and h22 from assemble_blocks,
-    # below m and above M (where every w2 - z is negative)
+def test_s_matrix_derivative_is_the_block_formula(case):
+    # dS/dz = -I - B (h22 - z)^{-2} B* <= -I, with B = h12 and h22 from
+    # assemble_blocks, below m and above M (where every w2 - z is negative):
+    # a central difference of s_matrix matches it
     spec = _hs_case(case)
     g = fs.make_grid(spec.d, spec.a, 16 if spec.d == 1 else 6)
     blk = fs.assemble_blocks(spec, g)
     for z in (blk.h22.min() - 0.5, blk.h22.max() + 0.7):
         B = blk.h12
         want = -np.eye(g.n) - (B / (blk.h22 - z) ** 2) @ B.conj().T
-        dS = fs.s_and_derivative(spec, g, z)[1]
-        assert dS.dtype == B.dtype
-        assert np.max(np.abs(dS - want)) <= 1e-13 * np.max(np.abs(want)), z
+        h = 1e-5
+        fd = (fs.s_matrix(spec, g, z + h) - fs.s_matrix(spec, g, z - h)) / (2 * h)
+        assert np.max(np.abs(fd - want)) <= 1e-6 * np.max(np.abs(want)), z
+        assert np.max(np.linalg.eigvalsh(want)) <= -1.0 + 1e-12
 
 
 BENCH_MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"

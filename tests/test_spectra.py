@@ -340,7 +340,7 @@ def test_bs_check_evaluates_delta_and_k_once_per_z(mnr, monkeypatch):
 
 
 def test_discrete_spectrum_forms_w2_minus_z_once_per_z(mnr, monkeypatch):
-    # each branch evaluation builds S(z) and dS/dz from one pole-checked W2 - z
+    # each branch evaluation builds S(z) from one pole-checked W2 - z
     g = fs.make_grid(1, mnr.a, 32)
     ess = fs.essential_spectrum(mnr, g)
     zs = []
@@ -379,8 +379,8 @@ def test_discrete_spectrum_builds_the_z_free_factors_once_per_grid(mnr, monkeypa
     counted("sqrt", lambda x: x is g.weights)
     counted("diag_indices", lambda n: n == g.n)
     counted("diag_indices_from", lambda a: a.shape == (g.n, g.n))
-    evaluate = schur._evaluate
-    monkeypatch.setattr(schur, "_evaluate", lambda ms, *args: (read.append(ms), evaluate(ms, *args))[1])
+    sample = schur.mesh_samples
+    monkeypatch.setattr(schur, "mesh_samples", lambda *args: read.append(sample(*args)) or read[-1])
     below, above = fs.discrete_spectrum(mnr, g, ess.sess_min, ess.sess_max)
     monkeypatch.undo()
     assert below.size > 0 and above.size > 0 and len(read) > below.size + above.size
@@ -395,10 +395,12 @@ def test_discrete_spectrum_builds_the_z_free_factors_once_per_grid(mnr, monkeypa
 
 
 @pytest.mark.parametrize("case", ["mnr-infinite", "complex"])
-def test_s_and_derivative_peak_holds_four_n_by_n_arrays(case):
-    # S, dS, W2 - z (which becomes (W2 - z)^-2) and |V1|^2 at most, with the
-    # mesh samples built: a second (W2 - z)^-2 array, a coupling product kept
-    # next to dS or a temporary of the weight scaling would each exceed it
+def test_branch_evaluation_peak_holds_s_and_w2_minus_z(case):
+    # one evaluation of discrete's branch search, eigvalsh(S(z)), holds S
+    # (formed in the coupling product's memory) and W2 - z at its peak, with
+    # the mesh samples built; a complex v1 adds its conjugate transpose while
+    # the product forms.  A K apart from the product, kept eigenvectors or a
+    # dS/dz would each exceed it
     spec = complex_coupling_model() if case == "complex" else fs.load_model(case)
     g = fs.make_grid(1, spec.a, 256)
     W2 = fs.model.mesh_samples(spec, g).W2
@@ -406,36 +408,70 @@ def test_s_and_derivative_peak_holds_four_n_by_n_arrays(case):
     for z in (W2.min() - 0.5, W2.max() + 0.5):
         tracemalloc.start()
         try:
-            S, dS = fs.s_and_derivative(spec, g, z)
+            S = fs.s_matrix(spec, g, z)
+            spectra.eigvals_hermitian(S)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= S.nbytes + dS.nbytes + 2 * real + real // 4, (z, peak / real)
-        del S, dS
+        conjugate = S.nbytes if np.iscomplexobj(S) else 0
+        assert peak <= S.nbytes + real + conjugate + real // 2, (z, peak / real)
+        del S
 
 
-def test_branch_roots_releases_each_evaluation_before_the_next():
-    # F'(t) and the eigenvectors of the last evaluation are two N x N arrays
-    # (85 MB at the d = 2 cap); they must be dead while the next F, F' and
-    # eigh are built
-    rng = np.random.default_rng(5)
-    n, pole = 8, 1.0
-    B = rng.standard_normal((n, n))
-    M = 0.5 * (B + B.T)
-    C = rng.standard_normal((n, 2))
+def _bordered_oracle(seed, pole=1.0):
+    """F(t) = M - t I - C C^T / (pole - t) from three diagonal blocks, and its roots.
+
+    The first two blocks are equal, so their branches tie exactly; the third
+    is the first shifted by 0.3, so its branches cross theirs.  F's roots
+    below the pole are the eigenvalues of [[M, C], [C^T, pole I]] below it.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((4, 4))
+    B, C1 = 0.5 * (X + X.T), rng.standard_normal((4, 2))
+    M = np.kron(np.diag([0.0, 0.0, 0.3]), np.eye(4)) + np.kron(np.eye(3), B)
+    C = np.kron(np.eye(3), C1)
+    bordered = np.block([[M, C], [C.T, pole * np.eye(C.shape[1])]])
+    return M, C, np.linalg.eigvalsh(bordered)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_branch_roots_find_tied_and_crossing_branches(seed):
+    # each root of the eigenvalue branches, with its multiplicity, from
+    # eigenvalues alone; the last F must be dead before the next is built
+    pole, t_edge = 1.0, 0.999
+    M, C, eigenvalues = _bordered_oracle(seed, pole)
     last = []
 
-    def matrices(t):
+    def matrix(t):
         assert not last or last[-1]() is None
-        F = M - t * np.eye(n) - C @ C.T / (pole - t)
-        dF = -np.eye(n) - C @ C.T / (pole - t) ** 2
-        last.append(weakref.ref(dF))
-        return F, dF
+        F = M - t * np.eye(M.shape[0]) - C @ C.T / (pole - t)
+        last.append(weakref.ref(F))
+        return F
 
-    roots = spectra._branch_roots(matrices, 0.0, pole)
-    assert roots.size > 1 and len(last) > roots.size
-    for r in roots:
-        assert np.min(np.abs(np.linalg.eigvalsh(matrices(r)[0]))) < 1e-9
+    roots = spectra._branch_roots(matrix, t_edge, pole)
+    want = eigenvalues[eigenvalues < t_edge]
+    assert want.size > 3 and np.min(np.diff(want)) < 1e-12      # a tie among them
+    assert roots.shape == want.shape and len(last) > 1
+    assert np.max(np.abs(roots - want)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), negate=st.booleans(), n=st.sampled_from([8, 12]))
+def test_discrete_spectrum_matches_the_dense_reduced_matrix(seed, negate, n):
+    # outside the edges, Schur inertia and the branch search give the
+    # eigenvalues of the assembled A: the same counts, the same values
+    spec = random_trig_model(np.random.default_rng(seed))
+    spec = negate_model(spec) if negate else spec
+    g = fs.make_grid(1, spec.a, n)
+    ess = fs.essential_spectrum(spec, g)
+    ev = np.linalg.eigvalsh(fs.assemble_A(fs.assemble_blocks(spec, g)))
+    lo, hi = ess.sess_min - spectra.BOUNDARY_BAND, ess.sess_max + spectra.BOUNDARY_BAND
+    # an eigenvalue within rounding of an edge could fall on either side of it
+    assume(np.min(np.abs(ev - lo)) > 1e-12 and np.min(np.abs(ev - hi)) > 1e-12)
+    below, above = fs.discrete_spectrum(spec, g, ess.sess_min, ess.sess_max)
+    for got, want in ((below, ev[ev < lo]), (above, ev[ev > hi])):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
 
 
 def test_bs_sweep_frees_the_coupling_block_before_the_eigensolve(mnr, monkeypatch):
@@ -533,7 +569,7 @@ def test_bs_sweep_refuses_a_non_finite_z_before_sampling(mnr, monkeypatch, z):
 
 @pytest.mark.parametrize("case", ["mnr-infinite", "complex"])
 def test_bs_sweep_legs_read_one_schur_evaluation(case, monkeypatch):
-    # the S leg is s_matrix (and s_and_derivative's S), the T leg bs_operator,
+    # the S leg is s_matrix, the T leg bs_operator,
     # bit for bit at each z: T is formed from K before Delta is added into it
     spec = complex_coupling_model() if case == "complex" else fs.load_model(case)
     g = fs.make_grid(1, spec.a, 12)
@@ -550,8 +586,8 @@ def test_bs_sweep_legs_read_one_schur_evaluation(case, monkeypatch):
     spectra.birman_schwinger_sweep(spec, g, zs)
     assert [threshold for threshold, _ in legs] == [0.0, 1.0] * len(zs)
     for z, (_, S), (_, T) in zip(zs, legs[::2], legs[1::2]):
-        for want in (fs.s_matrix(spec, g, z), fs.s_and_derivative(spec, g, z)[0]):
-            assert S.dtype == want.dtype and S.tobytes() == want.tobytes()
+        want = fs.s_matrix(spec, g, z)
+        assert S.dtype == want.dtype and S.tobytes() == want.tobytes()
         want = fs.bs_operator(spec, g, z)
         assert T.dtype == want.dtype and T.tobytes() == want.tobytes()
 

@@ -293,7 +293,7 @@ def _kernel_bits(spec, g, pts, z):
             spec, g, pts, np.linspace(z - 1.0, z, pts.shape[0])),
         "hs_norm_t": lambda: fs.hs_norm_t(spec, g, z),
         "schur_eval": lambda: fs.schur_eval(spec, g, z)[1],
-        "s_and_derivative": lambda: fs.s_and_derivative(spec, g, z),
+        "s_matrix": lambda: fs.s_matrix(spec, g, z),
         "mesh W2": lambda: model.mesh_samples(spec, g).W2,
         "assumption_a": lambda: dataclasses.astuple(fs.check_assumption_a(spec, g)),
         "abs_max_v1": lambda: finiteness._abs_max_v1(spec, xs, ys),

@@ -14,12 +14,16 @@ that model, on Gauss-Legendre nodes and with more than three levels) as
 fresh output directory per command (``list-models`` takes no ``--out``).
 The exit code, stdout, stderr (with the checkout's path and the output
 directory masked) and every output file must be equal.  Prints each command
-that differs and exits 1 if any does.
+that differs, with the first SHOWN differing lines of each differing output
+and the largest relative difference between the numbers of those lines, and
+exits 1 if any does.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
+import math
 import random
 import re
 import shlex
@@ -29,6 +33,8 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (0, 1)
+SHOWN = 5       # differing lines printed per differing output
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 # kept next to this tool, not in bench/models, and given by an absolute path so that
 # every compared checkout reads the same file whether or not it has one of its own
 D1_BOTH = str(Path(__file__).resolve().parent / "d1-sigma2-both.cfg")
@@ -105,6 +111,33 @@ def _run(tree: Path, env: dict, argv: list, out: Path) -> dict:
     return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": stderr, "files": files}
 
 
+def _as_bytes(output) -> bytes:
+    """An exit code, stream or file as bytes; a file missing in one checkout is empty."""
+    if output is None:
+        return b""
+    return output if isinstance(output, bytes) else str(output).encode()
+
+
+def explain(old: bytes, new: bytes) -> list:
+    """The first SHOWN differing lines of two outputs and a summary of their numbers.
+
+    The summary is the largest relative difference |a - b| / max(|a|, |b|)
+    between the numbers of the differing lines that hold equally many.
+    """
+    pairs = [(a, b) for a, b in itertools.zip_longest(old.splitlines(), new.splitlines(),
+                                                      fillvalue=b"") if a != b]
+    text = [f"    - {a.decode(errors='replace')}\n    + {b.decode(errors='replace')}"
+            for a, b in pairs[:SHOWN]]
+    if len(pairs) > SHOWN:
+        text.append(f"    ... {len(pairs) - SHOWN} more differing lines")
+    numbers = [(float(x), float(y)) for a, b in pairs
+               if len(xs := NUMBER.findall(a)) == len(ys := NUMBER.findall(b))
+               for x, y in zip(xs, ys)]
+    diffs = [abs(x - y) / max(abs(x), abs(y)) for x, y in numbers if x != y]
+    rel = max((d for d in diffs if not math.isnan(d)), default=0.0)     # nan and inf tokens
+    return text + [f"    largest relative difference between numbers: {rel:.3e}"]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -121,13 +154,15 @@ def main(argv=None) -> int:
         for i, argv in enumerate(cmds):
             parent, new = (_run(tree, env, argv, Path(tmp) / side / f"c{i}")
                            for tree, env, side in zip(trees, envs, ("parent", "change")))
-            fields = [k for k in parent if k != "files" and parent[k] != new[k]]
-            names = sorted(parent["files"].keys() | new["files"].keys())
-            fields += [f"file {name}" for name in names
-                       if parent["files"].get(name) != new["files"].get(name)]
+            outputs = {k: (parent[k], new[k]) for k in parent if k != "files"}
+            outputs.update((f"file {name}", (parent["files"].get(name), new["files"].get(name)))
+                           for name in sorted(parent["files"].keys() | new["files"].keys()))
+            fields = [k for k, (a, b) in outputs.items() if a != b]
             if fields:
                 differ += 1
                 print(f"DIFFERS: {shlex.join(argv)}: {', '.join(fields)}")
+                for field in fields:
+                    print(f"  {field}:", *explain(*map(_as_bytes, outputs[field])), sep="\n")
     print(f"{len(cmds)} commands compared, {differ} differ")
     return 1 if differ else 0
 
