@@ -39,6 +39,7 @@ EXIT_USAGE = 1
 EXIT_ANALYSIS = 2
 
 CLI_N_CAP = {1: 256, 2: 48}
+Z_SWEEP_CAP = 1024      # most z values of one bs-check --z-sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,11 +196,13 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
     else:
         try:
             lo, hi, count = args.z_sweep.split(":")
-            zs = list(np.linspace(float(lo), float(hi), int(count)))
+            lo, hi, count = float(lo), float(hi), int(count)
         except ValueError as exc:
             raise UsageError(f"bad --z-sweep {args.z_sweep!r}: expected lo:hi:count") from exc
-        if not zs:
-            raise UsageError(f"bad --z-sweep {args.z_sweep!r}: count must be at least 1")
+        if not 1 <= count <= Z_SWEEP_CAP:
+            raise UsageError(f"bad --z-sweep {args.z_sweep!r}: "
+                             f"count must lie in [1, {Z_SWEEP_CAP}]")
+        zs = list(np.linspace(lo, hi, count))
     if not np.all(np.isfinite(zs)):
         raise UsageError("every z must be finite")
     spec, g = _load(args)
@@ -370,7 +373,10 @@ def main(argv=None) -> int:
         if args.command == "list-models":
             return _cmd_list_models(args)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"--out {args.out!r} cannot be created as a directory: {exc}") from exc
         return handlers[args.command](args, out_dir)
     except UsageError as exc:
         sys.stderr.write(f"fockspectra: usage error: {exc}\n")

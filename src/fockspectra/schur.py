@@ -26,17 +26,19 @@ is defined; its eigenvalues above 1 count the bound states below z.
 The symbol at the nodes, its point evaluations and the Hilbert-Schmidt norm
 of T are streamed over row blocks of blocks.BLOCK_ELEMENTS samples, so their
 memory does not grow with the square of the grid, and the blocks run on
-every CPU of the affinity mask (blocks.map_blocks).  Only the dense matrices
-(K, S and T, for discrete and bs-check) read the N x N mesh samples, and all
-of them come from one evaluation per z: schur_eval's Delta at the nodes and
-K, both from one pole-checked W2 - z.  S = diag(Delta) + K and T are built
-from that pair; discrete's branch search needs only the eigenvalues of S.
-Of the factors that do not depend on z, sqrt(w) is built once per grid with
-the mesh samples (model.MeshSamples.sw), and the diagonal of S is written
-through a strided view, with no index array.  The coupling product does not
-depend on z either, but it is N x N: kept per grid it would hold one more
-such array through discrete's eigensolves, its peak, so each evaluation
-forms it and then K in its memory.
+every CPU of the affinity mask (blocks.map_blocks).  Points off the nodes
+have one kernel, delta_at_points, which also gives the slope d Delta / dz
+from the same pass when asked (the Sigma_2 root search).  Only the dense
+matrices (K, S and T, for discrete and bs-check) read the N x N mesh
+samples, and all of them come from one evaluation per z: schur_eval's Delta
+at the nodes and K, both from one pole-checked W2 - z.  S = diag(Delta) + K
+and T are built from that pair; discrete's branch search needs only the
+eigenvalues of S.  Of the factors that do not depend on z, sqrt(w) is built
+once per grid with the mesh samples (model.MeshSamples.sw), and the diagonal
+of S is written through a strided view, with no index array.  The coupling
+product does not depend on z either, but it is N x N: kept per grid it would
+hold one more such array through discrete's eigensolves, its peak, so each
+evaluation forms it and then K in its memory.
 """
 
 from __future__ import annotations
@@ -117,70 +119,43 @@ def delta_values(spec: ModelSpec, grid: Grid, z) -> np.ndarray:
     return out if np.ndim(z) else out[0]
 
 
-def _point_rows(spec: ModelSpec, grid: Grid, pts: np.ndarray, z):
-    """The y-integrand of the symbol at the points pts (shape (m, d)), by row block.
-
-    z is a scalar or an array of one value per point.  Returns a function
-    of a row block b giving (w_j |v1(p, y_j)|^2, w2(p, y_j) - z) for the
-    points pts[b], after the pole check of z against their own w2 samples.
-    Both are new arrays, z subtracted in the w2 block just sampled, except
-    when v1 ignores p: then the first is one row computed here, once per call.
-    """
-    _check_grid(spec, grid)
-    row = shared_v1_row(spec, pts, grid.nodes)
-    wrow = None if row is None else grid.weights * np.abs(row) ** 2
-
-    def rows(b):
-        zb = z[b, None] if np.ndim(z) > 0 else z
-        W = eval_xy(spec, spec.w2, pts[b, None, :], grid.nodes[None, :, :])
-        shifted = _pole_check(W, zb, out=_owned(W))
-        if wrow is not None:
-            return wrow, shifted
-        sq = _v1_sq(spec, grid, pts, b)
-        return np.multiply(grid.weights, sq, out=sq), shifted
-
-    return rows
-
-
-def delta_at_points(spec: ModelSpec, grid: Grid, pts, z: float) -> np.ndarray:
+def delta_at_points(spec: ModelSpec, grid: Grid, pts, z, slope: bool = False):
     """Delta(p; z) at every point p of pts (shape (m, d)), not necessarily nodes.
 
-    The integral over y uses the grid's quadrature.  Values of z inside the
-    numerical pole band of the sampled w2 raise PoleProximityError; callers
-    probing the critical energy min sess(H) should treat results as
-    refinement-trend data rather than converged values when the integrand is
-    singular there.
+    z is a scalar or an array of one value per point.  With slope the same
+    pass also gives d/dz Delta(p; z) <= -1, returned second.  The integral
+    over y uses the grid's quadrature, by row block of points: w2 - z in the
+    w2 block just sampled, after its pole check, and w_j |v1(p, y_j)|^2 in a
+    new block, or in one row computed once per call when v1 ignores p.
+    Values of z inside the numerical pole band of the sampled w2 raise
+    PoleProximityError; callers probing the critical energy min sess(H)
+    should treat results as refinement-trend data rather than converged
+    values when the integrand is singular there.
     """
     pts = _as_points(pts, spec.d).reshape(-1, spec.d)
     quad = np.empty(pts.shape[0])
-    integrand = _point_rows(spec, grid, pts, z)
+    dquad = np.empty(pts.shape[0]) if slope else None
+    _check_grid(spec, grid)
+    row = shared_v1_row(spec, pts, grid.nodes)      # None unless v1 ignores p
+    wrow = None if row is None else grid.weights * np.abs(row) ** 2
 
     def block(b):
-        wv2, shifted = integrand(b)
-        quad[b] = np.sum(np.divide(wv2, shifted, out=shifted), axis=-1)
-
-    map_blocks(block, pts.shape[0], grid.n)
-    return eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad
-
-
-def delta_and_derivative_at_points(spec: ModelSpec, grid: Grid, pts, z):
-    """Delta(p; z) and d/dz Delta(p; z) <= -1 at every point p of pts, from one pass.
-
-    As delta_at_points, except that z may also hold one value per point.
-    """
-    pts = _as_points(pts, spec.d).reshape(-1, spec.d)
-    quad = np.empty(pts.shape[0])
-    dquad = np.empty(pts.shape[0])
-    integrand = _point_rows(spec, grid, pts, z)
-
-    def block(b):
-        wv2, shifted = integrand(b)
+        W = eval_xy(spec, spec.w2, pts[b, None, :], grid.nodes[None, :, :])
+        shifted = _pole_check(W, z[b, None] if np.ndim(z) > 0 else z, out=_owned(W))
+        wv2 = wrow
+        if wv2 is None:
+            sq = _v1_sq(spec, grid, pts, b)
+            wv2 = np.multiply(grid.weights, sq, out=sq)
+        if not slope:
+            quad[b] = np.sum(np.divide(wv2, shifted, out=shifted), axis=-1)
+            return
         q = wv2 / shifted
         quad[b] = np.sum(q, axis=-1)
         dquad[b] = np.sum(np.divide(q, shifted, out=shifted), axis=-1)
 
     map_blocks(block, pts.shape[0], grid.n)
-    return eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad, -1.0 - 0.5 * dquad
+    delta = eval_x(spec, spec.w1, pts).astype(float) - z - 0.5 * quad
+    return (delta, -1.0 - 0.5 * dquad) if slope else delta
 
 
 def delta_at(spec: ModelSpec, grid: Grid, x, z: float) -> float:
@@ -207,7 +182,12 @@ def schur_eval(spec: ModelSpec, grid: Grid, z: float):
 
     map_blocks(block, grid.n, grid.n)
     K = -0.5 * ms.V1
-    K *= ms.V1.T.conj()         # V1.T itself when v1 is real
+    if np.iscomplexobj(K):      # conj(conj(K) V1.T): no conjugate copy of V1.T
+        np.conjugate(K, out=K)
+        K *= ms.V1.T
+        np.conjugate(K, out=K)
+    else:
+        K *= ms.V1.T
     K /= shifted
     K *= ms.sw[:, None]
     K *= ms.sw[None, :]

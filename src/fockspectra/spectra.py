@@ -41,7 +41,7 @@ import numpy as np
 
 from .grid import ZOOM_TOL, Grid, _lattice_minima, _zoom_minimize, lattice, make_grid
 from .model import ModelSpec, check_assumption_a, eval_xy, mesh_samples
-from .schur import _s_into, _t_from, delta_and_derivative_at_points, s_matrix, schur_eval
+from .schur import _s_into, _t_from, delta_at_points, s_matrix, schur_eval
 
 BOUNDARY_BAND = 1e-10
 ROOT_TOL = 1e-10   # width of the certified bracket around a Sigma_2 root
@@ -230,7 +230,7 @@ def _sigma2_roots(spec: ModelSpec, grid: Grid, inner: Grid, lo: float, hi: float
     """
     sides = []
     for z, holds_root in ((lo, np.less), (hi, np.greater)):
-        delta, slope = delta_and_derivative_at_points(spec, inner, grid.nodes, z)
+        delta, slope = delta_at_points(spec, inner, grid.nodes, z, slope=True)
         rows = np.flatnonzero(holds_root(delta, 0.0))
         sides.append((rows, delta[rows], slope[rows]))
         del delta, slope                # before the next probe's pass
@@ -246,7 +246,7 @@ def _sigma2_roots(spec: ModelSpec, grid: Grid, inner: Grid, lo: float, hi: float
         active, z = active[go], z[go] - delta[go] / slope[go]
         if active.size == 0:
             return Sigma2Side(rows[:k], roots[:k]), Sigma2Side(rows[k:], roots[k:])
-        delta, slope = delta_and_derivative_at_points(spec, inner, grid.nodes[rows[active]], z)
+        delta, slope = delta_at_points(spec, inner, grid.nodes[rows[active]], z, slope=True)
     raise RuntimeError(f"Sigma_2 roots not within the tolerance after {_MAX_ROOT_STEPS} "
                        "Newton steps: is it below the rounding error of the symbol?")
 

@@ -85,7 +85,7 @@ def test_pooled_kernels_equal_the_serial_map_bitwise(model, many_blocks, monkeyp
         return dataclasses.astuple(fs.model.check_assumption_a.__wrapped__(*args))
 
     for fn, args in ((fs.delta_at_points, (spec, g, pts, -0.3)),
-                     (fs.schur.delta_and_derivative_at_points, (spec, g, pts, zs)),
+                     (fs.delta_at_points, (spec, g, pts, zs, True)),
                      (fs.hs_norm_t, (spec, g, -0.3)),
                      (fs.schur.delta_values, (spec, g, -0.3)),
                      (assumption_a, (spec, g))):
@@ -125,14 +125,14 @@ def test_pole_error_in_a_middle_block_is_the_first_in_block_order(mnr, many_bloc
     messages = []
     for rows in (slice(9, 12), slice(39, 42)):
         with pytest.raises(fs.PoleProximityError) as one_block:
-            fs.schur.delta_and_derivative_at_points(mnr, g, pts[rows], zs[rows])
+            fs.delta_at_points(mnr, g, pts[rows], zs[rows], slope=True)
         messages.append(str(one_block.value))
     assert messages[0] != messages[1]
-    for run in (fs.schur.delta_and_derivative_at_points,
-                functools.partial(_serially, monkeypatch, fs.schur.delta_and_derivative_at_points)):
+    for run in (fs.delta_at_points,
+                functools.partial(_serially, monkeypatch, fs.delta_at_points)):
         for _ in range(5):
             with pytest.raises(fs.PoleProximityError) as exc:
-                run(mnr, g, pts, zs)
+                run(mnr, g, pts, zs, True)
             assert str(exc.value) == messages[0]
 
 

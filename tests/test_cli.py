@@ -116,6 +116,36 @@ def test_bs_check_sweep(tmp_path):
     assert len(lines) == 5
 
 
+def test_bs_check_refuses_a_sweep_count_past_its_cap_before_building_it(tmp_path, monkeypatch,
+                                                                       capsys):
+    # the count is checked before np.linspace builds the z list, so no count
+    # can exhaust memory; the cap itself reaches the sweep
+    swept = []
+
+    def sweep(spec, g, zs):
+        swept.append(len(zs))
+        return []
+
+    monkeypatch.setattr(spectra, "birman_schwinger_sweep", sweep)
+    argv = ["bs-check", "--model", "mnr-infinite", "--n", "4", "--out", str(tmp_path)]
+    assert cli.main([*argv, "--z-sweep=-1:-0.5:1025"]) == 1
+    assert "count must lie in [1, 1024]" in capsys.readouterr().err
+    assert swept == []
+    assert cli.main([*argv, "--z-sweep=-1:-0.5:1024"]) == 0
+    assert swept == [1024]
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error(sub, tmp_path, capsys):
+    # --out naming a file, or a path below one, exits 1 before any analysis
+    taken = tmp_path / "file"
+    taken.write_text("")
+    out = taken / sub if sub else taken
+    assert cli.main(["essspec", "--model", "mnr-infinite", "--n", "8", "--out", str(out)]) == 1
+    assert "usage error: --out" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_discrete_command(tmp_path):
     rc = cli.main(["discrete", "--model", "mnr-infinite", "--n", "12",
                    "--out", str(tmp_path)])

@@ -483,8 +483,8 @@ _GRID_ENTRY_POINTS = {
     "mesh_samples": lambda spec, g: fs.model.mesh_samples(spec, g),
     "delta_values": lambda spec, g: fs.delta_values(spec, g, -1.0),
     "delta_at_points": lambda spec, g: fs.delta_at_points(spec, g, np.zeros((1, 1)), -1.0),
-    "delta_and_derivative_at_points": lambda spec, g: fs.schur.delta_and_derivative_at_points(
-        spec, g, np.zeros((1, 1)), -1.0),
+    "delta_at_points slope": lambda spec, g: fs.delta_at_points(
+        spec, g, np.zeros((1, 1)), -1.0, slope=True),
     "estimate_exponents": lambda spec, g: fs.estimate_exponents(spec, g, None, np.zeros(1)),
     "essential_spectrum": lambda spec, g: fs.essential_spectrum(spec, g),
     "hs_norm_t": lambda spec, g: fs.hs_norm_t(spec, g, -1.0),

@@ -39,7 +39,7 @@ def test_delta_mnr_simpson_oracle(mnr):
 
 
 def _slope(spec, grid, x, z):
-    return float(schur.delta_and_derivative_at_points(spec, grid, [x], z)[1][0])
+    return float(fs.delta_at_points(spec, grid, [x], z, slope=True)[1][0])
 
 
 def test_delta_derivative_decoupled_exact():
@@ -335,14 +335,18 @@ def test_delta_at_points_is_bitwise_the_per_point_symbol(d, monkeypatch):
         BENCH_MODELS / "d2-sigma2-empty.cfg")
     g = fs.make_grid(d, spec.a, 64 if d == 1 else 24)
     pts = np.random.default_rng(5).uniform(-spec.a, spec.a, (23, d))
-    z = -0.3
     monkeypatch.setattr(blocks, "BLOCK_ELEMENTS", 4 * g.n)    # blocks of 4 rows, last one short
-    batched = fs.delta_at_points(spec, g, pts, z)
-    for p, val in zip(pts, batched):
-        w2row = fs.model.eval_xy(spec, spec.w2, p[None, :], g.nodes)
-        v1row = fs.model.eval_xy(spec, spec.v1, p[None, :], g.nodes)
-        w1p = float(fs.model.eval_x(spec, spec.w1, p[None, :])[0])
-        reference = w1p - z - 0.5 * float(np.sum(g.weights * np.abs(v1row) ** 2 / (w2row - z)))
-        assert val == reference
-        assert val == fs.delta_at(spec, g, p, z)
+    # a scalar z and one z per point; the slope path's Delta is the value path's
+    for z in (-0.3, np.linspace(-1.3, -0.3, pts.shape[0])):
+        batched = fs.delta_at_points(spec, g, pts, z)
+        delta, slope = fs.delta_at_points(spec, g, pts, z, slope=True)
+        assert delta.tobytes() == batched.tobytes()
+        assert np.all(slope <= -1.0)
+        for p, zp, val in zip(pts, np.broadcast_to(z, pts.shape[:1]), batched):
+            w2row = fs.model.eval_xy(spec, spec.w2, p[None, :], g.nodes)
+            v1row = fs.model.eval_xy(spec, spec.v1, p[None, :], g.nodes)
+            w1p = float(fs.model.eval_x(spec, spec.w1, p[None, :])[0])
+            integrand = g.weights * np.abs(v1row) ** 2 / (w2row - zp)
+            assert val == w1p - zp - 0.5 * float(np.sum(integrand))
+            assert val == fs.delta_at(spec, g, p, zp)
 

@@ -14,7 +14,7 @@ import pytest
 
 import fockspectra as fs
 from conftest import random_trig_model
-from fockspectra import blocks, cli, finiteness, model, schur, verify
+from fockspectra import blocks, cli, finiteness, model, verify
 from oracles import negate_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -179,13 +179,13 @@ def test_v1_that_ignores_x_is_sampled_once_per_call_and_matches_the_full_couplin
     assert min(len(blocks.row_blocks(pts.shape[0], g.n)), len(blocks.row_blocks(g.n, g.n))) > 2
     zs = np.linspace(-3.0, -0.5, pts.shape[0])
     for fn, args in ((fs.delta_at_points, (pts, -0.3)),
-                     (schur.delta_and_derivative_at_points, (pts, zs)),
+                     (fs.delta_at_points, (pts, zs, True)),
                      (fs.delta_values, (-0.3,))):
         calls.clear()
         shared = np.asarray(fn(y_only, g, *args))
-        assert len(calls) == 1, fn.__name__            # one row per call, not per block
+        assert len(calls) == 1, (fn.__name__, args)         # one row per call, not per block
         own = np.asarray(fn(full, g, *args))
-        assert shared.tobytes() == own.tobytes(), fn.__name__
+        assert shared.tobytes() == own.tobytes(), (fn.__name__, args)
 
 
 def _counted_w2(spec, samples):
@@ -289,8 +289,8 @@ def _kernel_bits(spec, g, pts, z):
         "delta_values": lambda: fs.delta_values(spec, g, [z - 1.0, z]),
         "delta_at_points": lambda: fs.delta_at_points(spec, g, pts, z),
         "delta_at": lambda: fs.delta_at(spec, g, pts[0], z),
-        "delta_and_derivative": lambda: schur.delta_and_derivative_at_points(
-            spec, g, pts, np.linspace(z - 1.0, z, pts.shape[0])),
+        "delta_at_points slope": lambda: fs.delta_at_points(
+            spec, g, pts, np.linspace(z - 1.0, z, pts.shape[0]), slope=True),
         "hs_norm_t": lambda: fs.hs_norm_t(spec, g, z),
         "schur_eval": lambda: fs.schur_eval(spec, g, z)[1],
         "s_matrix": lambda: fs.s_matrix(spec, g, z),
@@ -367,6 +367,6 @@ def test_streamed_kernels_hold_one_or_two_row_blocks(monkeypatch):
         return blocks_held * block + 4 * g.n * 8 + (256 << 10)
 
     assert _traced_peak(lambda: fs.delta_at_points(spec, fine, pts, 0.0)) <= bound(fine, 1.25)
-    assert _traced_peak(lambda: schur.delta_and_derivative_at_points(
-        spec, fine, pts, 0.0)) <= bound(fine, 2)
+    assert _traced_peak(lambda: fs.delta_at_points(
+        spec, fine, pts, 0.0, slope=True)) <= bound(fine, 2)
     assert _traced_peak(lambda: fs.hs_norm_t(spec, g48, -0.1)) <= bound(g48, 2)

@@ -8,7 +8,8 @@ command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) and the commands of
 Gauss-Legendre nodes, a two-sided ``discrete`` with over a hundred roots
 above M, ``singular-seq`` with two centres at d = 1 and d = 2, and a d = 1
 model with Sigma_2 roots on both sides, ``D1_BOTH``, and ``finiteness`` on
-that model, on Gauss-Legendre nodes and with more than three levels) as
+that model, on Gauss-Legendre nodes and with more than three levels, and a
+d = 2 model whose v1 depends on x, ``D2_COUPLED``) as
 ``python -m fockspectra.cli`` in each checkout: from its root, with its own
 ``src/`` on the path, BLAS threads pinned as the benchmark pins them, and a
 fresh output directory per command (``list-models`` takes no ``--out``).
@@ -38,6 +39,7 @@ NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 # kept next to this tool, not in bench/models, and given by an absolute path so that
 # every compared checkout reads the same file whether or not it has one of its own
 D1_BOTH = str(Path(__file__).resolve().parent / "d1-sigma2-both.cfg")
+D2_COUPLED = str(Path(__file__).resolve().parent / "d2-coupled.cfg")
 
 # paths that neither the README nor the benchmark runs; 0.2-2 s each
 EXTRA = (
@@ -64,6 +66,10 @@ EXTRA = (
      "--levels", "3"],
     ["finiteness", "--model", "mnr-infinite", "--n", "16", "--levels", "5"],
     ["finiteness", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "8", "--levels", "4"],
+    # every other d = 2 model's v1 ignores x: the symbol's per-block coupling at d = 2
+    ["essspec", "--model", D2_COUPLED, "--n", "16"],
+    ["discrete", "--model", D2_COUPLED, "--n", "10", "--side", "both"],
+    ["finiteness", "--model", D2_COUPLED, "--n", "8", "--levels", "3"],
 )
 
 
