@@ -290,7 +290,8 @@ def _cmd_singular_seq(args, out_dir: Path) -> int:
 
     spec, g = _load(args)
     try:
-        x0, y0 = (np.array([float(t) for t in s.split(",")]) for s in (args.x0, args.y0 or args.x0))
+        y0 = args.x0 if args.y0 is None else args.y0
+        x0, y0 = (np.array([float(t) for t in s.split(",")]) for s in (args.x0, y0))
         verify.check_inputs(spec, x0, y0, args.n_max)
     except ValueError as exc:
         raise UsageError(f"bad --x0/--y0/--n-max: {exc}") from exc

@@ -143,19 +143,23 @@ def _directions(d: int) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
-def _abs_max_v1(spec: ModelSpec, xs: np.ndarray, ys: np.ndarray) -> float:
-    """max |v1(x, y)| over the points xs and ys, in row blocks of xs.
+def _abs_max_v1(spec: ModelSpec, xs: np.ndarray, shells: np.ndarray) -> np.ndarray:
+    """max |v1(x, y)| over the points xs and the y of each shell (shape (k, m, d)).
 
-    When v1 ignores x (shared_v1_row), its one row holds the maximum.
+    One pass over xs times all k m shell points, in row blocks of xs: each
+    block is reduced to its k shell maxima.  When v1 ignores x
+    (shared_v1_row), its one row holds them.
     """
+    ys = shells.reshape(-1, spec.d)
+
     def block_max(b):
         V = eval_xy(spec, spec.v1, xs[b, None, :], ys[None, :, :])
-        return float(np.max(np.abs(V, out=_owned(V))))
+        return np.max(np.abs(V, out=_owned(V)).reshape(-1, *shells.shape[:2]), axis=(0, 2))
 
     row = shared_v1_row(spec, xs, ys)
     if row is not None:
-        return float(np.max(np.abs(row)))
-    return max(map_blocks(block_max, xs.shape[0], ys.shape[0]))
+        return np.max(np.abs(row).reshape(shells.shape[:2]), axis=1)
+    return np.max(map_blocks(block_max, xs.shape[0], ys.shape[0]), axis=0)
 
 
 def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0) -> ExponentEstimate:
@@ -169,12 +173,14 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0) -> ExponentEstim
         gamma : min over directions of  Delta(t0 + r u; E*)
 
     where E* = min(sess_min, w2(t0, t0)) corrects the O(h^2) bias of the
-    pair-grid minimum.  The symbol is evaluated on a dedicated fine
-    quadrature; if its value at the smallest shell fails to settle under
-    refinement (the regime where the critical symbol need not be defined),
-    gamma is marked unavailable.  Nonpositive shell statistics are dropped
-    from the fits; slopes are clamped at 0 where the gauge requires
-    nonnegative exponents.
+    pair-grid minimum.  Each statistic is one pass over the points of all
+    shells at once.  The symbol is evaluated on a dedicated fine quadrature;
+    gamma is marked unavailable if that pass comes within the pole band of
+    w2 (PoleProximityError, which leaves every gamma statistic NaN), or if
+    the symbol at the smallest shell fails to settle under refinement (the
+    regime where the critical symbol need not be defined).  Nonpositive
+    shell statistics are dropped from the fits; slopes are clamped at 0
+    where the gauge requires nonnegative exponents.
     """
     if t0 is None:
         raise ValueError("t0 is required; locate_t0 returned None for this model")
@@ -188,7 +194,7 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0) -> ExponentEstim
     delta_eff = 0.999 * ball if ball < delta else delta
 
     radii = np.geomspace(delta_eff / SHELL_SPAN, delta_eff, N_SHELLS)
-    dirs = _directions(spec.d)
+    shells = t0 + radii[:, None, None] * _directions(spec.d)      # (N_SHELLS, ndir, d)
     w2_t0 = float(eval_xy(spec, spec.w2, t0[None, :], t0[None, :])[0])
     e_star = min(float(report.sess_min), w2_t0)
 
@@ -200,55 +206,39 @@ def estimate_exponents(spec: ModelSpec, grid: Grid, report, t0) -> ExponentEstim
     xs = np.concatenate([grid.nodes, lattice(np.linspace(-spec.a + pad, spec.a - pad, 257),
                                              spec.d)], axis=0)
 
-    alpha_stats = np.empty(radii.size)
-    beta_stats = np.empty(radii.size)
-    gamma_stats = np.full(radii.size, np.nan)
-    gamma_ok = True
-    for k, r in enumerate(radii):
-        pts = t0[None, :] + r * dirs                     # (ndir, d)
-        w2v = eval_xy(spec, spec.w2, pts[:, None, :], pts[None, :, :])
-        alpha_stats[k] = float(np.min(w2v)) - e_star
-        beta_stats[k] = _abs_max_v1(spec, xs, pts)
-        if gamma_ok:
-            try:
-                symbol = delta_at_points(spec, fine, pts, e_star)
-            except PoleProximityError:
-                gamma_ok = False
-                continue
-            gamma_stats[k] = float(np.min(symbol))
-            if k == 0:
-                v_f = float(symbol[0])        # Delta(t0 + radii[0] dirs[0]) on the fine grid
+    def pair_min(b):        # the least w2 over each shell's direction pairs
+        return np.min(eval_xy(spec, spec.w2, shells[b, :, None, :], shells[b, None, :, :]),
+                      axis=(1, 2))
 
-    if gamma_ok:
+    alpha_stats = np.concatenate(map_blocks(pair_min, N_SHELLS, shells.shape[1] ** 2)) - e_star
+    beta_stats = _abs_max_v1(spec, xs, shells)
+    gamma_stats = np.full(N_SHELLS, np.nan)
+    try:
+        symbol = delta_at_points(spec, fine, shells.reshape(-1, spec.d), e_star)
+        gamma_stats = np.min(symbol.reshape(N_SHELLS, -1), axis=1)
         # refinement sanity at the smallest shell: the critical symbol must settle
-        try:
-            v_h = delta_at(spec, half, t0 + radii[0] * dirs[0], e_star)
-            if abs(v_f - v_h) > 0.2 * max(abs(v_f), 1e-300):
-                gamma_ok = False
-        except PoleProximityError:
-            gamma_ok = False
+        v_f, v_h = float(symbol[0]), delta_at(spec, half, shells[0, 0], e_star)
+        gamma_ok = not abs(v_f - v_h) > 0.2 * max(abs(v_f), 1e-300)
+    except PoleProximityError:
+        gamma_ok = False
 
     alpha_hat, r2_a = _loglog_fit(radii, alpha_stats)
     if np.all(beta_stats < BETA_SENTINEL_FLOOR):
         beta_hat, r2_b = math.inf, 1.0
     else:
         beta_hat, r2_b = _loglog_fit(radii, beta_stats)
-    if gamma_ok:
-        gamma_hat, r2_g = _loglog_fit(radii, gamma_stats)
-        if math.isnan(gamma_hat):
-            gamma_hat, gamma_ok = None, False
-        else:
-            gamma_hat = max(0.0, gamma_hat)
-    if not gamma_ok:
+    gamma_hat, r2_g = _loglog_fit(radii, gamma_stats) if gamma_ok else (math.nan, 0.0)
+    if math.isnan(gamma_hat):
         gamma_hat, r2_g = None, 0.0
+    else:
+        gamma_hat = max(0.0, gamma_hat)
 
     alpha_hat = max(0.0, alpha_hat) if not math.isnan(alpha_hat) else math.nan
-    shells = [(float(r), float(a_), float(b_), float(g_))
-              for r, a_, b_, g_ in zip(radii, alpha_stats, beta_stats, gamma_stats)]
     return ExponentEstimate(
         t0=t0, alpha_hat=alpha_hat, beta_hat=beta_hat, gamma_hat=gamma_hat,
         fit_r2=(r2_a, r2_b, r2_g), delta_radius=float(delta_eff), e_star=float(e_star),
-        shells=shells,
+        shells=list(zip(radii.tolist(), alpha_stats.tolist(), beta_stats.tolist(),
+                        gamma_stats.tolist())),
     )
 
 

@@ -12,6 +12,7 @@ squared L2 norm over Omega^2 is  sum_{i<=j} W_ij |f(x_i, x_j)|^2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,10 +115,14 @@ def _lattice_minima(values: np.ndarray) -> np.ndarray:
 
 def make_grid(d: int, a: float, n_per_dim: int, rule: str = "midpoint") -> Grid:
     """Build a tensor-product grid with n_per_dim nodes per dimension."""
+    try:
+        d, n_per_dim = operator.index(d), operator.index(n_per_dim)
+    except TypeError:
+        raise ValueError(f"d and n_per_dim must be integers, got {d!r} and {n_per_dim!r}") from None
     if d < 1:
         raise ValueError("dimension d must be a positive integer")
-    if a <= 0:
-        raise ValueError("half-width a must be positive")
+    if not 0 < a < np.inf:
+        raise ValueError(f"half-width a must be positive and finite, got {a!r}")
     if n_per_dim < 2:
         raise ValueError("n_per_dim must be at least 2")
     x1, w1 = _rule_1d(n_per_dim, a, rule)

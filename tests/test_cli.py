@@ -460,6 +460,7 @@ def test_singular_seq_refuses_a_level_whose_h22_shift_cancels_to_zero(tmp_path, 
     ["singular-seq", "--x0", "1.0", "--y0", "abc"],
     ["singular-seq", "--x0", "4.0"],                    # outside Omega = (-pi, pi)
     ["singular-seq", "--x0", "1.0", "--y0=-3.5"],
+    ["singular-seq", "--x0", "1.0", "--y0="],           # empty, not absent: no fallback to x0
     ["singular-seq", "--x0", "1.0", "--n-max", "0"],
     ["singular-seq", "--x0", "1.0", "--n-max", "-2"],
     # level 45 on has annulus cells narrower than the float spacing at x0 = 1

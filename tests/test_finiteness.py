@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,8 +265,9 @@ def test_estimate_beta_sentinel_for_vanishing_coupling():
     assert est.beta_hat == math.inf
 
 
-def test_beta_statistic_samples_v1_once_per_shell_when_v1_ignores_x():
-    # v1 = 0.5 |y|^2: every x-row of the beta statistic is the same row
+def test_beta_statistic_samples_v1_once_for_all_shells_when_v1_ignores_x():
+    # v1 = 0.5 |y|^2: every x-row of the beta statistic is the same row, and
+    # one call samples it at the 256 directions of every shell
     spec = fs.load_model(D2_EMPTY)
     g, rep = _report_for(spec, 8)
     t0 = fs.locate_t0(spec, rep)
@@ -276,7 +278,8 @@ def test_beta_statistic_samples_v1_once_per_shell_when_v1_ignores_x():
         return _f(x, y)
 
     shared = fs.estimate_exponents(dataclasses.replace(spec, v1=v1), g, rep, t0)
-    assert y_points.count(256) == fs.finiteness.N_SHELLS      # 256 shell directions
+    assert y_points.count(fs.finiteness.N_SHELLS * 256) == 1
+    assert y_points.count(256) == 0
     # the same v1 sampled at every x gives the same statistic, bit for bit
     full = fs.estimate_exponents(
         dataclasses.replace(spec, v1=lambda x, y, _f=spec.v1: _f(x, y) + 0.0 * x[..., 0]),
@@ -297,21 +300,70 @@ def test_estimate_exponents_mnr(mnr):
 
 
 def test_refinement_check_takes_the_fine_symbol_from_the_first_shell(mnr, monkeypatch):
-    # Delta at the first point of the smallest shell on the fine grid is the
-    # first shell's value; only the half grid evaluates it again
+    # one fine-grid pass takes the symbol at the points of every shell; Delta
+    # at the first point of the smallest shell is read from it, and only the
+    # half grid evaluates it again
     g, rep = _report_for(mnr, 32)
     t0 = fs.locate_t0(mnr, rep)
-    calls = []
-    original = fs.finiteness.delta_at
+    fine_calls, calls = [], []
+    at_points, original = fs.finiteness.delta_at_points, fs.finiteness.delta_at
+
+    def delta_at_points(spec, grid, pts, z):
+        fine_calls.append((grid.n_per_dim, np.shape(pts)))
+        return at_points(spec, grid, pts, z)
 
     def delta_at(spec, grid, x, z):
         calls.append(grid.n_per_dim)
         return original(spec, grid, x, z)
 
+    monkeypatch.setattr(fs.finiteness, "delta_at_points", delta_at_points)
     monkeypatch.setattr(fs.finiteness, "delta_at", delta_at)
     est = fs.estimate_exponents(mnr, g, rep, t0)
+    assert fine_calls == [(8192, (fs.finiteness.N_SHELLS * 2, 1))]     # two directions at d = 1
     assert calls == [4096]
     assert est.gamma_hat is not None            # the check passed
+
+
+def test_a_pole_in_the_fine_symbol_pass_leaves_gamma_unavailable():
+    # w2 = min(x^2, y^2) and t0 a fine node: E* = w2(t0, t0) = t0^2, which the
+    # fine pass samples exactly at y = t0 for every shell point beyond t0
+    spec = make_decoupled(lambda x: 1.0 + 0.0 * x, lambda x, y: np.minimum(x * x, y * y))
+    t0 = fs.make_grid(1, spec.a, 8192).nodes[4500]
+    est = fs.estimate_exponents(spec, fs.make_grid(1, spec.a, 16),
+                                SimpleNamespace(sess_min=1.0), t0)
+    assert est.e_star == float(t0[0]) ** 2
+    assert est.gamma_hat is None and est.fit_r2[2] == 0.0
+    assert all(math.isnan(s[3]) for s in est.shells)
+    assert all(math.isfinite(s[1]) for s in est.shells)      # alpha is still taken
+    assert est.beta_hat == math.inf
+
+
+def _dependent_v1(d):
+    if d == 1:
+        return lambda x, y: np.cos(x - 2.0 * y) + 0.3 * x
+    return lambda x, y: (1.5 + 0.5 * np.cos(x[..., 0] - x[..., 1])) * np.sum(y * y, axis=-1)
+
+
+def _free_v1(d):
+    if d == 1:
+        return lambda x, y: 0.5 * y * y - 0.2
+    return lambda x, y: 0.5 * np.sum(y * y, axis=-1) - 0.2
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("v1", [_free_v1, _dependent_v1])
+def test_abs_max_v1_per_shell_equals_the_brute_force_max(d, v1, monkeypatch):
+    monkeypatch.setattr(fs.blocks, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(fs.blocks, "BLOCK_ELEMENTS", 40)          # several row blocks of xs
+    spec = dataclasses.replace(make_decoupled(lambda x: 1.0, lambda x, y: 0.0, d=d), v1=v1(d))
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-1.0, 1.0, (23, d))
+    shells = rng.uniform(-1.0, 1.0, (4, 7, d))
+    brute = [np.max(np.abs(fs.model.eval_xy(spec, spec.v1, xs[:, None, :], shell[None, :, :])))
+             for shell in shells]
+    got = fs.finiteness._abs_max_v1(spec, xs, shells)
+    assert got.shape == (4,) and got.tolist() == brute
+    assert (fs.model.shared_v1_row(spec, xs, shells[0]) is None) == (v1 is _dependent_v1)
 
 
 def test_alpha_scale_equivariance():

@@ -94,3 +94,14 @@ def test_make_grid_errors():
         fs.make_grid(1, 1.0, 4, "simpson")
     with pytest.raises(ValueError):
         fs.make_grid(0, 1.0, 4)
+    # a half-width that is not finite, and a d or node count that is not an integer
+    for d, a, n in [(1, float("nan"), 8), (1, float("inf"), 8), (1, 1.0, 4.0), (1.0, 1.0, 4),
+                    (2, 1.0, "4")]:
+        with pytest.raises(ValueError):
+            fs.make_grid(d, a, n)
+
+
+def test_make_grid_takes_numpy_integers():
+    g = fs.make_grid(np.int64(2), np.float64(1.5), np.int32(3))
+    assert g.nodes.shape == (9, 2) and g.n_per_dim == 3
+    assert g.nodes.tobytes() == fs.make_grid(2, 1.5, 3).nodes.tobytes()

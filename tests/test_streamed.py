@@ -296,7 +296,7 @@ def _kernel_bits(spec, g, pts, z):
         "s_matrix": lambda: fs.s_matrix(spec, g, z),
         "mesh W2": lambda: model.mesh_samples(spec, g).W2,
         "assumption_a": lambda: dataclasses.astuple(fs.check_assumption_a(spec, g)),
-        "abs_max_v1": lambda: finiteness._abs_max_v1(spec, xs, ys),
+        "abs_max_v1": lambda: finiteness._abs_max_v1(spec, xs, ys.reshape(3, 3, 1)),   # 3 shells
         "h22_term": lambda: verify._h22_term(spec, z, xs, xw, 2.0, ys, yw, 0.5),
     }
     out = {}
@@ -353,7 +353,9 @@ def _traced_peak(fn):
 def test_streamed_kernels_hold_one_or_two_row_blocks(monkeypatch):
     # serial, so the peak is one worker's: the symbol at points holds its w2
     # block, then w2 - z in it (about 1.25 blocks with the O(N) rows);
-    # the derivative adds the quotient and the HS form the coupling, two blocks
+    # the derivative adds the quotient and the HS form the coupling, two blocks.
+    # The exponent estimate's one symbol pass over all shells holds the same,
+    # plus its x-samples of the beta statistic and its fine and half grids
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 1)
     monkeypatch.setattr(blocks, "_pool", None)
     spec = fs.load_model(D2_EMPTY)
@@ -370,3 +372,10 @@ def test_streamed_kernels_hold_one_or_two_row_blocks(monkeypatch):
     assert _traced_peak(lambda: fs.delta_at_points(
         spec, fine, pts, 0.0, slope=True)) <= bound(fine, 2)
     assert _traced_peak(lambda: fs.hs_norm_t(spec, g48, -0.1)) <= bound(g48, 2)
+    g8 = fs.make_grid(2, spec.a, 8)
+    rep = fs.essential_spectrum(spec, g8)
+    t0 = finiteness.locate_t0(spec, rep)
+    held = (g8.n + 257**2) * 2 * 8 + 3 * (fine.n + fine.n // 4) * 8      # xs, fine and half grids
+    peak = _traced_peak(lambda: fs.estimate_exponents(spec, g8, rep, t0))
+    assert peak <= bound(fine, 1.25) + held
+
