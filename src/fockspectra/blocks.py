@@ -1,16 +1,18 @@
-"""Row blocks for the streamed kernels, and the thread pool that maps over them.
+"""Row blocks for the streamed kernels, and the threads that map over them.
 
 A streamed kernel evaluates an (m, N) sample array BLOCK_ELEMENTS samples at
 a time, so its memory does not grow with m * N, and hands each block of rows
 to map_blocks.  The blocks are independent (each row of a quadrature sum is
-its own point), so map_blocks runs them on one worker thread per CPU of the
-affinity mask: numpy releases the interpreter lock inside its large ufunc
-loops, so the blocks overlap.  Results come back in block order, so every
-per-row value is bit-identical to a serial loop over the same blocks.
+its own point), so map_blocks runs them on the calling thread and one helper
+thread per further CPU of the affinity mask: numpy releases the interpreter
+lock inside its large ufunc loops, so the blocks overlap.  The helpers live
+for one call.  Each thread takes the next block from one shared counter and
+stores its result at the block's index, so every per-row value is
+bit-identical to a serial loop over the same blocks.
 
 A kernel evaluates into the row block it owns: eval_xy hands back a new
 array, and each next step writes into it (out=), as the config expressions
-do with their temporaries.  So a worker holds at most two row blocks at a
+do with their temporaries.  So a thread holds at most two row blocks at a
 time: the symbol at points one, its derivative, the symbol at the nodes and
 the HS form two.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 import threading
 
@@ -27,9 +30,7 @@ import threading
 # rows.
 BLOCK_ELEMENTS = 1 << 18
 
-_pool = None
-_pool_lock = threading.Lock()
-_in_worker = threading.local()
+_in_block = threading.local()
 
 
 def row_blocks(n_rows: int, n_cols: int) -> list:
@@ -43,23 +44,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:           # no affinity mask on this platform
         return os.cpu_count() or 1
-
-
-def _mark_worker():
-    _in_worker.active = True
-
-
-def _executor():
-    """The process-wide pool, created on the first multi-block call."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: it pulls in logging, which a one-block command never needs
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="fockspectra",
-                                       initializer=_mark_worker)
-        return _pool
 
 
 @functools.cache
@@ -80,13 +64,45 @@ def _keep_freed_blocks() -> None:
 def map_blocks(fn, n_rows: int, n_cols: int) -> list:
     """[fn(rows) for rows in row_blocks(n_rows, n_cols)], the blocks run concurrently.
 
-    One block, one CPU, or a call from inside a worker (a nested map would
-    wait on the pool it occupies) runs inline.  The results are read in
-    block order, so the first failing block's exception is the one raised.
+    One block, one CPU, or a call from inside a block runs inline.  Otherwise
+    the calling thread and _cpu_count() - 1 helpers take the blocks in order;
+    once a block fails no further block starts, and the exception of the
+    first failing block in block order is the one raised.
     """
     blocks = row_blocks(n_rows, n_cols)
     if len(blocks) > 1:
         _keep_freed_blocks()
-    if len(blocks) <= 1 or _cpu_count() <= 1 or getattr(_in_worker, "active", False):
+    threads = min(_cpu_count(), len(blocks))
+    if threads <= 1 or getattr(_in_block, "active", False):
         return [fn(b) for b in blocks]
-    return list(_executor().map(fn, blocks))
+    results = [None] * len(blocks)
+    errors = {}
+    order = itertools.count()
+
+    def work():
+        _in_block.active = True
+        try:
+            for i in order:
+                # unlocked: a block taken as another fails may still start,
+                # but it lies past the failed one, so the raised error is the same
+                if i >= len(blocks) or errors:
+                    return
+                try:
+                    results[i] = fn(blocks[i])
+                except BaseException as exc:
+                    errors[i] = exc
+        finally:
+            _in_block.active = False
+
+    helpers = [threading.Thread(target=work, name="fockspectra-block") for _ in range(threads - 1)]
+    for h in helpers:
+        h.start()
+    work()
+    for h in helpers:
+        h.join()
+    if errors:
+        try:
+            raise errors[min(errors)]
+        finally:
+            errors = None    # the traceback holds work's frame, and so this dict
+    return results

@@ -55,7 +55,7 @@ class ModelSpec:
     """The eight values that define a model: d, a, w0, v0, w1, v1, w2 and epsilon.
 
     All fields are read-only after construction; instances are safe to share
-    across workers.
+    across threads.
     """
 
     d: int
@@ -202,7 +202,7 @@ def _mesh_samples_cached(spec: ModelSpec, grid) -> MeshSamples:
     V1 = np.asarray(eval_xy(spec, spec.v1, nodes[:, None, :], nodes[None, :, :]))
     n = grid.n
     W2 = np.empty((n, n))
-    # filled on this thread: the pool's freed block temporaries would stay
+    # filled on this thread: the block threads' freed temporaries would stay
     # resident next to W2.  Each row block samples its columns from its
     # diagonal block on and mirrors those right of that block below it, so a
     # pair outside the diagonal blocks is sampled once, not twice.
@@ -228,7 +228,7 @@ def check_assumption_a(spec: ModelSpec, grid) -> AssumptionAReport:
     Computes the discrete L^{2+eps} norm of v1(x_i, .) (sup over rows), the
     discrete L^{2+4/eps} norm of v1(., x_j) (sup over columns) and the range
     and symmetry defect of w2, cached, in two passes over the same row blocks
-    of node pairs on the block pool, so memory is O(N).  The range and the
+    of node pairs (blocks.map_blocks), so memory is O(N).  The range and the
     defect are symmetric in the pair, so the w2 pass samples w2 and its
     mirror only from each block's diagonal block on: N^2 + N B samples for
     blocks of B rows, not 2 N^2.  It runs apart from the v1 pass: v1's full
@@ -346,8 +346,14 @@ def sigma2_empty_model() -> ModelSpec:
         return _sextic_bump(x) + _sextic_bump(y)
 
     def v1(x, y):
-        t = w2(x, y)
-        return np.sqrt(np.clip(csq * (span_sq - (t - mid) ** 2), 0.0, None))
+        # every step written into the new w2 array, so a row block holds one block
+        t = np.asarray(w2(x, y), dtype=float)
+        np.subtract(t, mid, out=t)
+        np.square(t, out=t)
+        np.subtract(span_sq, t, out=t)
+        np.multiply(csq, t, out=t)
+        np.clip(t, 0.0, None, out=t)
+        return np.sqrt(t, out=t)
 
     def w1(x):
         return m + (M - (_sextic_bump(x) + _SEXTIC_INTEGRAL / (2.0 * a)))

@@ -226,7 +226,7 @@ def _sigma2_roots(spec: ModelSpec, grid: Grid, inner: Grid, lo: float, hi: float
     a row stops once |Delta| <= ROOT_TOL and returns z + Delta/2, within
     ROOT_TOL/2 of the root.  The unfinished rows of both sides advance in
     one symbol evaluation per step, which may span more row blocks (and so
-    run on the block pool) than either side alone.
+    run on the block threads) than either side alone.
     """
     sides = []
     for z, holds_root in ((lo, np.less), (hi, np.greater)):

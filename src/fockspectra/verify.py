@@ -14,7 +14,7 @@ Hoelder rate 2^{n d (1/2 - 1/q) + 1} with q = (2 + eps)/(1 + eps).
 
 Norms are computed on quadrature grids aligned with the dyadic supports; the
 global analysis grid cannot resolve 2^-n features, so it is never used here.
-Both norms are streamed in row blocks on the block pool (blocks.map_blocks).
+Both norms are streamed in row blocks on the block threads (blocks.map_blocks).
 """
 
 from __future__ import annotations

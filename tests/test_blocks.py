@@ -1,4 +1,4 @@
-"""The block pool: pooled and serial runs agree bit for bit, and errors keep block order."""
+"""The block threads: pooled and serial runs agree bit for bit, and errors keep block order."""
 
 import dataclasses
 import functools
@@ -27,8 +27,22 @@ D2_BOTH = BENCH_MODELS / "d2-sigma2-both.cfg"
 
 @pytest.fixture
 def pool(monkeypatch):
-    """Multi-block calls run on the pool even on a one-CPU machine."""
+    """Multi-block calls run on two threads even on a one-CPU machine."""
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def helper_starts(monkeypatch):
+    """The names of the helper threads that map_blocks starts, in start order."""
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(blocks, "threading", types.SimpleNamespace(Thread=Counted))
+    return starts
 
 
 @pytest.fixture
@@ -38,9 +52,9 @@ def many_blocks(pool, monkeypatch):
 
 
 def _serially(monkeypatch, fn, *args):
-    """fn(*args) with the pool replaced by the builtin map over the same blocks."""
+    """fn(*args) with one CPU claimed, so that map_blocks loops over the same blocks."""
     with monkeypatch.context() as m:
-        m.setattr(blocks, "_executor", lambda: types.SimpleNamespace(map=map))
+        m.setattr(blocks, "_cpu_count", lambda: 1)
         return fn(*args)
 
 
@@ -73,8 +87,69 @@ def test_map_blocks_keeps_block_order_for_results_and_errors(pool, monkeypatch):
         blocks.map_blocks(fails_late_then_early, 5, 1)
 
 
+def test_many_blocks_hold_no_per_block_state(pool):
+    # the threads take block indices from one counter: no object is made per
+    # block but its slice and its result, so 4000 blocks stay far below 1 MiB
+    tracemalloc.start()
+    try:
+        assert blocks.map_blocks(lambda b: None, 4000, blocks.BLOCK_ELEMENTS) == [None] * 4000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_more_threads_than_cores_run_every_block_once(monkeypatch):
+    # the threads share one counter and one result list; a lost update would
+    # skip, repeat or misplace a block
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 8)
+    ran, out = [], []
+
+    def fn(b):
+        ran.append(b.start)
+        return b.start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: out.append(
+            blocks.map_blocks(fn, 3000, blocks.BLOCK_ELEMENTS)))
+        caller.start()
+        caller.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert out == [list(range(3000))]
+    assert sorted(ran) == list(range(3000))
+
+
+def test_no_block_past_a_failed_one_starts(pool):
+    # blocks past the failing one wait until it has raised, so that every
+    # thread but its own is inside at most one of them when it fails
+    started = []
+    raised = threading.Event()
+
+    def fn(b):
+        started.append(b.start)
+        if b.start == 2:
+            raised.set()
+            raise ValueError("block 2")
+        if b.start > 2:
+            raised.wait(5.0)
+            time.sleep(0.01)
+        return b.start
+
+    with pytest.raises(ValueError, match="block 2"):
+        blocks.map_blocks(fn, 40, blocks.BLOCK_ELEMENTS)
+    assert 2 in started
+    assert len([i for i in started if i > 2]) <= blocks._cpu_count() - 1
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("model", ["mnr-infinite", D2_EMPTY])
-def test_pooled_kernels_equal_the_serial_map_bitwise(model, many_blocks, monkeypatch):
+def test_pooled_kernels_equal_the_serial_map_bitwise(model, cpus, many_blocks, helper_starts,
+                                                     monkeypatch):
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: cpus)
     spec = fs.load_model(model)
     g = fs.make_grid(spec.d, spec.a, 64 if spec.d == 1 else 8)
     assert len(blocks.row_blocks(g.n, g.n)) > 2
@@ -89,8 +164,10 @@ def test_pooled_kernels_equal_the_serial_map_bitwise(model, many_blocks, monkeyp
                      (fs.hs_norm_t, (spec, g, -0.3)),
                      (fs.schur.delta_values, (spec, g, -0.3)),
                      (assumption_a, (spec, g))):
+        started = len(helper_starts)
         pooled, serial = fn(*args), _serially(monkeypatch, fn, *args)
         np.testing.assert_array_equal(pooled, serial, strict=True)
+        assert len(helper_starts) > started        # the pooled run used helpers
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -153,7 +230,7 @@ def test_every_traced_layer_is_a_callable_of_its_module():
     assert missing == []
 
 
-def test_no_traced_layer_runs_in_a_worker(pool, monkeypatch, tmp_path):
+def test_no_traced_layer_runs_in_a_worker(pool, helper_starts, monkeypatch, tmp_path):
     # the bench tracer keeps one global span stack, so its layers stay on the caller's thread
     tracer = _load_tracer()
     layers = {}
@@ -173,16 +250,13 @@ def test_no_traced_layer_runs_in_a_worker(pool, monkeypatch, tmp_path):
         for attr, value in list(vars(mod).items()):
             if id(value) in layers:
                 monkeypatch.setattr(mod, attr, recording(layers[id(value)], value))
-    pooled = []
-    executor = blocks._executor
-    monkeypatch.setattr(blocks, "_executor", lambda: pooled.append(1) or executor())
     # the commands make multi-block calls at the default block size:
     # delta_values on 576 nodes, and the shell statistics and HS trend
     for argv in (["essspec", "--model", str(D2_BOTH), "--n", "8"],
                  ["discrete", "--model", str(D2_EMPTY), "--n", "24", "--side", "below"],
                  ["finiteness", "--model", str(D2_EMPTY), "--n", "8", "--levels", "3"]):
         assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv
-    assert pooled
+    assert helper_starts
     assert {name for name, _ in calls} >= {"model.mesh_samples", "schur.delta_values",
                                            "finiteness.estimate_exponents", "cli.main"}
     assert [name for name, on_main in calls if not on_main] == []
@@ -196,7 +270,7 @@ def _run(code_or_args, tmp_path, timeout=300):
 
 
 def test_map_blocks_inside_a_worker_runs_inline(tmp_path):
-    # queued behind the outer blocks on a saturated pool, a nested map would never run
+    # a nested map runs its blocks on the thread of the outer block, with no helpers
     proc = _run(["-c", "from fockspectra import blocks\n"
                        "blocks.BLOCK_ELEMENTS, blocks._cpu_count = 1, lambda: 2\n"
                        "inner = lambda b: sum(blocks.map_blocks(lambda c: c.start, 4, 1))\n"

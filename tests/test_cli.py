@@ -289,21 +289,43 @@ def test_each_path_loads_only_the_modules_it_runs(path, expected, tmp_path):
     assert set(proc.stdout.splitlines()[-1].split()) == expected
 
 
-@pytest.mark.parametrize("model, n", [("mnr-infinite", "80"), ("sigma2-empty", "64")])
-def test_d1_discrete_starts_no_block_pool(model, n, tmp_path):
-    # every kernel of d = 1 discrete fits in one row block, so the pool, its
-    # threads and the freed blocks they leave behind never appear; two CPUs
-    # are claimed so that the pool would start on any machine
-    argv = ["discrete", "--model", model, "--n", n, "--side", "both", "--out", str(tmp_path)]
-    code = ("import sys\n"
-            "from fockspectra import blocks, cli\n"
-            "blocks._cpu_count = lambda: 2\n"
-            f"assert cli.main({argv!r}) == 0\n"
-            "print(blocks._pool is None, 'concurrent.futures' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code],
+# prints how many threads a command starts (only map_blocks starts any) and
+# whether it imported concurrent.futures
+COUNT_HELPERS_SCRIPT = """\
+import sys, threading
+from fockspectra import blocks, cli
+blocks._cpu_count = lambda: 2
+starts = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (starts.append(self.name), start(self))[1]
+assert cli.main({argv!r}) == 0
+print(len(starts), 'concurrent.futures' in sys.modules)
+"""
+
+
+def _count_helpers(argv):
+    proc = subprocess.run([sys.executable, "-c", COUNT_HELPERS_SCRIPT.format(argv=argv)],
                           capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "True False"
+    helpers, futures = proc.stdout.splitlines()[-1].split()
+    return int(helpers), futures == "True"
+
+
+@pytest.mark.parametrize("model, n", [("mnr-infinite", "80"), ("sigma2-empty", "64")])
+def test_d1_discrete_starts_no_block_pool(model, n, tmp_path):
+    # every kernel of d = 1 discrete fits in one row block, so no helper
+    # thread and none of the freed blocks they leave behind appear; two CPUs
+    # are claimed so that helpers would start on any machine
+    argv = ["discrete", "--model", model, "--n", n, "--side", "both", "--out", str(tmp_path)]
+    assert _count_helpers(argv) == (0, False)
+
+
+def test_d2_finiteness_imports_no_concurrent_futures(tmp_path):
+    # its shell statistics and HS trend map many row blocks on helper threads
+    cfg = README.parent / "bench" / "models" / "d2-sigma2-empty.cfg"
+    argv = ["finiteness", "--model", str(cfg), "--n", "16", "--levels", "3", "--out", str(tmp_path)]
+    helpers, futures = _count_helpers(argv)
+    assert helpers > 0 and not futures
 
 
 @pytest.mark.parametrize("argv, rc", [

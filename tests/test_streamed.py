@@ -236,7 +236,7 @@ def test_streamed_commands_build_no_mesh_samples(argv, tmp_path, monkeypatch):
 
 
 def test_check_assumption_a_d2_cap_peak_is_a_fraction_of_one_w2(monkeypatch):
-    # memory is O(BLOCK_ELEMENTS) per worker; pin the pool at two workers
+    # memory is O(BLOCK_ELEMENTS) per thread; pin the map at two threads
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 2)
     spec = fs.load_model(D2_EMPTY)
     g = fs.make_grid(2, spec.a, 48)
@@ -337,7 +337,7 @@ def test_eval_xy_hands_an_argument_back_read_only():
 
 
 # ---------------------------------------------------------------------------
-# memory: a worker holds one or two row blocks
+# memory: a thread holds one or two row blocks
 # ---------------------------------------------------------------------------
 
 
@@ -351,13 +351,12 @@ def _traced_peak(fn):
 
 
 def test_streamed_kernels_hold_one_or_two_row_blocks(monkeypatch):
-    # serial, so the peak is one worker's: the symbol at points holds its w2
+    # serial, so the peak is one thread's: the symbol at points holds its w2
     # block, then w2 - z in it (about 1.25 blocks with the O(N) rows);
     # the derivative adds the quotient and the HS form the coupling, two blocks.
     # The exponent estimate's one symbol pass over all shells holds the same,
     # plus its x-samples of the beta statistic and its fine and half grids
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(blocks, "_pool", None)
     spec = fs.load_model(D2_EMPTY)
     fine = fs.make_grid(2, spec.a, 192)       # the fine quadrature of the gamma statistic
     pts = 0.05 * finiteness._directions(2)
@@ -372,6 +371,13 @@ def test_streamed_kernels_hold_one_or_two_row_blocks(monkeypatch):
     assert _traced_peak(lambda: fs.delta_at_points(
         spec, fine, pts, 0.0, slope=True)) <= bound(fine, 2)
     assert _traced_peak(lambda: fs.hs_norm_t(spec, g48, -0.1)) <= bound(g48, 2)
+    # the built-in sigma2-empty v1 depends on both points, so its block is the
+    # second; it writes each step into its own w2 samples and adds no third
+    s2e = fs.load_model("sigma2-empty")
+    g1 = fs.make_grid(1, s2e.a, 1024)
+    rows = blocks.row_blocks(g1.n, g1.n)[0]
+    pts1 = np.linspace(-1.9, 1.9, 2 * (rows.stop - rows.start))[:, None]
+    assert _traced_peak(lambda: fs.delta_at_points(s2e, g1, pts1, -0.5)) <= bound(g1, 2)
     g8 = fs.make_grid(2, spec.a, 8)
     rep = fs.essential_spectrum(spec, g8)
     t0 = finiteness.locate_t0(spec, rep)
