@@ -14,7 +14,8 @@ A kernel evaluates into the row block it owns: eval_xy hands back a new
 array, and each next step writes into it (out=), as the config expressions
 do with their temporaries.  So a thread holds at most two row blocks at a
 time: the symbol at points one, its derivative, the symbol at the nodes and
-the HS form two.
+the HS form two.  A tabulated two-point function adds two more while it
+sums its bilinear terms (config._Table2D).
 """
 
 from __future__ import annotations

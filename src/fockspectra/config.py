@@ -1,9 +1,13 @@
 """The config language of user models: a nested key-value document whose
 functions are arithmetic expressions or tabulated data.
 
-``model.load_model`` imports this module only for a config path, so the
-built-in models load without compiling it.  Every malformed document or
-expression is a ModelError.
+Loading a config makes one pass per stage: _parse_config reads the document
+in one token loop, _compile_expr checks and folds each expression in one
+pass (_FloatLiterals) and compiles it to a plain function of its variables,
+and _table_function reads and checks each table.  ``model.load_model``
+imports this module only for a config path, so the built-in models load
+without compiling it.  Every malformed document, expression or table is a
+ModelError.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import ast
 import csv
 import math
 import operator
+import re
 from functools import partial
 from pathlib import Path
 
@@ -24,8 +29,13 @@ _EXPR_CONSTS = {"pi": math.pi}
 _FOLD = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
          ast.Div: operator.truediv, ast.Pow: operator.pow,
          ast.USub: operator.neg, ast.UAdd: operator.pos}
-_ALLOWED_OPS = tuple(_FOLD)
 MAX_EXPR_CHARS = 2048     # longer expressions are refused unparsed
+# an expression's variables by (d, two_point): the x coordinates, then the y ones
+_VARIABLES = {(1, False): ("x",), (1, True): ("x", "y"),
+              (2, False): ("x1", "x2"), (2, True): ("x1", "x2", "y1", "y2")}
+# a comment, a string (unterminated if it lacks its closing quote), a
+# punctuator or a word; whitespace, which no token matches, is space, tab, CR and LF
+_TOKEN = re.compile(r'#[^\n]*|"[^"]*"?|[{}=,]|[^ \t\r\n#{}=,"]+')
 
 # each operator's augmented form, for a temporary on its left, and its ufunc,
 # for one on its right or its only operand
@@ -75,7 +85,10 @@ _IN_PLACE_CALLS = {
 
 
 class _FloatLiterals(ast.NodeTransformer):
-    """Make every literal and pi a float and fold the operators between them.
+    """Check an expression over the given variables, make every literal and pi
+    a float and fold the operators between them, in one pass: a ModelError
+    names the first node met that is not a number, a variable, pi, an
+    operator of _FOLD or a call of one _EXPR_FUNCS function on one argument.
 
     Exact integer arithmetic on literals is unbounded: 9**9**9 has 370
     million digits, and the CLI would compute them all before converting to
@@ -86,25 +99,48 @@ class _FloatLiterals(ast.NodeTransformer):
     when the expression is evaluated.
     """
 
+    def __init__(self, variables: tuple[str, ...]):
+        self.variables = variables
+
+    def generic_visit(self, node):
+        # the root and the operators have no visit_ method; no other node is admitted
+        if not isinstance(node, (ast.Expression, *_FOLD)):
+            raise ModelError(f"disallowed syntax ({type(node).__name__})")
+        return super().generic_visit(node)
+
     def _fold(self, value, node):
         if isinstance(value, complex):
             raise ArithmeticError(f"{value} is not real")
         return ast.copy_location(ast.Constant(value), node)
 
     def visit_Constant(self, node):
+        if not isinstance(node.value, (int, float)):
+            raise ModelError("non-numeric literal")
         return self._fold(float(node.value), node)
 
     def visit_Name(self, node):
-        return self._fold(_EXPR_CONSTS[node.id], node) if node.id in _EXPR_CONSTS else node
+        if node.id in _EXPR_CONSTS:
+            return self._fold(_EXPR_CONSTS[node.id], node)
+        if node.id not in self.variables:
+            raise ModelError(f"unknown name {node.id!r}")
+        return node
+
+    def visit_Call(self, node):
+        if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS):
+            raise ModelError("disallowed call")
+        if len(node.args) != 1 or node.keywords:
+            raise ModelError(f"{node.func.id} takes exactly one argument")
+        node.args = [self.visit(node.args[0])]
+        return node
 
     def visit_UnaryOp(self, node):
-        self.generic_visit(node)
+        super().generic_visit(node)
         if isinstance(node.operand, ast.Constant):
             return self._fold(_FOLD[type(node.op)](node.operand.value), node)
         return node
 
     def visit_BinOp(self, node):
-        self.generic_visit(node)
+        super().generic_visit(node)
         if isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant):
             return self._fold(_FOLD[type(node.op)](node.left.value, node.right.value), node)
         return node
@@ -156,16 +192,16 @@ class _InPlace(ast.NodeTransformer):
 
 
 def _compile_expr(text: str, variables: tuple[str, ...]):
-    """Compile an arithmetic expression over the given variables.
+    """Compile an arithmetic expression into a function of the given variables.
 
     Only +, -, *, /, **, the functions sin/cos/exp/sqrt/abs called on one
     argument each, the constant pi and numeric literals are admitted.  A
     second argument would be numpy's output array, which the function would
     overwrite.  Literals are floats, and arithmetic between them is done
     once, here.  Each operation on an intermediate result writes into it
-    (_InPlace); the variables, views of the caller's points, are never
-    written.  An expression longer than MAX_EXPR_CHARS is refused before it
-    is parsed, and an error quotes at most its first 60 characters.
+    (_InPlace), never into a variable, a view of the caller's points.  The
+    result is one lambda of the variables.  An expression longer than
+    MAX_EXPR_CHARS is refused unparsed; an error quotes at most 60 characters.
     """
     shown = repr(text[:60]) + ("..." if len(text) > 60 else "")
     if len(text) > MAX_EXPR_CHARS:
@@ -174,150 +210,92 @@ def _compile_expr(text: str, variables: tuple[str, ...]):
         tree = ast.parse(text, mode="eval")
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ModelError(f"cannot parse expression {shown}: {exc}") from exc
-    names = set(variables) | set(_EXPR_CONSTS)
-    callees = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant)):
-            if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-                raise ModelError(f"non-numeric literal in expression {shown}")
-            continue
-        if isinstance(node, _ALLOWED_OPS):
-            continue
-        if isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS):
-                raise ModelError(f"disallowed call in expression {shown}")
-            if len(node.args) != 1 or node.keywords:
-                raise ModelError(f"{node.func.id} takes exactly one argument in expression {shown}")
-            callees.add(node.func)
-            continue
-        if isinstance(node, ast.Name):
-            if node.id not in names and node not in callees:
-                raise ModelError(f"unknown name {node.id!r} in expression {shown}")
-            continue
-        if isinstance(node, ast.Load):
-            continue
-        raise ModelError(f"disallowed syntax ({type(node).__name__}) in expression {shown}")
     try:
-        tree = _InPlace().visit(_FloatLiterals().visit(tree))
-        code = compile(ast.fix_missing_locations(tree), "<model-expr>", "eval")
+        body = _InPlace().visit(_FloatLiterals(variables).visit(tree)).body
+        params = ast.arguments(posonlyargs=[], args=[ast.arg(v) for v in variables],
+                               kwonlyargs=[], kw_defaults=[], defaults=[])
+        code = compile(ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body))),
+                       "<model-expr>", "eval")
+    except ModelError as exc:
+        raise ModelError(f"{exc} in expression {shown}") from None
     except ArithmeticError as exc:
         raise ModelError(f"constant arithmetic fails in expression {shown}: {exc}") from exc
     except RecursionError as exc:
         raise ModelError(f"expression nested too deeply: {shown}") from exc
-
-    def fn(**kwargs):
-        return eval(code, {"__builtins__": {}, **_EXPR_FUNCS, **_IN_PLACE_CALLS, **kwargs})
-
-    return fn
+    return eval(code, {"__builtins__": {}, **_EXPR_FUNCS, **_IN_PLACE_CALLS})
 
 
-class _Table1D:
-    def __init__(self, nodes: np.ndarray, values: np.ndarray, a: float, what: str):
-        if nodes.size < 2 or np.any(np.diff(nodes) <= 0):
-            raise ModelError(f"{what}: table nodes must be strictly increasing")
-        if nodes[0] > -a + 1e-12 or nodes[-1] < a - 1e-12:
-            raise ModelError(f"{what}: table does not cover Omega = (-{a}, {a})")
-        self.nodes, self.values = nodes, values
-
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.nodes, self.values)
+def _cell(nodes: np.ndarray, p):
+    """The interpolation cell of each point p among the nodes, and p's fraction across it."""
+    p = np.asarray(p, dtype=float)
+    i = np.clip(np.searchsorted(nodes, p) - 1, 0, nodes.size - 2)
+    return i, np.clip((p - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)
 
 
 class _Table2D:
-    def __init__(self, xn, yn, values, a: float, what: str, symmetric: bool = False):
-        for nm, nd in (("x", xn), ("y", yn)):
-            if nd.size < 2 or np.any(np.diff(nd) <= 0):
-                raise ModelError(f"{what}: {nm} nodes must be strictly increasing")
-            if nd[0] > -a + 1e-12 or nd[-1] < a - 1e-12:
-                raise ModelError(f"{what}: table does not cover Omega = (-{a}, {a})")
-        if symmetric:
-            if xn.shape != yn.shape or np.any(xn != yn):
-                raise ModelError(f"{what}: a symmetric table needs identical x and y nodes")
-            asym = float(np.max(np.abs(values - values.T)))
-            if asym > W2_SYMMETRY_TOL:
-                raise ModelError(
-                    f"{what}: tabulated data asymmetric (max deviation {asym:.3e} > {W2_SYMMETRY_TOL})")
+    """Bilinear interpolation of values[i, j], given at (xn[i], yn[j])."""
+
+    def __init__(self, xn: np.ndarray, yn: np.ndarray, values: np.ndarray):
         self.xn, self.yn, self.values = xn, yn, values
 
     def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
-        ix = np.clip(np.searchsorted(self.xn, x) - 1, 0, self.xn.size - 2)
-        iy = np.clip(np.searchsorted(self.yn, y) - 1, 0, self.yn.size - 2)
-        tx = np.clip((x - self.xn[ix]) / (self.xn[ix + 1] - self.xn[ix]), 0.0, 1.0)
-        ty = np.clip((y - self.yn[iy]) / (self.yn[iy + 1] - self.yn[iy]), 0.0, 1.0)
-        v = self.values
-        return ((1 - tx) * (1 - ty) * v[ix, iy] + tx * (1 - ty) * v[ix + 1, iy]
-                + (1 - tx) * ty * v[ix, iy + 1] + tx * ty * v[ix + 1, iy + 1])
+        # cells and fractions of the unbroadcast points; the four terms sum into
+        # one array, so a row block of x against a row of y holds three blocks
+        ix, tx = _cell(self.xn, x)
+        iy, ty = _cell(self.yn, y)
+        sx, sy = 1 - tx, 1 - ty
+        out = sx * sy
+        out *= self.values[ix, iy]
+        for wx, wy, i, j in ((tx, sy, ix + 1, iy), (sx, ty, ix, iy + 1), (tx, ty, ix + 1, iy + 1)):
+            term = wx * wy
+            term *= self.values[i, j]
+            out += term
+        return out
 
 
-def _read_table(path: Path, what: str):
+def _check_axis(nodes: np.ndarray, a: float, what: str, axis: str):
+    if nodes.size < 2 or np.any(np.diff(nodes) <= 0):
+        raise ModelError(f"{what}: table {axis} nodes must be strictly increasing")
+    if nodes[0] > -a + 1e-12 or nodes[-1] < a - 1e-12:
+        raise ModelError(f"{what}: table does not cover Omega = (-{a}, {a})")
+
+
+def _table_function(path: Path, a: float, what: str, two_point: bool, symmetric: bool):
+    """np.interp on a one-point table, _Table2D on a row-major two-point one."""
+    header = ["x", "y", "value"] if two_point else ["x", "value"]
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except (OSError, ValueError, csv.Error) as exc:     # ValueError: a NUL in the name, not UTF-8
         raise ModelError(f"{what}: cannot read table {path}: {exc}") from exc
-    if not rows:
-        raise ModelError(f"{what}: empty table {path}")
-    header = [c.strip().lower() for c in rows[0]]
-    if header not in (["x", "value"], ["x", "y", "value"]):
-        raise ModelError(f"{what}: expected header 'x,value' or 'x,y,value', got {rows[0]}")
+    if not rows or [c.strip().lower() for c in rows[0]] != header:
+        raise ModelError(f"{what}: table {path} needs the header {','.join(header)!r}")
     try:
         data = np.array([[float(c) for c in r] for r in rows[1:] if r], dtype=float)
     except ValueError as exc:
         raise ModelError(f"{what}: bad number or ragged row in table {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ModelError(f"{what}: table {path} needs rows of {len(header)} numbers")
-    return ("1d" if len(header) == 2 else "2d"), data
-
-
-def _table_function(path: Path, a: float, what: str, two_point: bool, symmetric: bool):
-    kind, data = _read_table(path, what)
+    if data.ndim != 2 or data.shape[1] != len(header) or not np.isfinite(data).all():
+        raise ModelError(f"{what}: table {path} needs rows of {len(header)} finite numbers")
     if not two_point:
-        if kind != "1d":
-            raise ModelError(f"{what}: expected a one-coordinate table")
-        return _Table1D(data[:, 0], data[:, 1], a, what)
-    if kind == "1d":
-        raise ModelError(f"{what}: expected a two-coordinate table")
-    xu = np.unique(data[:, 0])
-    yu = np.unique(data[:, 1])
+        nodes, values = data.T.copy()
+        _check_axis(nodes, a, what, "x")
+        return partial(np.interp, xp=nodes, fp=values)
+    xu, yu = np.unique(data[:, 0]), np.unique(data[:, 1])
     if data.shape[0] != xu.size * yu.size:
         raise ModelError(f"{what}: table is not a complete row-major grid")
-    expect_x = np.repeat(xu, yu.size)
-    expect_y = np.tile(yu, xu.size)
-    if np.any(data[:, 0] != expect_x) or np.any(data[:, 1] != expect_y):
+    if np.any(data[:, 0] != np.repeat(xu, yu.size)) or np.any(data[:, 1] != np.tile(yu, xu.size)):
         raise ModelError(f"{what}: table rows are not in row-major node order")
     values = data[:, 2].reshape(xu.size, yu.size)
-    return _Table2D(xu, yu, values, a, what, symmetric=symmetric)
-
-
-def _tokenize_config(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "{}=,":
-            tokens.append((ch, ch))
-            i += 1
-        elif ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ModelError("unterminated string in config")
-            tokens.append(("STR", text[i + 1:j]))
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in ' \t\r\n#{}=,"':
-                j += 1
-            tokens.append(("WORD", text[i:j]))
-            i = j
-    return tokens
+    _check_axis(xu, a, what, "x")
+    _check_axis(yu, a, what, "y")
+    if symmetric:
+        if xu.shape != yu.shape or np.any(xu != yu):
+            raise ModelError(f"{what}: a symmetric table needs identical x and y nodes")
+        asym = float(np.max(np.abs(values - values.T)))
+        if asym > W2_SYMMETRY_TOL:
+            raise ModelError(
+                f"{what}: tabulated data asymmetric (max deviation {asym:.3e} > {W2_SYMMETRY_TOL})")
+    return _Table2D(xu, yu, values)
 
 
 def _parse_config(text: str) -> dict:
@@ -325,68 +303,56 @@ def _parse_config(text: str) -> dict:
 
     Grammar: a document is a sequence of ``key = value`` or ``key { ... }``
     entries; values are quoted strings or comma-separated finite numbers.
+    One loop reads the tokens, keeping the sections open at each point on a
+    stack; a key given twice keeps its last value.
     """
-    tokens = _tokenize_config(text)
-    pos = 0
-
-    def parse_block(top: bool):
-        nonlocal pos
-        out: dict = {}
-        while pos < len(tokens):
-            kind, val = tokens[pos]
-            if kind == "}":
-                if top:
-                    raise ModelError("unbalanced '}' in config")
-                pos += 1
-                return out
-            if kind != "WORD":
-                raise ModelError(f"expected key, got {val!r}")
-            key = val
-            pos += 1
-            if pos >= len(tokens):
-                raise ModelError(f"dangling key {key!r} in config")
-            kind, val = tokens[pos]
-            if kind == "{":
-                pos += 1
-                out[key] = parse_block(False)
-            elif kind == "=":
-                pos += 1
-                if pos >= len(tokens):
-                    raise ModelError(f"missing value for key {key!r} in config")
-                kind, val = tokens[pos]
-                if kind == "STR":
-                    out[key] = val
-                    pos += 1
-                elif kind == "WORD":
-                    nums = []
-                    while True:
-                        kind, val = tokens[pos] if pos < len(tokens) else ("", "")
-                        if kind != "WORD":
-                            raise ModelError(f"expected number for key {key!r}")
-                        try:
-                            nums.append(float(val))
-                        except ValueError as exc:
-                            raise ModelError(f"bad number {val!r} for key {key!r}") from exc
-                        if not math.isfinite(nums[-1]):
-                            raise ModelError(f"number {val!r} for key {key!r} is not finite")
-                        pos += 1
-                        if pos < len(tokens) and tokens[pos][0] == ",":
-                            pos += 1
-                        else:
-                            break
-                    out[key] = nums[0] if len(nums) == 1 else nums
-                else:
-                    raise ModelError(f"bad value for key {key!r}")
-            else:
-                raise ModelError(f"expected '=' or '{{' after key {key!r}")
-        if not top:
-            raise ModelError("unbalanced '{' in config")
-        return out
-
-    try:
-        return parse_block(True)
-    except RecursionError as exc:
-        raise ModelError("config sections nested too deeply") from exc
+    tokens = [t for t in _TOKEN.findall(text) if t[0] != "#"]
+    # an unterminated string runs to the end of the text, so it is the last token
+    if tokens and (tokens[-1] == '"' or tokens[-1][0] == '"' != tokens[-1][-1]):
+        raise ModelError("unterminated string in config")
+    tokens += ["", ""]      # the end, and the look-ahead past it
+    stack, i = [{}], 0
+    while tokens[i]:
+        key, sep, value = tokens[i:i + 3]
+        if key == "}":
+            if len(stack) == 1:
+                raise ModelError("unbalanced '}' in config")
+            stack.pop()
+            i += 1
+        elif key[0] in '{=,"':
+            raise ModelError(f"expected key, got {key.strip(chr(34))!r}")
+        elif not sep:
+            raise ModelError(f"dangling key {key!r} in config")
+        elif sep == "{":
+            section = stack[-1][key] = {}
+            stack.append(section)
+            i += 2
+        elif sep != "=":
+            raise ModelError(f"expected '=' or '{{' after key {key!r}")
+        elif not value:
+            raise ModelError(f"missing value for key {key!r} in config")
+        elif value[0] == '"':
+            stack[-1][key] = value[1:-1]
+            i += 3
+        elif value[0] in "{}=,":
+            raise ModelError(f"bad value for key {key!r}")
+        else:
+            nums, i = [], i + 1         # tokens[i] is the '=' or ',' before each number
+            while not nums or tokens[i] == ",":
+                word = tokens[i + 1]
+                if not word or word[0] in '{}=,"':
+                    raise ModelError(f"expected number for key {key!r}")
+                try:
+                    nums.append(float(word))
+                except ValueError as exc:
+                    raise ModelError(f"bad number {word!r} for key {key!r}") from exc
+                if not math.isfinite(nums[-1]):
+                    raise ModelError(f"number {word!r} for key {key!r} is not finite")
+                i += 2
+            stack[-1][key] = nums[0] if len(nums) == 1 else nums
+    if len(stack) > 1:
+        raise ModelError("unbalanced '{' in config")
+    return stack[0]
 
 
 def _function_entry(entry, a: float, d: int, base_dir: Path, what: str,
@@ -394,29 +360,18 @@ def _function_entry(entry, a: float, d: int, base_dir: Path, what: str,
     if isinstance(entry, (int, float)):
         # eval_x / eval_xy spread the constant over the sample shape
         value = float(entry)
-        if two_point:
-            return lambda x, y: value
-        return lambda x: value
+        return (lambda x, y: value) if two_point else (lambda x: value)
     if not isinstance(entry, dict):
         raise ModelError(f"{what}: expected a number or an expr/table section")
     for key in ("expr", "table"):
         if key in entry and not isinstance(entry[key], str):
             raise ModelError(f"{what}: {key} must be a quoted string")
     if "expr" in entry:
-        text = entry["expr"]
-        if d == 1:
-            variables = ("x", "y") if two_point else ("x",)
-            fn = _compile_expr(text, variables)
-            if two_point:
-                return lambda x, y, _f=fn: _f(x=x, y=y)
-            return lambda x, _f=fn: _f(x=x)
-        if d == 2:
-            variables = ("x1", "x2", "y1", "y2") if two_point else ("x1", "x2")
-            fn = _compile_expr(text, variables)
-            if two_point:
-                return lambda x, y, _f=fn: _f(x1=x[..., 0], x2=x[..., 1], y1=y[..., 0], y2=y[..., 1])
-            return lambda x, _f=fn: _f(x1=x[..., 0], x2=x[..., 1])
-        raise ModelError(f"{what}: expression models support d in {{1, 2}}")
+        if (d, two_point) not in _VARIABLES:
+            raise ModelError(f"{what}: expression models support d in {{1, 2}}")
+        fn = _compile_expr(entry["expr"], _VARIABLES[d, two_point])
+        # at d = 2 each coordinate of each point is a variable of its own
+        return fn if d == 1 else lambda *pts: fn(*(p[..., k] for p in pts for k in (0, 1)))
     if "table" in entry:
         if d != 1:
             raise ModelError(f"{what}: tabulated functions are limited to d = 1")

@@ -74,13 +74,14 @@ def consistency_check_adjoint(blocks, spec, grid, seed: int = 0) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def plain_expr(text: str):
+def plain_expr(text: str, variables: tuple[str, ...]):
     """A config expression evaluated as written: every operation makes a new array.
 
     config._compile_expr without its in-place rewrite, for expressions that
     compile there; each rewritten expression must equal it bit for bit.
     """
-    code = compile(config._FloatLiterals().visit(ast.parse(text, mode="eval")), "<plain>", "eval")
+    code = compile(config._FloatLiterals(variables).visit(ast.parse(text, mode="eval")), "<plain>",
+                   "eval")
 
     def fn(**kwargs):
         return eval(code, {"__builtins__": {}, **config._EXPR_FUNCS, **kwargs})

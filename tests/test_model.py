@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fockspectra as fs
-from fockspectra import config
+from fockspectra import blocks, cli, config
 from conftest import make_decoupled, random_trig_model, simpson
 from oracles import negate_model, plain_expr, synthetic_power_model
 
@@ -325,6 +326,92 @@ functions {
 """
 
 
+# each table's name, then its header and its value at (x, y)
+_D1_TABLES = (("w1", "x,value", lambda x, y: 1.0 + 0.1 * x * x),
+              ("v1", "x,y,value", lambda x, y: 2.0 * y * y),
+              ("w2", "x,y,value", lambda x, y: x * x + y * y))
+
+
+def _table_model(tmp_path, nodes, cell=None):
+    """A d = 1 config whose w1, v1 and w2 are tables on the given nodes; cell,
+    if given, replaces one entry of one table: (name, row, column, value)."""
+    for name, header, f in _D1_TABLES:
+        pts = [(x,) for x in nodes] if header == "x,value" else [(x, y) for x in nodes for y in nodes]
+        rows = [[*p, f(p[0], p[-1])] for p in pts]
+        if cell is not None and cell[0] == name:
+            rows[cell[1]][cell[2]] = cell[3]
+        _write_csv(tmp_path / f"{name}.csv", header, rows)
+    path = tmp_path / "tables.cfg"
+    path.write_text("domain { d = 1  a = 1.0 }\nfunctions {\n  w0 = 0\n  v0 = 0\n"
+                    + "".join(f'  {name} {{ table = "{name}.csv" }}\n' for name, _, _ in _D1_TABLES)
+                    + "}\n")
+    return path
+
+
+@pytest.mark.parametrize("cell", [("v1", 20 * 41 + 20, 2, math.nan), ("w1", 3, 1, math.inf),
+                                  ("w2", 0, 2, -math.inf), ("w1", 20, 0, math.nan)],
+                         ids=["nan", "inf", "-inf", "nan-node"])
+def test_config_table_entries_must_be_finite(tmp_path, cell):
+    # a v1 nan at (0, 0) once passed check-model at n = 8, whose nodes miss it,
+    # and failed essspec at n = 32 with an analysis error (exit 2); a nan node
+    # compares false, so it passed the check for increasing nodes
+    path = _table_model(tmp_path, np.linspace(-1.0, 1.0, 41), cell)
+    with pytest.raises(fs.ModelError, match="finite"):
+        fs.load_model(path)
+    assert cli.main(["check-model", "--model", str(path), "--n", "8",
+                     "--out", str(tmp_path / "out")]) == 1
+
+
+def test_tabulated_two_point_function_holds_three_row_blocks(tmp_path, monkeypatch):
+    # the cell fractions come from the unbroadcast points, and the bilinear sum
+    # writes its four terms into one array: that array, one term and the
+    # term's table gather
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 1)
+    spec = fs.load_model(_table_model(tmp_path, np.linspace(-1.0, 1.0, 41)))
+    g = fs.make_grid(1, spec.a, 1024)
+    rows = blocks.row_blocks(g.n, g.n)[0]
+    block = (rows.stop - rows.start) * g.n * 8
+    x = np.linspace(-0.9, 0.9, rows.stop - rows.start)[:, None]
+    y = g.nodes[None, :, 0]
+
+    def peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: spec.v1(x, y)) <= 3.25 * block
+    # the symbol at points adds its w2 block
+    pts = np.linspace(-0.9, 0.9, 2 * (rows.stop - rows.start))[:, None]
+    assert peak(lambda: fs.delta_at_points(spec, g, pts, -0.5)) <= 4.25 * block + (256 << 10)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('a { b { c = 1 } d = "s" } e { }', {"a": {"b": {"c": 1.0}, "d": "s"}, "e": {}}),
+    ("k = 1\nk = 2\ns { x = 1 }\ns { y = 2 }", {"k": 2.0, "s": {"y": 2.0}}),
+    ("v = 1, -2.5 ,3e2\nw = 4", {"v": [1.0, -2.5, 300.0], "w": 4.0}),
+    ("a = 1# note\nb#\n= 2#y\n", {"a": 1.0, "b": 2.0}),
+    ('e = "x +\n  y # kept"', {"e": "x +\n  y # kept"}),
+    ("a\fb = 1\r\n\tc = 2", {"a\fb": 1.0, "c": 2.0}),
+    ('a = "x', "unterminated string"),
+    ("a = 1 }", "unbalanced '}'"),
+    ("a { b { c = 1 }", "unbalanced '{'"),
+    ("{ a = 1 }", "expected key"),
+    ("a = {", "bad value"),
+], ids=["nested", "repeated-key", "comma-list", "hash-ends-word", "multiline-string",
+        "form-feed-in-word", "unterminated-string", "unbalanced-close", "unbalanced-open",
+        "open-for-key", "open-for-value"])
+def test_parse_config_grammar(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(fs.ModelError, match=expected):
+            config._parse_config(text)
+    else:
+        assert config._parse_config(text) == expected
+
+
 def test_config_rejects_unknown_names(tmp_path):
     cfg = """
 domain { d = 1  a = 1.0 }
@@ -418,7 +505,7 @@ def test_in_place_expressions_equal_the_plain_evaluation_bit_for_bit(data, d):
               **{n: Y[..., k] for k, n in enumerate(ynames)}}
     with np.errstate(all="ignore"):
         got = np.asarray(fn(**kwargs))
-        want = np.asarray(plain_expr(text)(**kwargs))
+        want = np.asarray(plain_expr(text, xnames + ynames)(**kwargs))
     assert (got.shape, got.dtype) == (want.shape, want.dtype), text
     assert got.tobytes() == want.tobytes(), text
     assert X.tobytes() + Y.tobytes() == before, text

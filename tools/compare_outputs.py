@@ -8,8 +8,9 @@ command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) and the commands of
 Gauss-Legendre nodes, a two-sided ``discrete`` with over a hundred roots
 above M, ``singular-seq`` with two centres at d = 1 and d = 2, and a d = 1
 model with Sigma_2 roots on both sides, ``D1_BOTH``, and ``finiteness`` on
-that model, on Gauss-Legendre nodes and with more than three levels, and a
-d = 2 model whose v1 depends on x, ``D2_COUPLED``) as
+that model, on Gauss-Legendre nodes and with more than three levels, a
+d = 2 model whose v1 depends on x, ``D2_COUPLED``, and that d = 1 model as
+tables, ``D1_TABLE``) as
 ``python -m fockspectra.cli`` in each checkout: from its root, with its own
 ``src/`` on the path, BLAS threads pinned as the benchmark pins them, and a
 fresh output directory per command (``list-models`` takes no ``--out``).
@@ -40,6 +41,7 @@ NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 # every compared checkout reads the same file whether or not it has one of its own
 D1_BOTH = str(Path(__file__).resolve().parent / "d1-sigma2-both.cfg")
 D2_COUPLED = str(Path(__file__).resolve().parent / "d2-coupled.cfg")
+D1_TABLE = str(Path(__file__).resolve().parent / "d1-table.cfg")
 
 # paths that neither the README nor the benchmark runs; 0.2-2 s each
 EXTRA = (
@@ -70,6 +72,11 @@ EXTRA = (
     ["essspec", "--model", D2_COUPLED, "--n", "16"],
     ["discrete", "--model", D2_COUPLED, "--n", "10", "--side", "both"],
     ["finiteness", "--model", D2_COUPLED, "--n", "8", "--levels", "3"],
+    # no other command reads a table: one-point (np.interp) and bilinear ones
+    ["essspec", "--model", D1_TABLE, "--n", "64"],
+    ["discrete", "--model", D1_TABLE, "--n", "32", "--side", "both"],
+    ["bs-check", "--model", D1_TABLE, "--n", "16", "--z", "-0.11"],
+    ["finiteness", "--model", D1_TABLE, "--n", "16", "--levels", "3"],
 )
 
 
