@@ -45,8 +45,8 @@ class DiscreteBlocks:
 
 
 def coupling_dtype(ms: MeshSamples) -> type:
-    """The dtype of h01, h12 and A: complex128 when v1 or v0 is complex, else float64."""
-    return np.complex128 if np.iscomplexobj(ms.V1) or np.iscomplexobj(ms.v0) else np.float64
+    """The dtype of h12 and A: complex128 when v1 is complex, else float64 (v0 never enters A)."""
+    return np.complex128 if np.iscomplexobj(ms.V1) else np.float64
 
 
 def assemble_blocks(spec: ModelSpec, grid: Grid) -> DiscreteBlocks:
@@ -69,7 +69,7 @@ def assemble_blocks(spec: ModelSpec, grid: Grid) -> DiscreteBlocks:
     h12[j[off], cols[off]] = np.sqrt(w[i[off]] / 2.0) * ms.V1[j[off], i[off]]
     h12[i[diag], cols[diag]] = np.sqrt(w[i[diag]]) * ms.V1[i[diag], i[diag]]
 
-    h01 = (np.sqrt(w) * ms.v0).astype(dtype)
+    h01 = np.sqrt(w) * ms.v0
     h22 = ms.W2[i, j]
     return DiscreteBlocks(
         h00=float(spec.w0), h01=h01, h11=ms.w1.copy(), h12=h12, h22=h22,

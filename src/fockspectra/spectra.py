@@ -430,7 +430,8 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, zs) -> list[CountingResu
     meaningful when that tally is zero.  A does not depend on z, so it is
     eigensolved once for all zs; MatrixTooLargeError is raised before it or
     the dense (N, P) coupling block is allocated if A and the eigensolver's
-    copy exceed physical memory.  S and T at each z come from one schur_eval;
+    copy exceed physical memory, and before the grid is sampled when even a
+    float64 A would.  S and T at each z come from one schur_eval;
     a z that is not finite is a ValueError before anything is sampled.
     """
     from . import operators      # the dense reduced matrix is this leg's alone
@@ -438,9 +439,9 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, zs) -> list[CountingResu
     if not np.all(np.isfinite(zs)):
         raise ValueError("every z must be finite")
     dim = grid.n + grid.n * (grid.n + 1) // 2
-    itemsize = np.dtype(operators.coupling_dtype(mesh_samples(spec, grid))).itemsize
-    need = 2 * dim * dim * itemsize
-    have = _physical_memory_bytes()
+    need, have = 2 * dim * dim * 8, _physical_memory_bytes()     # a float64 A and its copy
+    if need <= have < 2 * need:         # only a complex A would not fit: the samples decide
+        need *= np.dtype(operators.coupling_dtype(mesh_samples(spec, grid))).itemsize // 8
     if need > have:
         raise MatrixTooLargeError(
             f"the {dim} x {dim} reduced matrix and its eigensolver copy need "

@@ -1,20 +1,22 @@
 """Proof-device verification: singular-sequence decay.
 
 Any value z0 = w2(x0, y0) is essential spectrum, witnessed by an orthonormal
-sequence of dyadic annular bumps
+sequence of dyadic ring bumps
 
     phi_n(x) = 2^{nd/2} chi(2^n (x - x0) / rho),
 
-with chi the normalized characteristic function of the annulus
-{1/2 <= ||x|| <= 1}; rho rescales the annulus so every level fits inside
+with chi the normalized characteristic function of the max-norm ring
+{1/2 < ||x||_inf <= 1}; rho rescales the ring so every level fits inside
 Omega (and, for x0 != y0, keeps the two bump families disjoint).  The
 two-boson states psi_n are the (symmetrized) products, and both
 || H12 psi_n || and || (H22 - z0) psi_n || must decay, the former at the
 Hoelder rate 2^{n d (1/2 - 1/q) + 1} with q = (2 + eps)/(1 + eps).
 
-Norms are computed on quadrature grids aligned with the dyadic supports; the
-global analysis grid cannot resolve 2^-n features, so it is never used here.
-Both norms are streamed in row blocks on the block threads (blocks.map_blocks).
+Level n is the midpoint lattice of grid.make_grid on its ring's outer cube,
+less the nodes of the inner cube; the cut lies on cell faces, so the weights
+sum to the ring's measure.  The global analysis grid cannot resolve 2^-n
+features, so it is never used here.  Both norms are streamed in row blocks
+on the block threads (blocks.map_blocks).
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ import math
 import numpy as np
 
 from .blocks import map_blocks
+from .grid import make_grid
 from .model import ModelSpec, _owned, eval_xy
 
-ANNULUS_CELLS = 128     # quadrature cells per annulus segment
+ANNULUS_CELLS = 128     # cells across a ring at d = 1; ANNULUS_CELLS >> 4 (d - 1) in d dimensions
 
 
 def _auto_rho(spec: ModelSpec, x0: np.ndarray, y0: np.ndarray) -> float:
@@ -34,28 +37,23 @@ def _auto_rho(spec: ModelSpec, x0: np.ndarray, y0: np.ndarray) -> float:
     dist_y = spec.a - float(np.max(np.abs(y0)))
     rho = min(1.0, 0.9 * dist_x, 0.9 * dist_y)
     if not np.array_equal(x0, y0):
-        rho = min(rho, 0.5 * float(np.linalg.norm(x0 - y0)))
+        rho = min(rho, 0.5 * float(np.max(np.abs(x0 - y0))))
     return rho
 
 
-def _cells(d: int) -> tuple[int, int]:
-    """Radial and angular cell counts of an annulus quadrature; at d = 1 the two sides."""
-    if d == 1:
-        return ANNULUS_CELLS, 2
-    if d == 2:
-        n_r = max(8, ANNULUS_CELLS // 8)
-        return n_r, 8 * n_r
-    raise NotImplementedError("annulus quadrature implemented for d <= 2")
+def _ring(d: int, rho: float) -> tuple[int, float]:
+    """Cells m across a ring, each axis, and the measure of the ring rho/2 < ||x||_inf <= rho."""
+    return max(1, ANNULUS_CELLS >> 4 * (d - 1)), (2.0**d - 1.0) * rho**d
 
 
 def check_inputs(spec: ModelSpec, x0, y0, n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
     """The centres x0, y0 as points of shape (d,) and the bump scale rho, once checked.
 
     ValueError unless x0 and y0 each have d coordinates inside Omega, n_max is
-    at least 1, the level-1 supports lie inside Omega, each cell side at
-    level n_max (radial, or the arc at r_in) is at least the float spacing at
-    max |c| + r_out, c the centres (finer cells round their nodes onto c), and
-    the squared amplitude 2^(n_max d) / |annulus(rho/2, rho)| is finite.
+    at least 1, the level-1 supports lie inside Omega, the cell width
+    r_out / 2m at level n_max is at least the float spacing at max |c| + r_out,
+    c the centres (finer cells round their nodes onto c), and the squared
+    amplitude 2^(n_max d) / |ring(rho/2, rho)| is finite.
     """
     x0, y0 = (np.atleast_1d(np.asarray(p, dtype=float)).reshape(-1) for p in (x0, y0))
     if x0.size != spec.d or y0.size != spec.d or not np.all(np.abs(np.r_[x0, y0]) < spec.a):
@@ -67,44 +65,24 @@ def check_inputs(spec: ModelSpec, x0, y0, n_max: int) -> tuple[np.ndarray, np.nd
     reach = float(np.max(np.abs(np.r_[x0, y0])))
     if reach + rho / 2.0 >= spec.a:
         raise ValueError("bump support at level 1 escapes Omega")
-    n_r, n_t = _cells(spec.d)
-    r_in, r_out = rho * 2.0 ** (-n_max - 1), rho * 2.0 ** (-n_max)
-    if min((r_out - r_in) / n_r, 2.0 * math.pi * r_in / n_t) < np.spacing(reach + r_out):
-        raise ValueError(f"n_max = {n_max} is finer than float resolution: its annulus cells "
+    m, measure = _ring(spec.d, rho)
+    r_out = rho * 2.0 ** (-n_max)
+    if r_out / (2 * m) < np.spacing(reach + r_out):
+        raise ValueError(f"n_max = {n_max} is finer than float resolution: its ring cells "
                          "are narrower than the spacing of floats at their centre")
-    if n_max * spec.d - math.log2(_annulus_volume(spec.d, rho / 2.0, rho)) >= 1024:
+    if n_max * spec.d - math.log2(measure) >= 1024:
         raise ValueError(f"n_max = {n_max} overflows the squared bump amplitude")
     return x0, y0, rho
 
 
-def _annulus_quadrature(d: int, center: np.ndarray, r_in: float, r_out: float):
-    """Midpoint nodes/weights on the annulus r_in <= ||x - center|| <= r_out."""
-    n_r, n_t = _cells(d)
-    hr = (r_out - r_in) / n_r
-    r = r_in + (np.arange(n_r) + 0.5) * hr
-    if d == 1:
-        nodes = np.concatenate([center[0] + r, center[0] - r])[:, None]
-        return nodes, np.full(2 * n_r, hr)
-    ht = 2.0 * math.pi / n_t
-    t = (np.arange(n_t) + 0.5) * ht
-    R, T = np.meshgrid(r, t, indexing="ij")
-    nodes = np.stack([center[0] + (R * np.cos(T)).ravel(),
-                      center[1] + (R * np.sin(T)).ravel()], axis=-1)
-    return nodes, (R * hr * ht).ravel()
-
-
-def _annulus_volume(d: int, r_in: float, r_out: float) -> float:
-    if d == 1:
-        return 2.0 * (r_out - r_in)
-    return math.pi * (r_out**2 - r_in**2)
-
-
 def _level(spec: ModelSpec, center: np.ndarray, n: int, rho: float):
-    r_in = rho * 2.0 ** (-n - 1)
+    """Nodes, weights and amplitude of the ring r_out/2 < ||x - center||_inf <= r_out = rho 2^-n."""
+    m, measure = _ring(spec.d, rho)
     r_out = rho * 2.0 ** (-n)
-    nodes, weights = _annulus_quadrature(spec.d, center, r_in, r_out)
-    amp = 2.0 ** (n * spec.d / 2.0) / math.sqrt(_annulus_volume(spec.d, rho / 2.0, rho))
-    return nodes, weights, amp
+    grid = make_grid(spec.d, r_out, 4 * m)
+    keep = np.max(np.abs(grid.nodes), axis=1) > r_out / 2.0
+    amp = 2.0 ** (n * spec.d / 2.0) / math.sqrt(measure)
+    return center + grid.nodes[keep], grid.weights[keep], amp
 
 
 def _h12_term(spec: ModelSpec, xn, xw, xamp, sn, sw, samp) -> float:
@@ -166,4 +144,3 @@ def h12_decay_bound(constant: float, n: int, d: int, epsilon: float) -> float:
     """The Hoelder decay bound constant * 2^{n d (1/2 - 1/q) + 1}."""
     q = holder_conjugate(epsilon)
     return constant * 2.0 ** (n * d * (0.5 - 1.0 / q) + 1.0)
-

@@ -25,7 +25,7 @@ RANK_BOUND = 3   # discarded vacuum row/column plus the vacuum eigenvalue
 def assemble_full(blocks: fs.DiscreteBlocks) -> np.ndarray:
     """Dense Hermitian matrix of the full 3x3 operator, dimension 1 + N + P."""
     n, p = blocks.n, blocks.p
-    H = np.zeros((1 + n + p, 1 + n + p), dtype=blocks.dtype)
+    H = np.zeros((1 + n + p, 1 + n + p), dtype=np.result_type(blocks.h12, blocks.h01))
     H[0, 0] = blocks.h00
     H[0, 1:1 + n] = blocks.h01
     H[1:1 + n, 0] = np.conj(blocks.h01)

@@ -188,6 +188,19 @@ def test_bs_check_refuses_a_matrix_beyond_physical_memory(tmp_path, monkeypatch,
     assert "physical memory" in capsys.readouterr().err
 
 
+def test_bs_check_refuses_an_oversized_matrix_before_sampling_the_grid(tmp_path, monkeypatch,
+                                                                      capsys):
+    # even a float64 A at the d = 2 cap needs far more than physical memory: the
+    # refusal comes from the dimensions alone, before the N x N samples are built
+    for module in (spectra, operators):
+        monkeypatch.setattr(module, "mesh_samples", lambda *args: pytest.fail("sampled the grid"))
+    model = README.parent / "bench" / "models" / "d2-sigma2-both.cfg"
+    rc = cli.main(["bs-check", "--model", str(model), "--n", "48", "--z", "-2",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_config_literal_overflow_exits_1_without_hanging(tmp_path):
     # exact integer arithmetic would compute 9**9**9 for hours before overflowing
     cfg = tmp_path / "huge.cfg"

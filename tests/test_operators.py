@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,3 +143,18 @@ def test_mnr_reduced_matrix_has_negative_eigenvalue(mnr):
     assert np.linalg.eigvalsh(A)[0] < 0.0
 
 
+
+
+def test_a_complex_v0_alone_leaves_a_and_h12_real(mnr):
+    # v0 enters only the vacuum row h01, which A does not hold
+    spec = dataclasses.replace(mnr, v0=lambda x: (0.3 + 0.2j) * np.cos(x))
+    g = fs.make_grid(1, spec.a, 8)
+    blocks = fs.assemble_blocks(spec, g)
+    assert blocks.h12.dtype == fs.assemble_A(blocks).dtype == np.float64
+    assert blocks.h01.dtype == np.complex128
+    H = assemble_full(blocks)
+    assert H.dtype == np.complex128 and np.array_equal(H, H.conj().T)
+    assert np.array_equal(H[0, 1:1 + g.n], blocks.h01)
+    for z in (-0.25, -0.01):
+        res = fs.birman_schwinger_check(spec, g, z)
+        assert res.agree and res.boundary == 0

@@ -567,6 +567,19 @@ def test_bs_sweep_refuses_a_non_finite_z_before_sampling(mnr, monkeypatch, z):
         fs.birman_schwinger_sweep(mnr, g, [-0.5, z])
 
 
+def test_bs_sweep_budgets_a_complex_matrix_at_sixteen_bytes(monkeypatch):
+    # with room for a float64 A and its copy but not a complex one, the samples decide
+    spec = complex_coupling_model()
+    real = dataclasses.replace(spec, v1=lambda x, y: np.cos(x - 2.0 * y))
+    g = fs.make_grid(1, spec.a, 8)
+    dim = g.n + g.n * (g.n + 1) // 2
+    monkeypatch.setattr(spectra, "_physical_memory_bytes", lambda: 2 * dim * dim * 8)
+    z = fs.essential_spectrum(real, g).sess_min - 0.5
+    assert len(spectra.birman_schwinger_sweep(real, g, [z])) == 1
+    with pytest.raises(spectra.MatrixTooLargeError, match="physical memory"):
+        spectra.birman_schwinger_sweep(spec, g, [z])
+
+
 @pytest.mark.parametrize("case", ["mnr-infinite", "complex"])
 def test_bs_sweep_legs_read_one_schur_evaluation(case, monkeypatch):
     # the S leg is s_matrix, the T leg bs_operator,

@@ -1,4 +1,5 @@
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -143,3 +144,57 @@ def test_singular_sequence_norms_refuse_an_overflowing_amplitude(case, x0, large
     monkeypatch.setattr(verify, "_level", lambda *args: pytest.fail("a level ran"))
     with pytest.raises(ValueError, match=f"n_max = {largest + 1} overflows"):
         fs.singular_sequence_norms(spec, x0, x0, largest + 1)
+
+
+@pytest.mark.parametrize("d, nodes", [(1, 256), (2, 768), (3, 56)])
+def test_level_is_the_max_norm_ring_of_its_scale(d, nodes):
+    # the parent's annulus quadrature used 256 nodes at d = 1, 2048 at d = 2, none at d = 3
+    spec = make_decoupled(lambda x: 1.0, lambda x, y: 0.0, a=2.0, d=d)
+    centre, rho = np.linspace(-0.3, 0.2, d), 0.7
+    radii = []
+    for n in (1, 2, 3, 4):
+        xn, xw, amp = verify._level(spec, centre, n, rho)
+        r_out = rho * 2.0 ** (-n)
+        r = np.max(np.abs(xn - centre), axis=1)
+        assert xn.shape == (nodes, d) and xw.shape == (nodes,)
+        assert np.all((r > r_out / 2.0) & (r <= r_out))
+        assert np.sum(xw) == pytest.approx((2.0**d - 1.0) * r_out**d, rel=1e-12, abs=0)
+        assert np.sum(xw) * amp**2 == pytest.approx(1.0, rel=1e-12, abs=0)
+        radii.append((r.min(), r.max()))
+    # each level lies strictly inside the inner cube of the one before: disjoint supports
+    assert all(inner_max < outer_min for (outer_min, _), (_, inner_max) in zip(radii, radii[1:]))
+
+
+def _spec_d3():
+    return fs.ModelSpec(d=3, a=1.0, w0=0.0, v0=lambda x: 0.0,
+                        w1=lambda x: 1.0 + 0.1 * np.sum(x**2, axis=-1),
+                        v1=lambda x, y: 0.5 * np.sum(y**2, axis=-1) + 0.0 * np.sum(x, axis=-1),
+                        w2=lambda x, y: np.sum(x**2, axis=-1) + np.sum(y**2, axis=-1))
+
+
+def test_singular_sequence_runs_at_d3():
+    spec, x0 = _spec_d3(), np.array([0.2, -0.1, 0.3])
+    for y0 in (x0, np.array([-0.3, 0.2, 0.1])):
+        rows = fs.singular_sequence_norms(spec, x0, y0, 5)
+        h22 = [r[2] for r in rows]
+        assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
+        assert all(np.isfinite(r[1]) and r[1] > 0.0 for r in rows)
+        assert all(b < a for a, b in zip(h22, h22[1:]))
+    gram = singular_sequence_gram(spec, x0, np.array([-0.3, 0.2, 0.1]), 4)
+    assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
+
+
+def test_seeded_d2_singular_sequences_pass_the_bench_checks():
+    # the checks bench/checks.py applies to singular-seq, whose outputs no reference pins:
+    # ||H12 psi_n|| within the Hoelder bound and ||(H22 - z0) psi_n|| strictly decreasing,
+    # on centres drawn as bench/run.py draws them
+    spec = fs.load_model(BENCH_MODELS / "d2-sigma2-empty.cfg")
+    chk = fs.check_assumption_a(spec, fs.make_grid(2, spec.a, 16))
+    rng = random.Random(0)
+    for _ in range(20):
+        x0 = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)])
+        rows = fs.singular_sequence_norms(spec, x0, x0, 8)
+        for n, h12, _ in rows:
+            assert 0.0 <= h12 <= fs.h12_decay_bound(chk.sup_norm_2pe, n, spec.d, spec.epsilon)
+        h22 = [r[2] for r in rows]
+        assert all(b < a for a, b in zip(h22, h22[1:])), x0

@@ -6,7 +6,8 @@ Runs every command of the README's CLI section, every benchmark workload
 command for seeds 0 and 1 (``WORKLOADS`` in bench/run.py) and the commands of
 ``EXTRA`` (the dense ``discrete``/``bs-check`` legs at d = 2 and on
 Gauss-Legendre nodes, a two-sided ``discrete`` with over a hundred roots
-above M, ``singular-seq`` with two centres at d = 1 and d = 2, and a d = 1
+above M, ``singular-seq`` with two centres at d = 1 and d = 2 and with one
+fixed centre through deep levels at d = 2, and a d = 1
 model with Sigma_2 roots on both sides, ``D1_BOTH``, and ``finiteness`` on
 that model, on Gauss-Legendre nodes and with more than three levels, a
 d = 2 model whose v1 depends on x, ``D2_COUPLED``, and that d = 1 model as
@@ -58,6 +59,9 @@ EXTRA = (
      "--n-max", "5"],
     ["singular-seq", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "8", "--x0=0.1,-0.2",
      "--y0=0.3,0.2", "--n-max", "4"],
+    # one seed-independent centre at d = 2, through rings 2^-24 of the bump scale
+    ["singular-seq", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "8", "--x0=0,0",
+     "--n-max", "24"],
     # 98 roots below m and 92 above M at n = 256, advanced by the same Newton steps
     ["essspec", "--model", D1_BOTH, "--n", "256"],
     ["discrete", "--model", D1_BOTH, "--n", "64", "--side", "both"],
