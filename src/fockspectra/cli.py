@@ -13,7 +13,9 @@ list-models   names of the built-in models
 All commands write ``report.txt`` plus command-specific CSV files into the
 output directory and print the report to stdout.  Exit status: 0 success,
 1 usage error, 2 analysis failure.  Outputs are deterministic: identical
-invocations produce byte-identical files.
+invocations produce byte-identical files.  The output directory is created
+only once the arguments and the model have passed their checks, so a
+command refused for them creates nothing.
 
 Each command imports the analysis modules it runs inside its handler, so a
 process loads only those.  The process entry (``python -m fockspectra.cli``
@@ -67,8 +69,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 class _Report:
-    def __init__(self, command: str, args):
-        self.lines = [f"command: {command}",
+    def __init__(self, args):
+        self.out = Path(args.out)
+        self.lines = [f"command: {args.command}",
                       f"model: {args.model}",
                       f"n_per_dim: {args.n}",
                       f"rule: {args.rule}"]
@@ -77,12 +80,11 @@ class _Report:
         self.lines.append(f"{key}: {_fmt(value)}")
 
     def section(self, name):
-        self.lines.append("")
-        self.lines.append(f"== {name} ==")
+        self.lines += ["", f"== {name} =="]
 
-    def write(self, out_dir: Path):
+    def write(self):
         text = "\n".join(self.lines) + "\n"
-        (out_dir / "report.txt").write_text(text)
+        (self.out / "report.txt").write_text(text)
         sys.stdout.write(text)
 
 
@@ -100,7 +102,16 @@ def _load(args):
     return spec, g
 
 
-def _require_assumption_a(spec, g, report):
+def _begin(args, spec, g):
+    """Create --out and open the report with its header and assumption check.
+
+    Called once a command's own checks have passed: a refused one creates nothing.
+    """
+    report = _Report(args)
+    try:
+        report.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out!r} cannot be created as a directory: {exc}") from exc
     chk = model_mod.check_assumption_a(spec, g)
     report.section("assumption-check")
     report.kv("sup_norm_2pe", chk.sup_norm_2pe)
@@ -110,7 +121,7 @@ def _require_assumption_a(spec, g, report):
     if not chk.passed:
         raise model_mod.ModelError(
             "Assumption A check failed: coupling norms or w2 symmetry out of bounds")
-    return chk
+    return report, chk
 
 
 def _node_columns(d: int):
@@ -123,20 +134,18 @@ def _cmd_list_models(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check_model(args, out_dir: Path) -> int:
+def _cmd_check_model(args) -> int:
     spec, g = _load(args)
-    report = _Report("check-model", args)
-    _require_assumption_a(spec, g, report)
-    report.write(out_dir)
+    report, _ = _begin(args, spec, g)
+    report.write()
     return EXIT_OK
 
 
-def _cmd_essspec(args, out_dir: Path) -> int:
+def _cmd_essspec(args) -> int:
     from . import schur, spectra
 
     spec, g = _load(args)
-    report = _Report("essspec", args)
-    _require_assumption_a(spec, g, report)
+    report, _ = _begin(args, spec, g)
     ess = spectra.essential_spectrum(spec, g)
     report.section("sigma1")
     report.kv("m", ess.m)
@@ -151,23 +160,22 @@ def _cmd_essspec(args, out_dir: Path) -> int:
     report.kv("sess_max", ess.sess_max)
 
     cols = _node_columns(spec.d)
-    _write_csv(out_dir / "sigma2.csv", ["side"] + cols + ["root"],
+    _write_csv(report.out / "sigma2.csv", ["side"] + cols + ["root"],
                [(name, *g.nodes[r], z) for name, side in (("left", ess.left), ("right", ess.right))
                 for r, z in zip(*side)])
     zs = [ess.sess_min - 1.0, ess.sess_max + 1.0]
     vals = schur.delta_values(spec, g, zs)
     rows = [(*g.nodes[i], z, row[i]) for z, row in zip(zs, vals) for i in range(g.n)]
-    _write_csv(out_dir / "delta_profile.csv", cols + ["z", "delta"], rows)
-    report.write(out_dir)
+    _write_csv(report.out / "delta_profile.csv", cols + ["z", "delta"], rows)
+    report.write()
     return EXIT_OK
 
 
-def _cmd_discrete(args, out_dir: Path) -> int:
+def _cmd_discrete(args) -> int:
     from . import spectra
 
     spec, g = _load(args)
-    report = _Report("discrete", args)
-    _require_assumption_a(spec, g, report)
+    report, _ = _begin(args, spec, g)
     ess = spectra.essential_spectrum(spec, g)
     report.section("sigma1")
     report.kv("m", ess.m)
@@ -182,15 +190,13 @@ def _cmd_discrete(args, out_dir: Path) -> int:
             report.kv("count", ev.size)
             for v in ev:
                 report.kv("eigenvalue", float(v))
-    report.write(out_dir)
+    report.write()
     return EXIT_OK
 
 
-def _cmd_bs_check(args, out_dir: Path) -> int:
+def _cmd_bs_check(args) -> int:
     from . import spectra
 
-    if (args.z is None) == (args.z_sweep is None):
-        raise UsageError("bs-check needs exactly one of --z or --z-sweep")
     if args.z is not None:
         zs = [args.z]
     else:
@@ -206,34 +212,28 @@ def _cmd_bs_check(args, out_dir: Path) -> int:
     if not np.all(np.isfinite(zs)):
         raise UsageError("every z must be finite")
     spec, g = _load(args)
-    report = _Report("bs-check", args)
-    _require_assumption_a(spec, g, report)
+    report, _ = _begin(args, spec, g)
     report.section("counting-checks")
     try:
         results = spectra.birman_schwinger_sweep(spec, g, [float(z) for z in zs])
     except spectra.MatrixTooLargeError as exc:
         raise UsageError(str(exc)) from exc
-    rows = []
-    all_agree = True
-    for res in results:
-        rows.append((res.z, res.count_A, res.count_S, res.count_T, res.boundary,
-                     str(res.agree).lower()))
-        report.kv("z", res.z)
-        report.kv("count_A", res.count_A)
-        report.kv("count_S", res.count_S)
-        report.kv("count_T", res.count_T)
-        report.kv("agree", str(res.agree).lower())
-        all_agree = all_agree and res.agree
-    _write_csv(out_dir / "counting.csv",
-               ["z", "count_A", "count_S", "count_T", "boundary", "agree"], rows)
-    report.write(out_dir)
-    if not all_agree:
+    header = ["z", "count_A", "count_S", "count_T", "boundary", "agree"]
+    rows = [(res.z, res.count_A, res.count_S, res.count_T, res.boundary, str(res.agree).lower())
+            for res in results]
+    for row in rows:
+        for key, value in zip(header, row):
+            if key != "boundary":
+                report.kv(key, value)
+    _write_csv(report.out / "counting.csv", header, rows)
+    report.write()
+    if not all(res.agree for res in results):
         sys.stderr.write("bs-check: counting identity FAILED\n")
         return EXIT_ANALYSIS
     return EXIT_OK
 
 
-def _cmd_finiteness(args, out_dir: Path) -> int:
+def _cmd_finiteness(args) -> int:
     from . import finiteness, spectra
 
     if args.levels < 3:
@@ -243,14 +243,13 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
     if args.levels > (finest // args.n).bit_length():       # n 2^(levels - 1) > finest
         raise UsageError(f"--levels {args.levels} refines --n {args.n} past {finest} nodes "
                          f"per axis, the finest grid allowed for d = {spec.d}")
-    report = _Report("finiteness", args)
-    _require_assumption_a(spec, g, report)
+    report, _ = _begin(args, spec, g)
     ess = spectra.essential_spectrum(spec, g)
     t0 = finiteness.locate_t0(spec, ess)
     if t0 is None:
         report.section("minimizer")
         report.kv("t0", "not-located")
-        report.write(out_dir)
+        report.write()
         sys.stderr.write("finiteness: no unique diagonal minimizer located\n")
         return EXIT_ANALYSIS
     est = finiteness.estimate_exponents(spec, g, ess, t0)
@@ -280,12 +279,12 @@ def _cmd_finiteness(args, out_dir: Path) -> int:
         rows.append(("alpha", r, a_))
         rows.append(("beta", r, b_))
         rows.append(("gamma", r, g_))
-    _write_csv(out_dir / "exponents.csv", ["exponent", "shell_radius", "statistic"], rows)
-    report.write(out_dir)
+    _write_csv(report.out / "exponents.csv", ["exponent", "shell_radius", "statistic"], rows)
+    report.write()
     return EXIT_OK
 
 
-def _cmd_singular_seq(args, out_dir: Path) -> int:
+def _cmd_singular_seq(args) -> int:
     from . import verify
 
     spec, g = _load(args)
@@ -295,8 +294,7 @@ def _cmd_singular_seq(args, out_dir: Path) -> int:
         verify.check_inputs(spec, x0, y0, args.n_max)
     except ValueError as exc:
         raise UsageError(f"bad --x0/--y0/--n-max: {exc}") from exc
-    report = _Report("singular-seq", args)
-    chk = _require_assumption_a(spec, g, report)
+    report, chk = _begin(args, spec, g)
     rows = verify.singular_sequence_norms(spec, x0, y0, args.n_max)
     report.section("singular-seq")
     out_rows = []
@@ -304,9 +302,9 @@ def _cmd_singular_seq(args, out_dir: Path) -> int:
         bound = verify.h12_decay_bound(chk.sup_norm_2pe, n, spec.d, spec.epsilon)
         out_rows.append((n, h12, h22, bound))
         report.kv("level", f"n={n} h12={_fmt(h12)} h22_shift={_fmt(h22)} bound={_fmt(bound)}")
-    _write_csv(out_dir / "singular_seq.csv",
+    _write_csv(report.out / "singular_seq.csv",
                ["n", "norm_h12", "norm_h22_shift", "bound"], out_rows)
-    report.write(out_dir)
+    report.write()
     return EXIT_OK
 
 
@@ -315,40 +313,36 @@ def _build_parser() -> _Parser:
                      description="spectral analysis of the truncated-Fock-space operator matrix")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--model", required=True,
                        help="builtin name or path to a model config file")
         p.add_argument("--n", type=int, default=32, help="nodes per dimension")
-        p.add_argument("--rule", choices=("midpoint", "gauss-legendre"), default="midpoint")
+        p.add_argument("--rule", choices=grid_mod.RULES, default="midpoint")
         p.add_argument("--out", default=".", help="output directory")
+        return p
 
-    p = sub.add_parser("essspec", help="essential spectrum")
-    common(p)
+    command("essspec", _cmd_essspec, "essential spectrum")
 
-    p = sub.add_parser("discrete", help="discrete spectrum outside the essential spectrum")
-    common(p)
+    p = command("discrete", _cmd_discrete, "discrete spectrum outside the essential spectrum")
     p.add_argument("--side", choices=("below", "above", "both"), default="both")
 
-    p = sub.add_parser("bs-check", help="Birman-Schwinger counting agreement")
-    common(p)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--z-sweep", default=None,
-                   help="lo:hi:count (use --z-sweep=-1:-0.3:4 for negative lo)")
+    p = command("bs-check", _cmd_bs_check, "Birman-Schwinger counting agreement")
+    z = p.add_mutually_exclusive_group(required=True)
+    z.add_argument("--z", type=float)
+    z.add_argument("--z-sweep", help="lo:hi:count (use --z-sweep=-1:-0.3:4 for negative lo)")
 
-    p = sub.add_parser("finiteness", help="finiteness criterion for the discrete spectrum")
-    common(p)
+    p = command("finiteness", _cmd_finiteness, "finiteness criterion for the discrete spectrum")
     p.add_argument("--levels", type=int, default=3, help="refinement levels (>= 3)")
 
-    p = sub.add_parser("singular-seq", help="singular sequence decay table")
-    common(p)
+    p = command("singular-seq", _cmd_singular_seq, "singular sequence decay table")
     p.add_argument("--x0", required=True, help="center x0 (comma-separated coordinates)")
     p.add_argument("--y0", default=None, help="center y0, defaults to x0")
     p.add_argument("--n-max", type=int, default=6)
 
-    p = sub.add_parser("check-model", help="validate a model's coupling norms")
-    common(p)
-
-    sub.add_parser("list-models", help="list builtin models")
+    command("check-model", _cmd_check_model, "validate a model's coupling norms")
+    sub.add_parser("list-models", help="list builtin models").set_defaults(run=_cmd_list_models)
     return parser
 
 
@@ -361,24 +355,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-
-    handlers = {
-        "essspec": _cmd_essspec,
-        "discrete": _cmd_discrete,
-        "bs-check": _cmd_bs_check,
-        "finiteness": _cmd_finiteness,
-        "singular-seq": _cmd_singular_seq,
-        "check-model": _cmd_check_model,
-    }
     try:
-        if args.command == "list-models":
-            return _cmd_list_models(args)
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise UsageError(f"--out {args.out!r} cannot be created as a directory: {exc}") from exc
-        return handlers[args.command](args, out_dir)
+        return args.run(args)
     except UsageError as exc:
         sys.stderr.write(f"fockspectra: usage error: {exc}\n")
         return EXIT_USAGE

@@ -37,7 +37,8 @@ import numpy as np
 from .blocks import map_blocks
 from .grid import Grid, _lattice_minima, _zoom_minimize, lattice, make_grid
 from .model import ModelSpec, _check_grid, _owned, eval_xy, shared_v1_row
-from .schur import PoleProximityError, delta_at, delta_at_points, hs_norm_t
+from .schur import (DeltaNotPositiveError, PoleProximityError, delta_at, delta_at_points,
+                    hs_norm_t)
 from .spectra import w2_second_minimizer
 
 R2_GATE = 0.9
@@ -252,18 +253,20 @@ def finiteness_verdict(spec: ModelSpec, grids: Sequence[Grid],
     is Cauchy across >= 3 refinement levels (successive relative differences
     nonincreasing and below HS_TOL at the finest pair).  A violation beyond
     MARGIN yields ``criterion-violated``; everything else,
-    including unavailable gamma or poor fits, is ``inconclusive``.
+    including unavailable gamma or poor fits, is ``inconclusive``.  A level
+    where the critical energy meets a sample of w2 or leaves Delta not
+    positive reads NaN in the trend; any other error propagates.
     """
     if len(grids) < 3:
         raise ValueError("the refinement sequence needs at least 3 grids")
-    for g in grids:         # before any norm: hs_norm_t's ValueError reads as a NaN trend
+    for g in grids:         # every grid's cube, before the estimate is read
         _check_grid(spec, g)
 
     hs_trend = []
     for g in grids:
         try:
             hs_trend.append((g.n_per_dim, hs_norm_t(spec, g, estimate.e_star)))
-        except (ValueError, PoleProximityError):
+        except (DeltaNotPositiveError, PoleProximityError):
             hs_trend.append((g.n_per_dim, math.nan))
     hs_vals = np.array([h for _, h in hs_trend])
     if np.all(np.isfinite(hs_vals)):

@@ -66,10 +66,14 @@ class PoleProximityError(RuntimeError):
         self.dist = dist
 
 
+class DeltaNotPositiveError(ValueError):
+    """Delta(x; z) is not positive at some node, or is NaN there."""
+
+
 def _require_positive(delta_vals: np.ndarray) -> None:
     dmin = float(np.min(delta_vals))
-    if dmin <= 0.0:
-        raise ValueError(
+    if not dmin > 0.0:          # a NaN fails too
+        raise DeltaNotPositiveError(
             f"Delta(x; z) is nonpositive at a node (min {dmin:.3e}): "
             "z not strictly below essential spectrum (or Assumption failure)")
 
@@ -227,7 +231,7 @@ def s_matrix(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
 
 
 def bs_operator(spec: ModelSpec, grid: Grid, z: float) -> np.ndarray:
-    """Birman-Schwinger matrix T(z); raises ValueError unless Delta(z) > 0."""
+    """Birman-Schwinger matrix T(z); DeltaNotPositiveError unless Delta(z) > 0."""
     return _t_from(*schur_eval(spec, grid, z))
 
 
@@ -245,7 +249,7 @@ def hs_norm_t(spec: ModelSpec, grid: Grid, z: float) -> float:
     b.start on: its diagonal block once and the columns right of it twice.
     Raises what bs_operator raises: PoleProximityError when a block of W
     comes within POLE_TOL of z (pass 1 checks every sample pass 2 reads),
-    then ValueError unless Delta(z) > 0.
+    then DeltaNotPositiveError unless Delta(z) > 0.
     """
     X = grid.nodes[:, None, :]
     delta = delta_values(spec, grid, z)

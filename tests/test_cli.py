@@ -558,6 +558,55 @@ def test_usage_error_exit_1(capsys):
         assert cli.main(["essspec", "--model", "mnr-infinite", flag, "1e-6"]) == 1
 
 
+# one command per kind of refusal: argparse's, those before the model loads and
+# those after it; tools/compare_outputs.py runs each of them too
+REFUSED = [
+    ["bs-check", "--model", "mnr-infinite", "--n", "8", "--z", "nan"],
+    ["bs-check", "--model", "mnr-infinite", "--n", "8"],
+    ["bs-check", "--model", "mnr-infinite", "--n", "8", "--z", "-0.5", "--z-sweep=-1:-0.5:4"],
+    ["bs-check", "--model", "mnr-infinite", "--n", "8", "--z-sweep=-1:-0.5:0"],
+    ["finiteness", "--model", "mnr-infinite", "--n", "16", "--levels", "2"],
+    ["finiteness", "--model", "mnr-infinite", "--n", "16", "--levels", "8"],
+    ["essspec", "--model", "mnr-infinite", "--n", "257"],
+    ["essspec", "--model", "no-such-model"],
+    ["singular-seq", "--model", "mnr-infinite", "--n", "8", "--x0", "4.0"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_a_refused_command_creates_nothing(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path / "new" / "out")]) == 1
+    assert "error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0_and_creates_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--help"], ["bs-check", "--help"], ["essspec", "--out", "new", "--help"]):
+        assert cli.main(argv) == 0
+        assert "usage: fockspectra" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rule_choices_are_the_grid_rules():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    rules = {name: next(a.choices for a in p._actions if "--rule" in a.option_strings)
+             for name, p in commands.items() if name != "list-models"}
+    assert len(rules) == 6 and all(choices == fockspectra.grid.RULES for choices in rules.values())
+
+
+def test_bs_check_takes_one_of_z_and_z_sweep_before_the_model_loads(tmp_path, monkeypatch,
+                                                                    capsys):
+    monkeypatch.setattr(cli.model_mod, "load_model", lambda source: pytest.fail("model loaded"))
+    argv = ["bs-check", "--model", "mnr-infinite", "--out", str(tmp_path / "out")]
+    assert cli.main([*argv, "--z", "-0.5", "--z-sweep=-1:-0.5:4"]) == 1
+    assert "argument --z-sweep: not allowed with argument --z" in capsys.readouterr().err
+    assert cli.main(argv) == 1
+    assert "one of the arguments --z --z-sweep is required" in capsys.readouterr().err
+
+
 def test_shell_radius_and_annulus_cells_are_not_options(capsys):
     for argv in (["finiteness", "--model", "mnr-infinite", "--delta", "0.5"],
                  ["singular-seq", "--model", "mnr-infinite", "--x0", "1.0", "--quad-depth", "64"]):
@@ -653,6 +702,9 @@ def test_compare_tool_runs_every_readme_and_bench_command():
     # and both dense legs at d = 2 and on Gauss-Legendre nodes, which neither set runs
     for argv in tool.EXTRA:
         assert argv in listed, argv
+    # and every refusal of test_a_refused_command_creates_nothing
+    for argv in REFUSED:
+        assert argv in tool.EXTRA, argv
     for leg in ("discrete", "bs-check"):
         assert any(argv[0] == leg and "bench/models/d2-sigma2-both.cfg" in argv
                    for argv in listed), leg

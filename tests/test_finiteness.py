@@ -427,6 +427,23 @@ def test_verdict_mnr_not_finite_predicted(mnr):
     assert rep_fin.verdict != "finite-predicted"
 
 
+def test_a_model_error_in_the_hs_trend_propagates(mnr):
+    # only a pole or a Delta that is not positive reads as a NaN level: a model
+    # error used to give the trend [nan, nan, nan] and the verdict criterion-violated
+    g, rep = _report_for(mnr, 32)
+    est = fs.estimate_exponents(mnr, g, rep, fs.locate_t0(mnr, rep))
+    grids = [fs.make_grid(1, mnr.a, n) for n in (16, 32, 64)]
+
+    def w2(x, y):
+        raise ValueError("model bug")
+
+    with pytest.raises(ValueError, match="model bug"):
+        fs.finiteness_verdict(dataclasses.replace(mnr, w2=w2), grids, est)
+    inside = fs.finiteness_verdict(mnr, grids, dataclasses.replace(est, e_star=0.5))
+    assert [n for n, _ in inside.hs_trend] == [16, 32, 64]
+    assert all(math.isnan(h) for _, h in inside.hs_trend) and not inside.hs_cauchy
+
+
 def test_verdict_streams_the_hs_trend_on_refined_grids(s2e, monkeypatch):
     g, rep = _report_for(s2e, 16)
     est = fs.estimate_exponents(s2e, g, rep, fs.locate_t0(s2e, rep))

@@ -329,6 +329,21 @@ def test_hs_norm_t_raises_what_bs_operator_raises(mnr, monkeypatch):
         assert str(streamed.value) == str(dense.value)
 
 
+def test_a_nan_symbol_is_not_positive(mnr, monkeypatch):
+    # nan <= 0.0 is False: a NaN Delta used to pass the positivity check
+    with pytest.raises(ValueError, match="min nan") as refused:
+        schur._require_positive(np.array([1.0, np.nan]))
+    assert isinstance(refused.value, schur.DeltaNotPositiveError)
+    g = fs.make_grid(1, mnr.a, 8)
+    delta, K = fs.schur_eval(mnr, g, -1.0)
+    delta[3] = np.nan
+    monkeypatch.setattr(schur, "schur_eval", lambda *args: (delta.copy(), K.copy()))
+    monkeypatch.setattr(schur, "delta_values", lambda *args: delta.copy())
+    for norm in (fs.bs_operator, fs.hs_norm_t):
+        with pytest.raises(schur.DeltaNotPositiveError):
+            norm(mnr, g, -1.0)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_delta_at_points_is_bitwise_the_per_point_symbol(d, monkeypatch):
     spec = fs.load_model("mnr-infinite") if d == 1 else fs.load_model(

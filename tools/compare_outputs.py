@@ -10,8 +10,9 @@ above M, ``singular-seq`` with two centres at d = 1 and d = 2 and with one
 fixed centre through deep levels at d = 2, and a d = 1
 model with Sigma_2 roots on both sides, ``D1_BOTH``, and ``finiteness`` on
 that model, on Gauss-Legendre nodes and with more than three levels, a
-d = 2 model whose v1 depends on x, ``D2_COUPLED``, and that d = 1 model as
-tables, ``D1_TABLE``) as
+d = 2 model whose v1 depends on x, ``D2_COUPLED``, that d = 1 model as
+tables, ``D1_TABLE``, and one refused command per kind of refusal, so that
+the exit codes and usage messages are compared too) as
 ``python -m fockspectra.cli`` in each checkout: from its root, with its own
 ``src/`` on the path, BLAS threads pinned as the benchmark pins them, and a
 fresh output directory per command (``list-models`` takes no ``--out``).
@@ -44,7 +45,7 @@ D1_BOTH = str(Path(__file__).resolve().parent / "d1-sigma2-both.cfg")
 D2_COUPLED = str(Path(__file__).resolve().parent / "d2-coupled.cfg")
 D1_TABLE = str(Path(__file__).resolve().parent / "d1-table.cfg")
 
-# paths that neither the README nor the benchmark runs; 0.2-2 s each
+# paths that neither the README nor the benchmark runs; 0.2-2 s each, the refusals less
 EXTRA = (
     ["discrete", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "12", "--side", "both"],
     ["discrete", "--model", "bench/models/d2-sigma2-empty.cfg", "--n", "10", "--side", "both"],
@@ -81,6 +82,17 @@ EXTRA = (
     ["discrete", "--model", D1_TABLE, "--n", "32", "--side", "both"],
     ["bs-check", "--model", D1_TABLE, "--n", "16", "--z", "-0.11"],
     ["finiteness", "--model", D1_TABLE, "--n", "16", "--levels", "3"],
+    # refusals, in well under a second each: the exit code and stderr of argparse's
+    # errors and of the checks before and after the model loads
+    ["bs-check", "--model", "mnr-infinite", "--n", "8", "--z", "nan"],
+    ["bs-check", "--model", "mnr-infinite", "--n", "8"],
+    ["bs-check", "--model", "mnr-infinite", "--n", "8", "--z", "-0.5", "--z-sweep=-1:-0.5:4"],
+    ["bs-check", "--model", "mnr-infinite", "--n", "8", "--z-sweep=-1:-0.5:0"],
+    ["finiteness", "--model", "mnr-infinite", "--n", "16", "--levels", "2"],
+    ["finiteness", "--model", "mnr-infinite", "--n", "16", "--levels", "8"],
+    ["essspec", "--model", "mnr-infinite", "--n", "257"],
+    ["essspec", "--model", "no-such-model"],
+    ["singular-seq", "--model", "mnr-infinite", "--n", "8", "--x0", "4.0"],
 )
 
 
