@@ -21,7 +21,7 @@ _EXPORTS = {
     **dict.fromkeys(["grid", "Grid", "PairGrid", "make_grid", "make_pair_grid"], "grid"),
     **dict.fromkeys(["model", "AssumptionAReport", "BuiltinModel", "ModelError",
                      "ModelEvaluationError", "ModelSpec", "builtin_models", "check_assumption_a",
-                     "load_model", "mnr_infinite_model", "sigma2_empty_model"], "model"),
+                     "load_model"], "model"),
     **dict.fromkeys(["model_from_config"], "config"),
     **dict.fromkeys(["operators", "DiscreteBlocks", "assemble_A", "assemble_blocks"],
                     "operators"),

@@ -212,12 +212,13 @@ def _cmd_bs_check(args) -> int:
     if not np.all(np.isfinite(zs)):
         raise UsageError("every z must be finite")
     spec, g = _load(args)
-    report, _ = _begin(args, spec, g)
-    report.section("counting-checks")
     try:
-        results = spectra.birman_schwinger_sweep(spec, g, [float(z) for z in zs])
+        spectra.check_reduced_matrix_fits(spec, g)
     except spectra.MatrixTooLargeError as exc:
         raise UsageError(str(exc)) from exc
+    report, _ = _begin(args, spec, g)
+    report.section("counting-checks")
+    results = spectra.birman_schwinger_sweep(spec, g, [float(z) for z in zs])
     header = ["z", "count_A", "count_S", "count_T", "boundary", "agree"]
     rows = [(res.z, res.count_A, res.count_S, res.count_T, res.boundary, str(res.agree).lower())
             for res in results]

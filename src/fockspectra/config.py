@@ -1,12 +1,12 @@
-"""The config language of user models: a nested key-value document whose
-functions are arithmetic expressions or tabulated data.
+"""The config language of every model, built-in or user: a nested key-value
+document whose functions are arithmetic expressions or tabulated data.
 
 Loading a config makes one pass per stage: _parse_config reads the document
 in one token loop, _compile_expr checks and folds each expression in one
 pass (_FloatLiterals) and compiles it to a plain function of its variables,
-and _table_function reads and checks each table.  ``model.load_model``
-imports this module only for a config path, so the built-in models load
-without compiling it.  Every malformed document, expression or table is a
+and _table_function reads and checks each table.  Every model loads
+through here: ``model.load_model`` reads a built-in one from the package's
+models/<name>.cfg.  Every malformed document, expression or table is a
 ModelError.
 """
 

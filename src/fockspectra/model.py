@@ -11,26 +11,16 @@ of length d.  v1 and w2 take two such point arrays (broadcast together).
 
 Built-in models
 ---------------
-``mnr-infinite``   the d=1 torus model with w1 = 1 + sin^2 x,
-                   v1(x, y) = sqrt(3/pi) sin y and
-                   w2 = eps(x) + 2 eps(x+y) + eps(y), eps(t) = 1 - cos t.
-                   Its coupling constant is tuned so that the Schur symbol
-                   vanishes at the bottom of the essential spectrum, which
-                   is why its discrete spectrum below 0 is infinite.
-``sigma2-empty``   the d=1 model on (-2, 2) with a separable sextic base w2
-                   and a coupling built from it so that the Schur symbol
-                   vanishes identically at both ends of ran(w2); the
-                   essential spectrum is then exactly cl(ran w2) and the
-                   Sigma_2 part is empty.
-
-User models in the config language are built by ``config.model_from_config``,
-which load_model imports for a config path only.
+``mnr-infinite`` (d=1; infinitely many bound states below the essential
+spectrum) and ``sigma2-empty`` (d=1; Sigma_2 empty) are config documents
+shipped in the package as models/<name>.cfg, whose header comments derive
+them.  Every model, built-in or user, is built by
+``config.model_from_config``, which load_model imports on the first load.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -71,7 +61,7 @@ class ModelSpec:
 @dataclass(frozen=True, eq=False)
 class BuiltinModel:
     spec: ModelSpec
-    expected: dict = field(default_factory=dict)
+    expected: dict
 
 
 @dataclass(frozen=True)
@@ -282,116 +272,40 @@ def check_assumption_a(spec: ModelSpec, grid) -> AssumptionAReport:
 # built-in models
 # ---------------------------------------------------------------------------
 
-
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def mnr_infinite_model() -> ModelSpec:
-    """d=1 torus model whose discrete spectrum below the essential minimum is infinite.
-
-    The coupling sqrt(3/pi) sin(y) acts through the integrated variable; with
-    this normalization the Schur symbol at z = 0 is exactly 0 at x = 0, so
-    the bound states accumulate at the bottom of the essential spectrum.
-    """
-    c = math.sqrt(3.0 / math.pi)
-
-    def eps(t):
-        return 1.0 - np.cos(t)
-
-    return ModelSpec(
-        d=1,
-        a=math.pi,
-        w0=1.0,
-        v0=_zero,
-        w1=lambda x: 1.0 + np.sin(x) ** 2,
-        v1=lambda x, y: c * np.sin(y) + 0.0 * x,
-        w2=lambda x, y: eps(x) + 2.0 * eps(x + y) + eps(y),
-        epsilon=2.0,
-    )
+# each built-in model is the config document models/<name>.cfg shipped with
+# the package; its name maps to the facts that the analyses are expected to show
+_BUILTIN_EXPECTED = {
+    "mnr-infinite": {"m": 0.0, "M": 6.25, "sigma2_empty": False, "discrete_below": "infinite"},
+    "sigma2-empty": {"m": 0.0, "M": 4.8, "sigma2_empty": True, "discrete_below": "finite"},
+}
 
 
-def _sextic_bump(t):
-    # nonnegative on (-2, 2), unique zero at 0, interior maxima at +-sqrt(2);
-    # its midpoint-rule error terms share a sign, so quadrature of the
-    # coupling integral sharpens strictly 4x per grid doubling
-    return 2.8 * t**2 - t**4 + 0.1 * t**6
+@lru_cache(maxsize=None)    # one object per name, which the sample caches key on
+def _builtin_spec(name: str) -> ModelSpec:
+    from .config import model_from_config
 
-
-_SEXTIC_PEAK = 2.4          # value of the bump at its interior maximum
-_SEXTIC_INTEGRAL = 2.0 * (2.8 * 8.0 / 3.0 - 32.0 / 5.0 + 0.1 * 128.0 / 7.0)
-
-
-def sigma2_empty_model() -> ModelSpec:
-    """d=1 model on (-2, 2) whose Sigma_2 component of the essential spectrum is empty.
-
-    The base w2(x, y) = b(x) + b(y), with b the sextic bump, has range
-    [m, M] = [0, 2 * 2.4].  With
-
-        v1 = c (w2 - m)^{1/2} (M - w2)^{1/2},   c^2 = 2 / vol(Omega),
-        w1 = m + M - (1/vol) * integral of w2(x, .) over Omega,
-
-    the Schur symbols Delta(. ; m) and Delta(. ; M) vanish identically; by
-    strict monotonicity in z there is then no root of Delta outside [m, M].
-    The mean of w2 over y is b(x) plus the closed-form integral of b over
-    (-2, 2), divided by vol = 4.
-    """
-    a = 2.0
-    m, M = 0.0, 2.0 * _SEXTIC_PEAK
-    csq = 2.0 / (2.0 * a)
-    span_sq = ((M - m) / 2.0) ** 2
-    mid = (m + M) / 2.0
-
-    def w2(x, y):
-        return _sextic_bump(x) + _sextic_bump(y)
-
-    def v1(x, y):
-        # every step written into the new w2 array, so a row block holds one block
-        t = np.asarray(w2(x, y), dtype=float)
-        np.subtract(t, mid, out=t)
-        np.square(t, out=t)
-        np.subtract(span_sq, t, out=t)
-        np.multiply(csq, t, out=t)
-        np.clip(t, 0.0, None, out=t)
-        return np.sqrt(t, out=t)
-
-    def w1(x):
-        return m + (M - (_sextic_bump(x) + _SEXTIC_INTEGRAL / (2.0 * a)))
-
-    return ModelSpec(d=1, a=a, w0=0.0, v0=_zero, w1=w1, v1=v1, w2=w2, epsilon=2.0)
-
-
-_BUILTIN_CACHE: dict[str, BuiltinModel] = {}
+    return model_from_config((Path(__file__).parent / "models" / f"{name}.cfg").read_text())
 
 
 def builtin_models() -> dict[str, BuiltinModel]:
     """The registry of named built-in models (exactly two)."""
-    if not _BUILTIN_CACHE:
-        _BUILTIN_CACHE["mnr-infinite"] = BuiltinModel(
-            spec=mnr_infinite_model(),
-            expected={"m": 0.0, "M": 6.25, "sigma2_empty": False,
-                      "discrete_below": "infinite"},
-        )
-        _BUILTIN_CACHE["sigma2-empty"] = BuiltinModel(
-            spec=sigma2_empty_model(),
-            expected={"m": 0.0, "M": 2.0 * _SEXTIC_PEAK, "sigma2_empty": True,
-                      "discrete_below": "finite"},
-        )
-    return dict(_BUILTIN_CACHE)
+    return {name: BuiltinModel(spec=_builtin_spec(name), expected=expected)
+            for name, expected in _BUILTIN_EXPECTED.items()}
 
 
 def load_model(source: str | Path) -> ModelSpec:
-    """A built-in model by name, or a user model from a config file; else ModelError."""
-    if isinstance(source, str) and source in builtin_models():
-        return builtin_models()[source].spec
+    """A built-in model by name, the config document models/<name>.cfg of the
+    package (one object per name), or a user model from a config file; else ModelError."""
+    if isinstance(source, str) and source in _BUILTIN_EXPECTED:
+        return _builtin_spec(source)
     path = Path(source)
     if not path.exists():
-        known = ", ".join(sorted(builtin_models()))
+        known = ", ".join(sorted(_BUILTIN_EXPECTED))
         raise ModelError(f"unknown model {source!r}: not a builtin ({known}) and no such file")
     try:
         text = path.read_text()
     except (OSError, ValueError) as exc:        # a directory, no permission, not UTF-8
         raise ModelError(f"cannot read config {source!r}: {exc}") from exc
-    from .config import model_from_config      # the config language, for a config path only
+    from .config import model_from_config
 
     return model_from_config(text, base_dir=path.parent)

@@ -421,23 +421,11 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, zs) -> list[CountingResult]:
-    """Three-way bound-state counts at each z: reduced matrix, Schur complement, BS operator.
+def check_reduced_matrix_fits(spec: ModelSpec, grid: Grid) -> None:
+    """MatrixTooLargeError if the reduced matrix A and its eigensolver copy exceed
+    physical memory; the grid is sampled only if a complex A alone would."""
+    from . import operators      # the dense reduced matrix is the sweep's alone
 
-    Computes N(z; A_h), N(0; S_h(z)) and n(1; T_h(z)) independently and
-    reports whether all three agree.  Eigenvalues inside the boundary band
-    of the respective threshold are tallied separately; agreement is only
-    meaningful when that tally is zero.  A does not depend on z, so it is
-    eigensolved once for all zs; MatrixTooLargeError is raised before it or
-    the dense (N, P) coupling block is allocated if A and the eigensolver's
-    copy exceed physical memory, and before the grid is sampled when even a
-    float64 A would.  S and T at each z come from one schur_eval;
-    a z that is not finite is a ValueError before anything is sampled.
-    """
-    from . import operators      # the dense reduced matrix is this leg's alone
-
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("every z must be finite")
     dim = grid.n + grid.n * (grid.n + 1) // 2
     need, have = 2 * dim * dim * 8, _physical_memory_bytes()     # a float64 A and its copy
     if need <= have < 2 * need:         # only a complex A would not fit: the samples decide
@@ -447,6 +435,25 @@ def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, zs) -> list[CountingResu
             f"the {dim} x {dim} reduced matrix and its eigensolver copy need "
             f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
             "physical memory; use a smaller grid")
+
+
+def birman_schwinger_sweep(spec: ModelSpec, grid: Grid, zs) -> list[CountingResult]:
+    """Three-way bound-state counts at each z: reduced matrix, Schur complement, BS operator.
+
+    Computes N(z; A_h), N(0; S_h(z)) and n(1; T_h(z)) independently and
+    reports whether all three agree.  Eigenvalues inside the boundary band
+    of the respective threshold are tallied separately; agreement is only
+    meaningful when that tally is zero.  A does not depend on z, so it is
+    eigensolved once for all zs; check_reduced_matrix_fits runs before A or
+    the dense (N, P) coupling block is allocated.  S and T at each z come
+    from one schur_eval; a z that is not finite is a ValueError before
+    anything is sampled.
+    """
+    from . import operators
+
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("every z must be finite")
+    check_reduced_matrix_fits(spec, grid)
     # the blocks, the dense h12 among them, are a temporary freed before the eigensolve
     ev_A = eigvals_hermitian(operators.assemble_A(operators.assemble_blocks(spec, grid)))
     results = []

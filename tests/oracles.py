@@ -7,6 +7,7 @@ answer, so that a test can check the package's own path against it.
 
 import ast
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +221,64 @@ def synthetic_power_model(beta: float, gamma: float = 1.0, a: float = 1.0,
         w2=lambda x, y: floor + x**2 + y**2,
         epsilon=2.0,
     )
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def mnr_infinite_reference() -> fs.ModelSpec:
+    """The built-in mnr-infinite as closures: the reference that its config
+    document, the package's models/mnr-infinite.cfg, must match bit for bit."""
+    c = math.sqrt(3.0 / math.pi)
+
+    def eps(t):
+        return 1.0 - np.cos(t)
+
+    return fs.ModelSpec(
+        d=1,
+        a=math.pi,
+        w0=1.0,
+        v0=_zero,
+        w1=lambda x: 1.0 + np.sin(x) ** 2,
+        v1=lambda x, y: c * np.sin(y) + 0.0 * x,
+        w2=lambda x, y: eps(x) + 2.0 * eps(x + y) + eps(y),
+        epsilon=2.0,
+    )
+
+
+def _sextic_bump(t):
+    return 2.8 * t**2 - t**4 + 0.1 * t**6
+
+
+def sigma2_empty_reference() -> fs.ModelSpec:
+    """The built-in sigma2-empty as closures: the reference that its config
+    document, the package's models/sigma2-empty.cfg, must match bit for bit.
+
+    w2 = b(x) + b(y) with the sextic bump b, whose range is [m, M] = [0, 4.8];
+    v1 = c (w2 - m)^{1/2} (M - w2)^{1/2} with c^2 = 2 / vol, written as
+    sqrt(c^2 (((M - m) / 2)^2 - (w2 - mid)^2)) with its argument clipped at 0;
+    w1 = m + M - the mean of w2 over y, which is b(x) plus the integral of b
+    over (-2, 2) divided by vol = 4.
+    """
+    a = 2.0
+    m, M = 0.0, 2.0 * 2.4
+    csq = 2.0 / (2.0 * a)
+    span_sq = ((M - m) / 2.0) ** 2
+    mid = (m + M) / 2.0
+    integral = 2.0 * (2.8 * 8.0 / 3.0 - 32.0 / 5.0 + 0.1 * 128.0 / 7.0)
+
+    def w2(x, y):
+        return _sextic_bump(x) + _sextic_bump(y)
+
+    def v1(x, y):
+        t = np.asarray(w2(x, y), dtype=float)
+        return np.sqrt(np.clip(csq * (span_sq - (t - mid) ** 2), 0.0, None))
+
+    def w1(x):
+        return m + (M - (_sextic_bump(x) + integral / (2.0 * a)))
+
+    return fs.ModelSpec(d=1, a=a, w0=0.0, v0=_zero, w1=w1, v1=v1, w2=w2, epsilon=2.0)
 
 
 def negate_model(spec: fs.ModelSpec) -> fs.ModelSpec:

@@ -258,17 +258,17 @@ print(" ".join(sorted(m.removeprefix("fockspectra.") for m in sys.modules
                       if m.split(".")[0] == "fockspectra")))
 """
 
-CLI_BASE = {"fockspectra", "cli", "model", "blocks", "grid"}
+CLI_BASE = {"fockspectra", "cli", "model", "blocks", "grid", "config"}
 
 
 LOAD_CASES = [
     ("import fockspectra; fockspectra.load_model('mnr-infinite')",
-     {"fockspectra", "model", "blocks"}),
+     {"fockspectra", "model", "blocks", "config"}),
     ("import fockspectra; fockspectra.load_model(CFG)",
      {"fockspectra", "model", "blocks", "config"}),
     (["list-models"], CLI_BASE),
     (["check-model", "--model", "mnr-infinite", "--n", "8"], CLI_BASE),
-    (["check-model", "--model", "CFG", "--n", "8"], CLI_BASE | {"config"}),
+    (["check-model", "--model", "CFG", "--n", "8"], CLI_BASE),
     (["essspec", "--model", "mnr-infinite", "--n", "8"], CLI_BASE | {"spectra", "schur"}),
     (["discrete", "--model", "mnr-infinite", "--n", "8"], CLI_BASE | {"spectra", "schur"}),
     (["bs-check", "--model", "mnr-infinite", "--n", "6", "--z", "-0.25"],
@@ -286,7 +286,7 @@ LOAD_CASES = [
 def test_each_path_loads_only_the_modules_it_runs(path, expected, tmp_path):
     # names, not times: essspec, discrete and bs-check load neither finiteness
     # nor verify, singular-seq none of spectra, schur and finiteness, and the
-    # config language loads for a config model only
+    # config language loads for every model, a built-in one included
     cfg = tmp_path / "valid.cfg"
     cfg.write_text(VALID_CONFIG)
     if isinstance(path, str):
@@ -402,7 +402,8 @@ def test_lazy_namespace_resolves_every_export():
     proc = subprocess.run([sys.executable, "-c", LAZY_NAMESPACE_SCRIPT],
                           capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 ['fockspectra', 'fockspectra.blocks', 'fockspectra.model']\n"
+    assert proc.stdout == ("1 ['fockspectra', 'fockspectra.blocks', 'fockspectra.config', "
+                           "'fockspectra.model']\n")
     names = dir(fockspectra)
     for name in fockspectra.__all__:
         assert name in names
@@ -570,11 +571,14 @@ REFUSED = [
     ["essspec", "--model", "mnr-infinite", "--n", "257"],
     ["essspec", "--model", "no-such-model"],
     ["singular-seq", "--model", "mnr-infinite", "--n", "8", "--x0", "4.0"],
+    # a reduced matrix of 105249.6 GiB, refused before the Assumption A pass
+    ["bs-check", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "48", "--z", "-2"],
 ]
 
 
 @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
 def test_a_refused_command_creates_nothing(argv, tmp_path, capsys):
+    argv = [str(README.parent / a) if a.endswith(".cfg") else a for a in argv]
     assert cli.main([*argv, "--out", str(tmp_path / "new" / "out")]) == 1
     assert "error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

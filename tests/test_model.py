@@ -1,7 +1,9 @@
 import dataclasses
+import fnmatch
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,53 @@ from hypothesis import given, settings, strategies as st
 import fockspectra as fs
 from fockspectra import blocks, cli, config
 from conftest import make_decoupled, random_trig_model, simpson
-from oracles import negate_model, plain_expr, synthetic_power_model
+from oracles import (mnr_infinite_reference, negate_model, plain_expr,
+                     sigma2_empty_reference, synthetic_power_model)
 
 
 def test_builtin_registry_has_exactly_two():
     names = sorted(fs.builtin_models())
     assert names == ["mnr-infinite", "sigma2-empty"]
+    # one object per name: the sample caches key on it
+    assert all(fs.load_model(name) is fs.builtin_models()[name].spec for name in names)
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name, reference", [("mnr-infinite", mnr_infinite_reference),
+                                             ("sigma2-empty", sigma2_empty_reference)])
+def test_each_shipped_config_matches_its_reference_closures(name, reference):
+    # the built-ins are config documents: an edit to one cannot move its
+    # model, not by one bit of one sample on either rule or at random points
+    spec, ref = fs.load_model(name), reference()
+    assert (spec.d, spec.a, spec.w0, spec.epsilon) == (ref.d, ref.a, ref.w0, ref.epsilon)
+    grids = [fs.make_grid(1, spec.a, n, rule) for rule, sizes in (
+        ("midpoint", [*range(2, 65), 100, 255, 256, 1024]),
+        ("gauss-legendre", [*range(2, 65), 127, 512])) for n in sizes]
+    points = [(g.nodes, g.nodes[:, None, :], g.nodes[None, :, :]) for g in grids]
+    rng = np.random.default_rng(20)
+    x, y = rng.uniform(-spec.a, spec.a, (2, 200_000, 1))
+    points.append((x, x, y))
+    for nodes, xs, ys in points:
+        for f in ("w1", "v0"):
+            assert np.array_equal(_bits(fs.model.eval_x(spec, getattr(spec, f), nodes)),
+                                  _bits(fs.model.eval_x(ref, getattr(ref, f), nodes))), f
+        for f in ("v1", "w2"):
+            assert np.array_equal(_bits(fs.model.eval_xy(spec, getattr(spec, f), xs, ys)),
+                                  _bits(fs.model.eval_xy(ref, getattr(ref, f), xs, ys))), f
+
+
+def test_every_shipped_model_file_is_package_data():
+    # a non-editable install copies only the files that a package-data glob names
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11 on
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["fockspectra"]
+    package = Path(fs.__file__).parent
+    shipped = sorted(p.relative_to(package).as_posix() for p in (package / "models").iterdir())
+    assert shipped == sorted(f"models/{name}.cfg" for name in fs.builtin_models())
+    assert all(any(fnmatch.fnmatch(f, glob) for glob in globs) for f in shipped)
 
 
 def test_mesh_samples_are_cached_for_one_grid_only(mnr):

@@ -93,6 +93,7 @@ EXTRA = (
     ["essspec", "--model", "mnr-infinite", "--n", "257"],
     ["essspec", "--model", "no-such-model"],
     ["singular-seq", "--model", "mnr-infinite", "--n", "8", "--x0", "4.0"],
+    ["bs-check", "--model", "bench/models/d2-sigma2-both.cfg", "--n", "48", "--z", "-2"],
 )
 
 
